@@ -194,7 +194,8 @@ def train(state: LearnerState, dataset: Sequence[Sample], hp: Hyperparams) -> Le
 
     Update rule per minibatch: ``v <- momentum * v + g``, ``theta <- theta - lr * v``,
     with weight decay added to the gradient.  The last batch of an epoch may be
-    smaller.  Deterministic per ``hp.seed``.
+    smaller.  Deterministic per ``hp.seed``.  Raises ``FloatingPointError`` when
+    training diverged, i.e. any parameter is non-finite afterwards.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -221,6 +222,11 @@ def train(state: LearnerState, dataset: Sequence[Sample], hp: Hyperparams) -> Le
                     g = g + hp.weight_decay * params[name]
                 velocity[name] = hp.momentum * velocity[name] + g
                 params[name] = params[name] - lr * velocity[name]
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise FloatingPointError(
+                f"training diverged: parameter {name!r} is non-finite at lr={hp.learning_rate}"
+            )
     return work
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -17,6 +18,11 @@ from .sampler import AlphaPolicy, ReplayBuffer, buffer_snapshot, update_buffer
 SPLIT_SEED_OFFSET = 0
 SAMPLER_SEED_OFFSET = 1000
 LEARNER_SEED_OFFSET = 2000
+
+# Consecutive evaluation targets are scored in one predict_batch call while
+# their rows fit this budget; a larger target is scored alone.  It bounds the
+# feature copy made per call, so memory does not grow with the stream.
+SCORE_BATCH_ROWS = 1024
 
 
 class ProtocolKind(Enum):
@@ -74,7 +80,7 @@ def matrix_to_text(matrix: AccuracyMatrix) -> str:
     """Plain-text grid: header line, then N comma-separated rows with NA for absent cells."""
     lines = [f"N={matrix.n} protocol={matrix.protocol.value}"]
     for row in matrix.cells:
-        lines.append(",".join("NA" if np.isnan(v) else f"{v:.6f}" for v in row))
+        lines.append(",".join("NA" if v != v else f"{v:.6f}" for v in row.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -127,11 +133,33 @@ def evaluate(state: LearnerState, test: Sequence[Sample]) -> float:
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty test set")
     x, y = as_arrays(test)
-    return _accuracy(state, x, y)
-
-
-def _accuracy(state: LearnerState, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(predict_batch(state, x) == y))
+
+
+def _score(state: LearnerState, targets: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """Accuracy of ``state`` on each ``(x, y)`` target, equal to :func:`evaluate` on each alone.
+
+    Runs of consecutive targets within ``SCORE_BATCH_ROWS`` rows share one
+    ``predict_batch`` call; per-row hits are summed back per target.
+    """
+    scores: list[float] = []
+    start = 0
+    while start < len(targets):
+        stop, rows = start + 1, len(targets[start][1])
+        while stop < len(targets) and rows + len(targets[stop][1]) <= SCORE_BATCH_ROWS:
+            rows += len(targets[stop][1])
+            stop += 1
+        group = targets[start:stop]
+        if len(group) == 1:  # scored in place: a large bucket is never copied
+            x, y = group[0]
+        else:
+            x = np.concatenate([gx for gx, _ in group])
+            y = np.concatenate([gy for _, gy in group])
+        sizes = np.array([len(gy) for _, gy in group])
+        hits = predict_batch(state, x) == y
+        scores.extend((np.add.reduceat(hits, np.cumsum(sizes) - sizes) / sizes).tolist())
+        start = stop
+    return scores
 
 
 def _learner_hp(cfg: RunConfig, seed: int, step: int) -> Hyperparams:
@@ -176,9 +204,8 @@ def run_iid_protocol(
         state = strategy_step(
             cfg.strategy, prev, i, train_data, _learner_hp(cfg, seed, i), cfg.architecture
         )
-        for j in range(n):
-            cells[i, j] = _accuracy(state, *test_xy[j])
-            events.append(Event(kind="evaluate", step=i, bucket=j))
+        cells[i] = _score(state, test_xy)
+        events.extend(Event(kind="evaluate", step=i, bucket=j) for j in range(n))
         prev = state
     return AccuracyMatrix(cells=cells, protocol=ProtocolKind.IID)
 
@@ -192,8 +219,12 @@ def run_streaming_protocol(
     """Train on each full bucket in order, then evaluate on strictly future buckets.
 
     No held-out splits: bucket j is evaluated by every earlier predictor before
-    it is ever ingested for training; the ordering is checked against the event
-    log at each step, not merely followed by convention.
+    it is ever ingested for training.  The ordering is checked at each step,
+    not merely followed by convention: a per-bucket count of evaluate events,
+    seeded from any events already in ``event_log`` and advanced as each one is
+    appended, must equal the bucket's index before the bucket is trained on.
+    The runner's post-run :func:`audit_streaming_order` re-checks the written
+    log independently.
     """
     n = stream.n_buckets
     if n < 2:
@@ -202,13 +233,14 @@ def run_streaming_protocol(
     bucket_xy = [as_arrays(b.samples) for b in stream.buckets]
     buffer = ReplayBuffer.empty(cfg.buffer_capacity)
     sampler_rng = np.random.default_rng(seed + SAMPLER_SEED_OFFSET)
+    prior = Counter(e.bucket for e in events if e.kind == "evaluate")
+    evaluated = [prior[b] for b in range(n)]
     cells = np.full((n, n), np.nan)
     prev: LearnerState | None = None
     for i in range(n):
-        evaluated = sum(1 for e in events if e.kind == "evaluate" and e.bucket == i)
-        if evaluated != i:
+        if evaluated[i] != i:
             raise ProtocolOrderError(
-                f"bucket {i} has {evaluated} of {i} required evaluations before training"
+                f"bucket {i} has {evaluated[i]} of {i} required evaluations before training"
             )
         buffer = update_buffer(buffer, stream.buckets[i], cfg.alpha_policy, sampler_rng)
         events.append(Event(kind="train", step=i, bucket=i))
@@ -219,9 +251,10 @@ def run_streaming_protocol(
         state = strategy_step(
             cfg.strategy, prev, i, train_data, _learner_hp(cfg, seed, i), cfg.architecture
         )
+        cells[i, i + 1 :] = _score(state, bucket_xy[i + 1 :])
         for j in range(i + 1, n):
-            cells[i, j] = _accuracy(state, *bucket_xy[j])
             events.append(Event(kind="evaluate", step=i, bucket=j))
+            evaluated[j] += 1
         prev = state
     return AccuracyMatrix(cells=cells, protocol=ProtocolKind.STREAMING)
 

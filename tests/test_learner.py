@@ -194,6 +194,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(init_learner(LINEAR_2_2, seed=0), [], Hyperparams(learning_rate=0.1))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises(self):
+        rng = np.random.default_rng(3)
+        data = make_batch(rng.standard_normal((30, 2)), rng.integers(0, 2, 30))
+        hp = Hyperparams(learning_rate=1e300, epochs=3, decay_epoch=2, batch_size=8)
+        with pytest.raises(FloatingPointError, match="diverged"):
+            train(init_learner(Architecture("mlp", 2, 2, hidden=16), seed=0), data, hp)
+
     def test_hyperparam_validation(self):
         with pytest.raises(ValueError):
             Hyperparams(learning_rate=0.1, epochs=0)

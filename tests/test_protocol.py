@@ -4,11 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from driftbench.corpus import Bucket, DriftConfig, Sample, TemporalStream, generate_drift_stream
+import driftbench.protocol as protocol_module
+from driftbench.corpus import (
+    Bucket,
+    DriftConfig,
+    Sample,
+    TemporalStream,
+    generate_drift_stream,
+    split_iid,
+)
 from driftbench.learner import Architecture, Hyperparams, Strategy, init_learner, predict, strategy_step
 from driftbench.metrics import aggregate, compute_metrics
 from driftbench.protocol import (
     LEARNER_SEED_OFFSET,
+    SPLIT_SEED_OFFSET,
     AccuracyMatrix,
     Event,
     ProtocolKind,
@@ -134,6 +143,41 @@ class TestEvaluate:
             evaluate(state, [])
 
 
+class TestGroupedScoring:
+    @pytest.mark.parametrize("kind", [ProtocolKind.IID, ProtocolKind.STREAMING])
+    def test_cells_equal_evaluate_across_scoring_groups(self, kind, monkeypatch):
+        # With a 20-row budget each step's targets split into several scoring
+        # groups, and the 40-sample bucket (28-sample iid test set) exceeds it.
+        monkeypatch.setattr(protocol_module, "SCORE_BATCH_ROWS", 20, raising=False)
+        states = []
+
+        def recording_step(*args):
+            states.append(strategy_step(*args))
+            return states[-1]
+
+        monkeypatch.setattr(protocol_module, "strategy_step", recording_step)
+        base = small_stream(N=8, n_per_class=20)
+        sizes = (12, 5, 6, 40, 4, 7, 8, 30)
+        stream = TemporalStream(
+            buckets=tuple(Bucket(b.index, b.samples[:k]) for b, k in zip(base.buckets, sizes)),
+            d=base.d, C=base.C, dropped=0,
+        )
+        seed = 3
+        if kind is ProtocolKind.IID:
+            matrix = run_iid_protocol(stream, config_for(stream, capacity=20, fraction=0.3), seed)
+            targets = [
+                split_iid(b, 0.3, seed + SPLIT_SEED_OFFSET + b.index)[1] for b in stream.buckets
+            ]
+        else:
+            matrix = run_streaming_protocol(stream, config_for(stream, capacity=20, fraction=None), seed)
+            targets = [b.samples for b in stream.buckets]
+        assert len(states) == stream.n_buckets
+        rows, cols = np.nonzero(~np.isnan(matrix.cells))
+        assert len(rows) == (64 if kind is ProtocolKind.IID else 28)
+        for i, j in zip(rows, cols):
+            assert matrix.cells[i, j] == evaluate(states[i], targets[j])
+
+
 class TestIidProtocol:
     def test_napping_rows_identical(self):
         stream = small_stream()
@@ -143,9 +187,6 @@ class TestIidProtocol:
             assert np.array_equal(matrix.cells[i], matrix.cells[0])
 
     def test_napping_trains_on_first_train_split(self):
-        from driftbench.corpus import split_iid
-        from driftbench.protocol import SPLIT_SEED_OFFSET
-
         stream = small_stream()
         cfg = config_for(stream, strategy=Strategy.NAPPING)
         seed = 2
@@ -188,9 +229,6 @@ class TestIidProtocol:
 
     def test_test_sets_never_trained_on(self):
         # Splits are reconstructable from the seed; train ids and test ids are disjoint.
-        from driftbench.corpus import split_iid
-        from driftbench.protocol import SPLIT_SEED_OFFSET
-
         stream = small_stream()
         cfg = config_for(stream)
         seed = 3
@@ -264,6 +302,14 @@ class TestStreamingProtocol:
         for pos, e in enumerate(events):
             if e.kind == "evaluate":
                 assert pos < train_pos[e.bucket]
+
+    def test_reused_event_log_rejected(self):
+        stream = small_stream(N=3)
+        cfg = config_for(stream, fraction=None)
+        events: list[Event] = []
+        run_streaming_protocol(stream, cfg, seed=0, event_log=events)
+        with pytest.raises(ProtocolOrderError, match="bucket 1 has 2 of 1 required evaluations"):
+            run_streaming_protocol(stream, cfg, seed=0, event_log=events)
 
     def test_audit_flags_violations(self):
         bad = [

@@ -201,6 +201,20 @@ class TestRunExperiment:
         rows = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()
         assert all(not r.startswith("bad,") for r in rows)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_cell_fails_loudly(self, tmp_path):
+        text = GOOD_CONFIG + (
+            "\n[cell:diverged]\nprotocol = streaming\nstrategy = finetuning\n"
+            "architecture = mlp:16\nalpha = fixed:1.0\nbuffer_capacity = 90\nn_seeds = 1\n"
+            "lr = 1e300\nbatch = 32\nepochs = 3\ndecay_epoch = 2\n"
+        )
+        grid = validate_config(text, tmp_path / "out")
+        result = run_experiment(grid)
+        assert set(result.failures) == {"diverged"}
+        assert "diverged" in (tmp_path / "out" / "diverged" / "error.txt").read_text()
+        assert not (tmp_path / "out" / "diverged" / "report.txt").exists()
+        assert (tmp_path / "out" / "ft-fast" / "report.txt").exists()
+
     def test_jobs_parallel_matches_serial(self, tmp_path):
         extra = GOOD_CONFIG + (
             "\n[cell:second]\nprotocol = streaming\nstrategy = from_scratch\n"
