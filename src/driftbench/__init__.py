@@ -36,7 +36,6 @@ from .sampler import (
     PolicyKind,
     ReplayBuffer,
     acceptance_probability,
-    buffer_snapshot,
     parse_policy,
     update_buffer,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "acceptance_probability",
     "aggregate",
     "bucketize",
-    "buffer_snapshot",
     "compute_metrics",
     "evaluate",
     "forward_loss_grad",

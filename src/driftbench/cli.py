@@ -43,7 +43,7 @@ def _parse_curation_spec(path: str) -> dict[str, str]:
 def _cmd_run(args: argparse.Namespace) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
     grid = validate_config(text, args.out)
-    result = run_experiment(grid, jobs=args.jobs)
+    result = run_experiment(grid)
     for name in sorted(result.reports):
         print(f"cell {name}: ok")
     for name, message in sorted(result.failures.items()):
@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--config", required=True, help="grid config file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--jobs", type=int, default=1, help="cells to run in parallel (default 1)")
     run.set_defaults(func=_cmd_run)
 
     curate_p = sub.add_parser(

@@ -20,7 +20,6 @@ class Strategy(Enum):
     NAPPING = "napping"
     FROM_SCRATCH = "from_scratch"
     FINETUNING = "finetuning"
-    GDUMB_LIKE = "gdumb_like"
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -88,8 +87,8 @@ class Hyperparams:
             raise ValueError("learning_rate must be finite and >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.batch_size < 1 or self.epochs < 1 or self.decay_epoch < 1:
             raise ValueError("batch_size, epochs and decay_epoch must be >= 1")
         if self.decay_epoch > self.epochs:
@@ -254,22 +253,14 @@ def strategy_step(
 ) -> LearnerState:
     """Produce the timestamp's predictor according to the update strategy.
 
-    Napping trains only at the first timestamp and afterwards returns ``prev``
-    unchanged; From-Scratch and the GDumb-like rule reinitialize and train each
-    time; Finetuning continues from the previous weights.
+    Every strategy reinitializes and trains at the first timestamp.  After it,
+    From-Scratch reinitializes and trains each time, Napping returns ``prev``
+    unchanged, and Finetuning continues from the previous weights.
     """
-    if strategy is Strategy.NAPPING:
-        if timestamp_index == 0:
-            return train(init_learner(architecture, hp.seed), train_data, hp)
-        if prev is None:
-            raise ValueError("napping after the first timestamp requires a previous state")
-        return prev
-    if strategy in (Strategy.FROM_SCRATCH, Strategy.GDUMB_LIKE):
+    if strategy is Strategy.FROM_SCRATCH or timestamp_index == 0:
         return train(init_learner(architecture, hp.seed), train_data, hp)
-    if strategy is Strategy.FINETUNING:
-        if timestamp_index == 0:
-            return train(init_learner(architecture, hp.seed), train_data, hp)
-        if prev is None:
-            raise ValueError("finetuning after the first timestamp requires a previous state")
-        return train(prev, train_data, hp)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if prev is None:
+        raise ValueError(f"{strategy.value} after the first timestamp requires a previous state")
+    if strategy is Strategy.NAPPING:
+        return prev
+    return train(prev, train_data, hp)

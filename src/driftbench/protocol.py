@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import Sample, TemporalStream, as_arrays, split_iid
 from .learner import Architecture, Hyperparams, LearnerState, Strategy, predict_batch, strategy_step
-from .sampler import AlphaPolicy, ReplayBuffer, buffer_snapshot, update_buffer
+from .sampler import AlphaPolicy, ReplayBuffer, update_buffer
 
 # A run seed r fans out to component seeds at fixed offsets so ablations can
 # vary exactly one randomness source.
@@ -89,8 +89,8 @@ def matrix_from_text(text: str) -> AccuracyMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
-    header = dict(part.split("=", 1) for part in lines[0].split())
     try:
+        header = dict(part.split("=", 1) for part in lines[0].split())
         n = int(header["N"])
         protocol = ProtocolKind(header["protocol"])
     except (KeyError, ValueError) as exc:
@@ -104,7 +104,10 @@ def matrix_from_text(text: str) -> AccuracyMatrix:
             raise ValueError(f"row {i}: expected {n} cells, got {len(parts)}")
         for j, part in enumerate(parts):
             if part != "NA":
-                cells[i, j] = float(part)
+                try:
+                    cells[i, j] = float(part)
+                except ValueError as exc:
+                    raise ValueError(f"row {i}, column {j}: bad cell {part!r}") from exc
     return AccuracyMatrix(cells=cells, protocol=protocol)
 
 
@@ -118,14 +121,10 @@ class RunConfig:
     alpha_policy: AlphaPolicy
     buffer_capacity: int
     train_fraction: float | None = None
-    n_seeds: int = 5
-    base_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.buffer_capacity < 1:
             raise ValueError("buffer_capacity must be >= 1")
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
 
 
 def evaluate(state: LearnerState, test: Sequence[Sample]) -> float:
@@ -166,6 +165,49 @@ def _learner_hp(cfg: RunConfig, seed: int, step: int) -> Hyperparams:
     return replace(cfg.hyperparams, seed=seed + LEARNER_SEED_OFFSET + step)
 
 
+def _run_protocol(
+    kind: ProtocolKind,
+    train_sets: Sequence[Sequence[Sample]],
+    targets: Sequence[tuple[np.ndarray, np.ndarray]],
+    cfg: RunConfig,
+    seed: int,
+    event_log: list[Event] | None,
+) -> AccuracyMatrix:
+    """The loop both protocols share: ingest, train, then score the step's targets.
+
+    Step ``i`` folds ``train_sets[i]`` into the replay buffer, trains on the
+    buffer (Napping: on ``train_sets[0]``) and scores ``targets[first:]``, with
+    ``first = 0`` for iid and ``i + 1`` for streaming.  Only streaming targets
+    are trained on, so only streaming checks the evaluation order.
+    """
+    n = len(train_sets)
+    streaming = kind is ProtocolKind.STREAMING
+    events = event_log if event_log is not None else []
+    prior = Counter(e.bucket for e in events if e.kind == "evaluate")
+    evaluated = [prior[b] for b in range(n)]
+    buffer = ReplayBuffer.empty(cfg.buffer_capacity)
+    sampler_rng = np.random.default_rng(seed + SAMPLER_SEED_OFFSET)
+    cells = np.full((n, n), np.nan)
+    state: LearnerState | None = None
+    for i in range(n):
+        if streaming and evaluated[i] != i:
+            raise ProtocolOrderError(
+                f"bucket {i} has {evaluated[i]} of {i} required evaluations before training"
+            )
+        buffer = update_buffer(buffer, train_sets[i], cfg.alpha_policy, sampler_rng)
+        events.append(Event(kind="train", step=i, bucket=i))
+        train_data = train_sets[0] if cfg.strategy is Strategy.NAPPING else buffer.entries
+        state = strategy_step(
+            cfg.strategy, state, i, train_data, _learner_hp(cfg, seed, i), cfg.architecture
+        )
+        first = i + 1 if streaming else 0
+        cells[i, first:] = _score(state, targets[first:])
+        for j in range(first, n):
+            events.append(Event(kind="evaluate", step=i, bucket=j))
+            evaluated[j] += 1
+    return AccuracyMatrix(cells=cells, protocol=kind)
+
+
 def run_iid_protocol(
     stream: TemporalStream,
     cfg: RunConfig,
@@ -175,39 +217,20 @@ def run_iid_protocol(
     """Per-bucket 70/30-style splits; every predictor is evaluated on all held-out test sets.
 
     Test sets are fixed once per seed and never trained on.  Training data for
-    each step is the replay-buffer snapshot after ingesting the bucket's train
-    split (Napping trains once, on the first bucket's train split).
+    each step is the replay buffer after ingesting the bucket's train split
+    (Napping trains once, on the first bucket's train split).
     """
-    n = stream.n_buckets
-    if n < 2:
+    if stream.n_buckets < 2:
         raise ValueError("iid protocol needs at least 2 buckets")
     if cfg.train_fraction is None:
         raise ValueError("iid protocol requires train_fraction")
-    events = event_log if event_log is not None else []
     splits = [
         split_iid(b, cfg.train_fraction, seed + SPLIT_SEED_OFFSET + b.index)
         for b in stream.buckets
     ]
     test_xy = [as_arrays(test) for _, test in splits]
-    buffer = ReplayBuffer.empty(cfg.buffer_capacity)
-    sampler_rng = np.random.default_rng(seed + SAMPLER_SEED_OFFSET)
-    cells = np.full((n, n), np.nan)
-    prev: LearnerState | None = None
-    for i in range(n):
-        train_split, _ = splits[i]
-        buffer = update_buffer(buffer, train_split, cfg.alpha_policy, sampler_rng)
-        events.append(Event(kind="train", step=i, bucket=i))
-        if cfg.strategy is Strategy.NAPPING:
-            train_data: Sequence[Sample] = splits[0][0]
-        else:
-            train_data = buffer_snapshot(buffer)
-        state = strategy_step(
-            cfg.strategy, prev, i, train_data, _learner_hp(cfg, seed, i), cfg.architecture
-        )
-        cells[i] = _score(state, test_xy)
-        events.extend(Event(kind="evaluate", step=i, bucket=j) for j in range(n))
-        prev = state
-    return AccuracyMatrix(cells=cells, protocol=ProtocolKind.IID)
+    train_sets = [train for train, _ in splits]
+    return _run_protocol(ProtocolKind.IID, train_sets, test_xy, cfg, seed, event_log)
 
 
 def run_streaming_protocol(
@@ -226,37 +249,11 @@ def run_streaming_protocol(
     The runner's post-run :func:`audit_streaming_order` re-checks the written
     log independently.
     """
-    n = stream.n_buckets
-    if n < 2:
+    if stream.n_buckets < 2:
         raise ValueError("streaming protocol needs at least 2 buckets")
-    events = event_log if event_log is not None else []
     bucket_xy = [as_arrays(b.samples) for b in stream.buckets]
-    buffer = ReplayBuffer.empty(cfg.buffer_capacity)
-    sampler_rng = np.random.default_rng(seed + SAMPLER_SEED_OFFSET)
-    prior = Counter(e.bucket for e in events if e.kind == "evaluate")
-    evaluated = [prior[b] for b in range(n)]
-    cells = np.full((n, n), np.nan)
-    prev: LearnerState | None = None
-    for i in range(n):
-        if evaluated[i] != i:
-            raise ProtocolOrderError(
-                f"bucket {i} has {evaluated[i]} of {i} required evaluations before training"
-            )
-        buffer = update_buffer(buffer, stream.buckets[i], cfg.alpha_policy, sampler_rng)
-        events.append(Event(kind="train", step=i, bucket=i))
-        if cfg.strategy is Strategy.NAPPING:
-            train_data: Sequence[Sample] = stream.buckets[0].samples
-        else:
-            train_data = buffer_snapshot(buffer)
-        state = strategy_step(
-            cfg.strategy, prev, i, train_data, _learner_hp(cfg, seed, i), cfg.architecture
-        )
-        cells[i, i + 1 :] = _score(state, bucket_xy[i + 1 :])
-        for j in range(i + 1, n):
-            events.append(Event(kind="evaluate", step=i, bucket=j))
-            evaluated[j] += 1
-        prev = state
-    return AccuracyMatrix(cells=cells, protocol=ProtocolKind.STREAMING)
+    train_sets = [b.samples for b in stream.buckets]
+    return _run_protocol(ProtocolKind.STREAMING, train_sets, bucket_xy, cfg, seed, event_log)
 
 
 def audit_streaming_order(events: Sequence[Event]) -> None:
@@ -282,13 +279,24 @@ def event_log_text(protocol: ProtocolKind, events: Sequence[Event]) -> str:
 
 
 def parse_event_log(text: str) -> tuple[ProtocolKind, list[Event]]:
-    """Parse the format written by :func:`event_log_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("protocol="):
+    """Parse the format written by :func:`event_log_text`.
+
+    Raises ``ValueError`` naming the 1-based line of the first malformed event.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("protocol="):
         raise ValueError("event log must start with a protocol= header")
-    protocol = ProtocolKind(lines[0].split("=", 1)[1])
+    protocol = ProtocolKind(lines[0][1].split("=", 1)[1])
     events = []
-    for ln in lines[1:]:
-        kind, step, bucket = ln.split("\t")
-        events.append(Event(kind=kind, step=int(step), bucket=int(bucket)))
+    for lineno, ln in lines[1:]:
+        fields = ln.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        kind, step, bucket = fields
+        if kind not in ("train", "evaluate"):
+            raise ValueError(f"line {lineno}: unknown event kind {kind!r}")
+        try:
+            events.append(Event(kind=kind, step=int(step), bucket=int(bucket)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: step and bucket must be integers, got {ln!r}") from exc
     return protocol, events

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import difflib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .corpus import (
     DriftConfig,
@@ -103,7 +101,7 @@ _STREAM_KEYS: dict[str, tuple[type, str]] = {
 
 _CELL_KEYS: dict[str, tuple[type, str]] = {
     "protocol": (str, "iid | streaming"),
-    "strategy": (str, "napping | from_scratch | finetuning | gdumb_like"),
+    "strategy": (str, "napping | from_scratch | finetuning"),
     "architecture": (str, "linear | mlp:<hidden> (default linear)"),
     "alpha": (str, "fixed:<value> | dynamic:<coefficient> (default fixed:1.0)"),
     "buffer_capacity": (int, "replay buffer size k"),
@@ -377,16 +375,11 @@ def _run_cell(stream: TemporalStream, cell: CellConfig, cell_dir: Path, base_see
         alpha_policy=cell.policy,
         buffer_capacity=cell.buffer_capacity,
         train_fraction=cell.train_fraction,
-        n_seeds=cell.n_seeds,
-        base_seed=base_seed,
     )
-    runner: Callable = (
-        run_iid_protocol if cell.protocol is ProtocolKind.IID else run_streaming_protocol
-    )
+    runner = run_iid_protocol if cell.protocol is ProtocolKind.IID else run_streaming_protocol
     cell_dir.mkdir(parents=True, exist_ok=True)
     reports = []
-    for run_index in range(cfg.n_seeds):
-        seed = cfg.base_seed + run_index
+    for seed in range(base_seed, base_seed + cell.n_seeds):
         events: list[Event] = []
         matrix = runner(stream, cfg, seed, event_log=events)
         if cell.protocol is ProtocolKind.STREAMING:
@@ -399,12 +392,12 @@ def _run_cell(stream: TemporalStream, cell: CellConfig, cell_dir: Path, base_see
     return agg
 
 
-def run_experiment(grid: ExperimentGrid, jobs: int = 1) -> ExperimentResult:
-    """Execute every cell, writing matrices, event logs, per-cell reports, and a summary CSV.
+def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
+    """Execute every cell in turn, writing matrices, event logs, per-cell reports, and a summary CSV.
 
-    Cells share nothing and may run in parallel; a failure in one cell is
-    recorded in its own directory and does not disturb the others.
-    ``DRIFTBENCH_SEED`` overrides every cell's base seed when set.
+    Cells share nothing; a failure in one cell is recorded in its own
+    directory and does not disturb the others.  ``DRIFTBENCH_SEED`` overrides
+    every cell's base seed when set.
     """
     grid.out_dir.mkdir(parents=True, exist_ok=True)
     stream = load_stream(grid.stream)
@@ -416,34 +409,17 @@ def run_experiment(grid: ExperimentGrid, jobs: int = 1) -> ExperimentResult:
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
 
-    def task(cell: CellConfig) -> AggregateReport:
-        base = env_base if env_seed is not None else cell.base_seed
-        return _run_cell(stream, cell, grid.out_dir / cell.name, base)
-
-    outcomes: dict[str, AggregateReport | Exception] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {cell.name: pool.submit(task, cell) for cell in grid.cells}
-            for name, future in futures.items():
-                outcomes[name] = future.exception() or future.result()
-    else:
-        for cell in grid.cells:
-            try:
-                outcomes[cell.name] = task(cell)
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                outcomes[cell.name] = exc
-
     reports: dict[str, AggregateReport] = {}
     failures: dict[str, str] = {}
     for cell in grid.cells:
-        outcome = outcomes[cell.name]
-        if isinstance(outcome, Exception):
-            failures[cell.name] = f"{type(outcome).__name__}: {outcome}"
-            cell_dir = grid.out_dir / cell.name
+        cell_dir = grid.out_dir / cell.name
+        base = env_base if env_seed is not None else cell.base_seed
+        try:
+            reports[cell.name] = _run_cell(stream, cell, cell_dir, base)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            failures[cell.name] = f"{type(exc).__name__}: {exc}"
             cell_dir.mkdir(parents=True, exist_ok=True)
             (cell_dir / "error.txt").write_text(failures[cell.name] + "\n")
-        else:
-            reports[cell.name] = outcome
 
     lines = ["cell,metric,mean,std"]
     for cell in grid.cells:

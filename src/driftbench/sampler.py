@@ -139,8 +139,3 @@ def update_buffer(
             entries = entries[-k:]
 
     return ReplayBuffer(capacity=k, entries=tuple(entries), seen_count=i)
-
-
-def buffer_snapshot(buffer: ReplayBuffer) -> tuple[Sample, ...]:
-    """Read-only copy of the buffer contents, usable as a training set."""
-    return buffer.entries

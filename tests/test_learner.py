@@ -265,13 +265,6 @@ class TestStrategyStep:
         with pytest.raises(ValueError):
             strategy_step(Strategy.FINETUNING, None, 1, self.data, self.hp, LINEAR_2_2)
 
-    def test_gdumb_like_reinitializes(self):
-        prev = train(init_learner(LINEAR_2_2, seed=4), self.data, self.hp)
-        out_with = strategy_step(Strategy.GDUMB_LIKE, prev, 2, self.data, self.hp, LINEAR_2_2)
-        out_without = strategy_step(Strategy.GDUMB_LIKE, None, 2, self.data, self.hp, LINEAR_2_2)
-        for k in out_with.params:
-            assert np.array_equal(out_with.params[k], out_without.params[k])
-
 
 def test_parse_architecture():
     assert parse_architecture("linear", 8, 4) == Architecture("linear", 8, 4)

@@ -91,6 +91,17 @@ class TestAccuracyMatrix:
         assert back.protocol is ProtocolKind.STREAMING
         assert np.allclose(back.cells[0, 1:], [0.25, 0.5])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("N=2 protocol=iid extra\n0.5,0.5\n0.5,0.5\n", "bad matrix header"),
+            ("N=2 protocol=iid\n0.5,0.5\n0.5,high\n", r"row 1, column 1: bad cell 'high'"),
+        ],
+    )
+    def test_malformed_text_named(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_from_text(text)
+
 
 class TestEvaluate:
     def test_perfect_learner(self):
@@ -331,6 +342,18 @@ class TestStreamingProtocol:
         assert protocol is ProtocolKind.STREAMING
         assert parsed == events
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("evalute\t0\t1", r"line 3: unknown event kind 'evalute'"),
+            ("evaluate\t0", "line 3: expected 3 tab-separated fields, got 2"),
+            ("evaluate\t0\tone", "line 3: step and bucket must be integers"),
+        ],
+    )
+    def test_malformed_event_log_named(self, body, message):
+        with pytest.raises(ValueError, match=message):
+            parse_event_log(f"protocol=streaming\ntrain\t0\t0\n{body}\n")
+
     def test_napping_trains_on_full_first_bucket(self):
         stream = small_stream(N=3)
         cfg = config_for(stream, strategy=Strategy.NAPPING, fraction=None, capacity=10)
@@ -342,12 +365,6 @@ class TestStreamingProtocol:
         )
         for j in (1, 2):
             assert matrix.cells[0, j] == evaluate(frozen, stream.buckets[j].samples)
-
-    def test_gdumb_like_trains_fresh_on_buffer(self):
-        stream = small_stream(N=3)
-        cfg = config_for(stream, strategy=Strategy.GDUMB_LIKE, fraction=None)
-        matrix = run_streaming_protocol(stream, cfg, seed=2)
-        assert matrix.n == 3 and not np.isnan(matrix.cells[0, 1])
 
     def test_matrix_cells_pure_across_evaluation_order(self):
         stream = small_stream(N=3)

@@ -7,7 +7,6 @@ from driftbench.sampler import (
     PolicyKind,
     ReplayBuffer,
     acceptance_probability,
-    buffer_snapshot,
     parse_policy,
     update_buffer,
 )
@@ -78,12 +77,6 @@ class TestUpdateBuffer:
         out = update_buffer(buf, bucket, FIXED1, np.random.default_rng(0))
         assert [s.id for s in out.entries] == list(range(60))
         assert out.seen_count == 60
-
-    def test_snapshot_of_fresh_and_underfull(self):
-        buf = ReplayBuffer.empty(10)
-        assert buffer_snapshot(buf) == ()
-        out = update_buffer(buf, make_bucket(0, 4, 0), FIXED1, np.random.default_rng(0))
-        assert [s.id for s in buffer_snapshot(out)] == [0, 1, 2, 3]
 
     def test_fifo_two_full_buckets(self):
         buf = ReplayBuffer.empty(100)
