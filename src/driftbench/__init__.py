@@ -1,7 +1,6 @@
 """driftbench: evaluation harness for classifiers on temporally drifting streams."""
 
 from .corpus import (
-    Bucket,
     DriftConfig,
     FeatureFileError,
     Sample,
@@ -16,6 +15,7 @@ from .learner import (
     Hyperparams,
     LearnerState,
     Strategy,
+    fit,
     forward_loss_grad,
     init_learner,
     predict,
@@ -47,7 +47,6 @@ __all__ = [
     "AggregateReport",
     "AlphaPolicy",
     "Architecture",
-    "Bucket",
     "DriftConfig",
     "FeatureFileError",
     "Hyperparams",
@@ -65,6 +64,7 @@ __all__ = [
     "bucketize",
     "compute_metrics",
     "evaluate",
+    "fit",
     "forward_loss_grad",
     "generate_drift_stream",
     "init_learner",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Any
 
 from . import curate as cur
 from .corpus import write_feature_file
@@ -12,17 +13,17 @@ from .metrics import METRIC_NAMES, compute_metrics
 from .protocol import matrix_from_text
 from .runner import ConfigError, config_reference, run_experiment, validate_config
 
-_CURATE_KEYS = {
-    "per_class_top": "head ids retrieved per class",
-    "background_low": "lowest-scoring ids per class feeding the background pool",
-    "final_per_class": "final balanced count per class (background included)",
-    "seed": "subsample seed (default 0)",
-    "reject_file": "optional path with one id per line to drop before finalizing",
+_CURATE_KEYS: dict[str, tuple[type, str]] = {
+    "per_class_top": (int, "head ids retrieved per class"),
+    "background_low": (int, "lowest-scoring ids per class feeding the background pool"),
+    "final_per_class": (int, "final balanced count per class (background included)"),
+    "seed": (int, "subsample seed (default 0)"),
+    "reject_file": (str, "optional path with one id per line to drop before finalizing"),
 }
 
 
-def _parse_curation_spec(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_curation_spec(path: str) -> dict[str, Any]:
+    values: dict[str, Any] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -30,10 +31,16 @@ def _parse_curation_spec(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key not in _CURATE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        target = _CURATE_KEYS[key][0]
+        try:
+            values[key] = target(value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r}: expected {target.__name__}, got {value!r}"
+            ) from None
     for required in ("per_class_top", "background_low", "final_per_class"):
         if required not in values:
             raise ConfigError(f"{path}: missing required key {required!r}")
@@ -58,9 +65,9 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     queries = cur.load_query_file(args.queries)
     spec = cur.CurationSpec(
         queries=tuple(queries),
-        per_class_top=int(values["per_class_top"]),
-        background_low_per_class=int(values["background_low"]),
-        final_per_class=int(values["final_per_class"]),
+        per_class_top=values["per_class_top"],
+        background_low_per_class=values["background_low"],
+        final_per_class=values["final_per_class"],
     )
     rankings = cur.rank_all(embeddings, spec)
     labeled = cur.select_labeled(rankings, spec)
@@ -69,7 +76,7 @@ def _cmd_curate(args: argparse.Namespace) -> int:
         rejected = cur.load_rejection_list(values["reject_file"])
         labeled = {name: ids - rejected for name, ids in labeled.items()}
         background -= rejected
-    dataset = cur.finalize_bucket(labeled, background, spec, seed=int(values.get("seed", "0")))
+    dataset = cur.finalize_bucket(labeled, background, spec, seed=values.get("seed", 0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples = cur.curated_samples(dataset, embeddings)
@@ -117,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rank embeddings against each query class, resolve cross-class "
         "duplicates, assemble a background class, and write a balanced feature file.\n\n"
         "curation spec keys:\n"
-        + "\n".join(f"  {k:<16} {v}" for k, v in _CURATE_KEYS.items()),
+        + "\n".join(f"  {k:<16} {v}" for k, (_, v) in _CURATE_KEYS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     curate_p.add_argument("--embeddings", required=True, help="embedding file (#m=<m> header)")

@@ -28,29 +28,29 @@ class Sample:
     label: int
 
 
-@dataclass(frozen=True)
-class Bucket:
-    """One time-period partition of the stream; the unit of training and evaluation."""
-
-    index: int
-    samples: tuple[Sample, ...]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalStream:
-    """Time-ordered buckets of equal size, plus the sample count dropped to equalize them."""
+    """Time-ordered rows cut into equal buckets: bucket ``t`` is rows ``offsets[t]:offsets[t + 1]``.
 
-    buckets: tuple[Bucket, ...]
-    d: int
+    ``x`` is the (n, d) feature matrix and ``y``, ``ids``, ``timestamps`` are
+    per-row vectors; ``dropped`` counts the samples left out to equalize buckets.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    ids: np.ndarray
+    timestamps: np.ndarray
+    offsets: np.ndarray
     C: int
     dropped: int = 0
 
     @property
+    def d(self) -> int:
+        return int(self.x.shape[1])
+
+    @property
     def n_buckets(self) -> int:
-        return len(self.buckets)
+        return len(self.offsets) - 1
 
 
 @dataclass(frozen=True)
@@ -110,32 +110,32 @@ def bucketize(
     c = inferred_c if class_count is None else class_count
     if inferred_c > c:
         raise ValueError(f"label {inferred_c - 1} out of range for class_count={c}")
-    ordered = sorted(samples, key=lambda s: (s.timestamp, s.id))
-    buckets = tuple(
-        Bucket(index=i, samples=tuple(ordered[i * size : (i + 1) * size]))
-        for i in range(n_buckets)
-    )
-    return TemporalStream(buckets=buckets, d=d, C=c, dropped=dropped)
+    kept = sorted(samples, key=lambda s: (s.timestamp, s.id))[: size * n_buckets]
+    x, y = as_arrays(kept)
+    ids = np.array([s.id for s in kept])
+    timestamps = np.array([s.timestamp for s in kept])
+    return TemporalStream(x, y, ids, timestamps, np.arange(n_buckets + 1) * size, c, dropped)
 
 
 def split_iid(
-    bucket: Bucket, train_fraction: float, seed: int
-) -> tuple[list[Sample], list[Sample]]:
-    """Seeded uniform 2-way partition of a bucket into (train, test).
+    rows: np.ndarray, train_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform 2-way partition of one bucket's row indices into (train, test).
 
-    The first ``ceil(train_fraction * len(bucket))`` samples of a seeded
+    The first ``ceil(train_fraction * len(rows))`` rows of a seeded
     permutation become the train set; identical seeds give identical splits.
+    Both sets must be non-empty.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    if len(bucket) == 0:
+    if len(rows) == 0:
         raise ValueError("cannot split an empty bucket")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(bucket))
-    n_train = math.ceil(train_fraction * len(bucket))
-    train = [bucket.samples[i] for i in perm[:n_train]]
-    test = [bucket.samples[i] for i in perm[n_train:]]
-    return train, test
+    n_train = math.ceil(train_fraction * len(rows))
+    if n_train == len(rows):
+        raise ValueError(f"train_fraction {train_fraction} leaves no test rows of {len(rows)}")
+    rows = np.asarray(rows)
+    perm = np.random.default_rng(seed).permutation(len(rows))
+    return rows[perm[:n_train]], rows[perm[n_train:]]
 
 
 def class_means(cfg: DriftConfig, bucket_index: int) -> np.ndarray:
@@ -158,24 +158,18 @@ def generate_drift_stream(cfg: DriftConfig) -> TemporalStream:
     Fully deterministic per seed.
     """
     rng = np.random.default_rng(cfg.seed)
-    buckets = []
-    next_id = 0
+    size = cfg.C * cfg.n_per_class
+    x = np.empty((cfg.N * size, cfg.d))
+    y = np.empty(cfg.N * size, dtype=np.int64)
+    labels = np.repeat(np.arange(cfg.C), cfg.n_per_class)
     for t in range(cfg.N):
-        means = class_means(cfg, t)
         noise = rng.standard_normal((cfg.C, cfg.n_per_class, cfg.d)) * cfg.noise
-        points = [
-            (c, means[c] + noise[c, j])
-            for c in range(cfg.C)
-            for j in range(cfg.n_per_class)
-        ]
-        order = rng.permutation(len(points))
-        samples = []
-        for pos in order:
-            label, features = points[pos]
-            samples.append(Sample(id=next_id, timestamp=t, features=features, label=label))
-            next_id += 1
-        buckets.append(Bucket(index=t, samples=tuple(samples)))
-    return TemporalStream(buckets=tuple(buckets), d=cfg.d, C=cfg.C, dropped=0)
+        points = (class_means(cfg, t)[:, None, :] + noise).reshape(size, cfg.d)
+        order = rng.permutation(size)
+        x[t * size : (t + 1) * size] = points[order]
+        y[t * size : (t + 1) * size] = labels[order]
+    ids, timestamps = np.arange(cfg.N * size), np.repeat(np.arange(cfg.N), size)
+    return TemporalStream(x, y, ids, timestamps, np.arange(cfg.N + 1) * size, cfg.C)
 
 
 def _parse_header(line: str, path: str) -> tuple[int, int]:
@@ -255,11 +249,11 @@ def write_feature_file(path: str | Path, samples: Sequence[Sample], d: int, C: i
 
 def stream_manifest(stream: TemporalStream) -> str:
     """One line per bucket: ``index<TAB>first_timestamp<TAB>last_timestamp<TAB>count``."""
-    lines = []
-    for b in stream.buckets:
-        first = min(s.timestamp for s in b.samples)
-        last = max(s.timestamp for s in b.samples)
-        lines.append(f"{b.index}\t{first}\t{last}\t{len(b)}")
+    starts = stream.offsets[:-1]
+    first = np.minimum.reduceat(stream.timestamps, starts).tolist()
+    last = np.maximum.reduceat(stream.timestamps, starts).tolist()
+    counts = np.diff(stream.offsets).tolist()
+    lines = [f"{t}\t{lo}\t{hi}\t{n}" for t, (lo, hi, n) in enumerate(zip(first, last, counts))]
     return "\n".join(lines) + "\n"
 
 

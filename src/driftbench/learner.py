@@ -188,17 +188,16 @@ def forward_loss_grad(
     return _loss_grad_arrays(state, x, y)
 
 
-def train(state: LearnerState, dataset: Sequence[Sample], hp: Hyperparams) -> LearnerState:
-    """Run momentum SGD for ``hp.epochs`` epochs over seeded shuffles of the dataset.
+def fit(state: LearnerState, x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> LearnerState:
+    """Run momentum SGD for ``hp.epochs`` epochs over seeded shuffles of the rows of ``(x, y)``.
 
     Update rule per minibatch: ``v <- momentum * v + g``, ``theta <- theta - lr * v``,
     with weight decay added to the gradient.  The last batch of an epoch may be
     smaller.  Deterministic per ``hp.seed``.  Raises ``FloatingPointError`` when
     training diverged, i.e. any parameter is non-finite afterwards.
     """
-    if len(dataset) == 0:
+    if len(y) == 0:
         raise ValueError("cannot train on an empty dataset")
-    x, y = as_arrays(dataset)
     if x.shape[1] != state.architecture.d:
         raise ValueError(f"expected dimension {state.architecture.d}, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
@@ -229,6 +228,11 @@ def train(state: LearnerState, dataset: Sequence[Sample], hp: Hyperparams) -> Le
     return work
 
 
+def train(state: LearnerState, dataset: Sequence[Sample], hp: Hyperparams) -> LearnerState:
+    """:func:`fit` on a sample sequence, stacked into arrays."""
+    return fit(state, *as_arrays(dataset), hp)
+
+
 def predict_batch(state: LearnerState, features: np.ndarray) -> np.ndarray:
     """Argmax class per row of ``features``; ties resolve to the lowest class index."""
     if features.ndim != 2 or features.shape[1] != state.architecture.d:
@@ -247,20 +251,21 @@ def strategy_step(
     strategy: Strategy,
     prev: LearnerState | None,
     timestamp_index: int,
-    train_data: Sequence[Sample],
+    x: np.ndarray,
+    y: np.ndarray,
     hp: Hyperparams,
     architecture: Architecture,
 ) -> LearnerState:
-    """Produce the timestamp's predictor according to the update strategy.
+    """Produce the timestamp's predictor from the training rows ``(x, y)``.
 
     Every strategy reinitializes and trains at the first timestamp.  After it,
     From-Scratch reinitializes and trains each time, Napping returns ``prev``
     unchanged, and Finetuning continues from the previous weights.
     """
     if strategy is Strategy.FROM_SCRATCH or timestamp_index == 0:
-        return train(init_learner(architecture, hp.seed), train_data, hp)
+        return fit(init_learner(architecture, hp.seed), x, y, hp)
     if prev is None:
         raise ValueError(f"{strategy.value} after the first timestamp requires a previous state")
     if strategy is Strategy.NAPPING:
         return prev
-    return train(prev, train_data, hp)
+    return fit(prev, x, y, hp)

@@ -21,7 +21,7 @@ LEARNER_SEED_OFFSET = 2000
 
 # Consecutive evaluation targets are scored in one predict_batch call while
 # their rows fit this budget; a larger target is scored alone.  It bounds the
-# feature copy made per call, so memory does not grow with the stream.
+# activations made per call, so memory does not grow with the stream.
 SCORE_BATCH_ROWS = 1024
 
 
@@ -108,6 +108,8 @@ def matrix_from_text(text: str) -> AccuracyMatrix:
                     cells[i, j] = float(part)
                 except ValueError as exc:
                     raise ValueError(f"row {i}, column {j}: bad cell {part!r}") from exc
+                if not np.isfinite(cells[i, j]):
+                    raise ValueError(f"row {i}, column {j}: non-finite cell {part!r}")
     return AccuracyMatrix(cells=cells, protocol=protocol)
 
 
@@ -129,58 +131,51 @@ class RunConfig:
 
 def evaluate(state: LearnerState, test: Sequence[Sample]) -> float:
     """Fraction of test samples whose predicted class equals the label."""
-    if len(test) == 0:
-        raise ValueError("cannot evaluate on an empty test set")
     x, y = as_arrays(test)
     return float(np.mean(predict_batch(state, x) == y))
 
 
-def _score(state: LearnerState, targets: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[float]:
-    """Accuracy of ``state`` on each ``(x, y)`` target, equal to :func:`evaluate` on each alone.
+def _score(state: LearnerState, x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> list[float]:
+    """Accuracy of ``state`` on each target ``t``, the rows ``offsets[t]:offsets[t + 1]``.
 
-    Runs of consecutive targets within ``SCORE_BATCH_ROWS`` rows share one
-    ``predict_batch`` call; per-row hits are summed back per target.
+    Each cell equals :func:`evaluate` on its target alone.  Runs of
+    consecutive targets within ``SCORE_BATCH_ROWS`` rows share one
+    ``predict_batch`` call on a contiguous view; per-row hits are summed back
+    per target.
     """
+    bounds = offsets.tolist()
     scores: list[float] = []
-    start = 0
-    while start < len(targets):
-        stop, rows = start + 1, len(targets[start][1])
-        while stop < len(targets) and rows + len(targets[stop][1]) <= SCORE_BATCH_ROWS:
-            rows += len(targets[stop][1])
+    start, n = 0, len(bounds) - 1
+    while start < n:
+        stop = start + 1
+        while stop < n and bounds[stop + 1] - bounds[start] <= SCORE_BATCH_ROWS:
             stop += 1
-        group = targets[start:stop]
-        if len(group) == 1:  # scored in place: a large bucket is never copied
-            x, y = group[0]
-        else:
-            x = np.concatenate([gx for gx, _ in group])
-            y = np.concatenate([gy for _, gy in group])
-        sizes = np.array([len(gy) for _, gy in group])
-        hits = predict_batch(state, x) == y
-        scores.extend((np.add.reduceat(hits, np.cumsum(sizes) - sizes) / sizes).tolist())
+        lo, hi = bounds[start], bounds[stop]
+        hits = predict_batch(state, x[lo:hi]) == y[lo:hi]
+        sizes = np.diff(offsets[start : stop + 1])
+        scores.extend((np.add.reduceat(hits, offsets[start:stop] - lo) / sizes).tolist())
         start = stop
     return scores
 
 
-def _learner_hp(cfg: RunConfig, seed: int, step: int) -> Hyperparams:
-    return replace(cfg.hyperparams, seed=seed + LEARNER_SEED_OFFSET + step)
-
-
 def _run_protocol(
     kind: ProtocolKind,
-    train_sets: Sequence[Sequence[Sample]],
-    targets: Sequence[tuple[np.ndarray, np.ndarray]],
+    stream: TemporalStream,
+    train_rows: Sequence[Sequence[int]],
+    targets: tuple[np.ndarray, np.ndarray, np.ndarray],
     cfg: RunConfig,
     seed: int,
     event_log: list[Event] | None,
 ) -> AccuracyMatrix:
     """The loop both protocols share: ingest, train, then score the step's targets.
 
-    Step ``i`` folds ``train_sets[i]`` into the replay buffer, trains on the
-    buffer (Napping: on ``train_sets[0]``) and scores ``targets[first:]``, with
+    Step ``i`` folds the stream rows ``train_rows[i]`` into the replay buffer,
+    trains on the buffer's rows (Napping: on ``train_rows[0]``) and scores the
+    targets ``first:`` of the ``(x, y, offsets)`` target table, with
     ``first = 0`` for iid and ``i + 1`` for streaming.  Only streaming targets
     are trained on, so only streaming checks the evaluation order.
     """
-    n = len(train_sets)
+    n = len(train_rows)
     streaming = kind is ProtocolKind.STREAMING
     events = event_log if event_log is not None else []
     prior = Counter(e.bucket for e in events if e.kind == "evaluate")
@@ -189,19 +184,21 @@ def _run_protocol(
     sampler_rng = np.random.default_rng(seed + SAMPLER_SEED_OFFSET)
     cells = np.full((n, n), np.nan)
     state: LearnerState | None = None
+    target_x, target_y, target_offsets = targets
     for i in range(n):
         if streaming and evaluated[i] != i:
             raise ProtocolOrderError(
                 f"bucket {i} has {evaluated[i]} of {i} required evaluations before training"
             )
-        buffer = update_buffer(buffer, train_sets[i], cfg.alpha_policy, sampler_rng)
+        buffer = update_buffer(buffer, train_rows[i], cfg.alpha_policy, sampler_rng)
         events.append(Event(kind="train", step=i, bucket=i))
-        train_data = train_sets[0] if cfg.strategy is Strategy.NAPPING else buffer.entries
+        rows = np.array(train_rows[0] if cfg.strategy is Strategy.NAPPING else buffer.entries)
+        hp = replace(cfg.hyperparams, seed=seed + LEARNER_SEED_OFFSET + i)
         state = strategy_step(
-            cfg.strategy, state, i, train_data, _learner_hp(cfg, seed, i), cfg.architecture
+            cfg.strategy, state, i, stream.x[rows], stream.y[rows], hp, cfg.architecture
         )
         first = i + 1 if streaming else 0
-        cells[i, first:] = _score(state, targets[first:])
+        cells[i, first:] = _score(state, target_x, target_y, target_offsets[first:])
         for j in range(first, n):
             events.append(Event(kind="evaluate", step=i, bucket=j))
             evaluated[j] += 1
@@ -216,21 +213,25 @@ def run_iid_protocol(
 ) -> AccuracyMatrix:
     """Per-bucket 70/30-style splits; every predictor is evaluated on all held-out test sets.
 
-    Test sets are fixed once per seed and never trained on.  Training data for
-    each step is the replay buffer after ingesting the bucket's train split
-    (Napping trains once, on the first bucket's train split).
+    Test sets are fixed once per seed and never trained on; their rows are
+    gathered once into the target table.  Training data for each step is the
+    replay buffer after ingesting the bucket's train split (Napping trains
+    once, on the first bucket's train split).
     """
     if stream.n_buckets < 2:
         raise ValueError("iid protocol needs at least 2 buckets")
     if cfg.train_fraction is None:
         raise ValueError("iid protocol requires train_fraction")
+    bounds = stream.offsets.tolist()
     splits = [
-        split_iid(b, cfg.train_fraction, seed + SPLIT_SEED_OFFSET + b.index)
-        for b in stream.buckets
+        split_iid(np.arange(lo, hi), cfg.train_fraction, seed + SPLIT_SEED_OFFSET + t)
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
-    test_xy = [as_arrays(test) for _, test in splits]
-    train_sets = [train for train, _ in splits]
-    return _run_protocol(ProtocolKind.IID, train_sets, test_xy, cfg, seed, event_log)
+    test_rows = np.concatenate([test for _, test in splits])
+    test_offsets = np.cumsum([0] + [len(test) for _, test in splits])
+    targets = (stream.x[test_rows], stream.y[test_rows], test_offsets)
+    train_rows = [train.tolist() for train, _ in splits]
+    return _run_protocol(ProtocolKind.IID, stream, train_rows, targets, cfg, seed, event_log)
 
 
 def run_streaming_protocol(
@@ -251,9 +252,10 @@ def run_streaming_protocol(
     """
     if stream.n_buckets < 2:
         raise ValueError("streaming protocol needs at least 2 buckets")
-    bucket_xy = [as_arrays(b.samples) for b in stream.buckets]
-    train_sets = [b.samples for b in stream.buckets]
-    return _run_protocol(ProtocolKind.STREAMING, train_sets, bucket_xy, cfg, seed, event_log)
+    bounds = stream.offsets.tolist()
+    train_rows = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    targets = (stream.x, stream.y, stream.offsets)
+    return _run_protocol(ProtocolKind.STREAMING, stream, train_rows, targets, cfg, seed, event_log)
 
 
 def audit_streaming_order(events: Sequence[Event]) -> None:
@@ -286,7 +288,11 @@ def parse_event_log(text: str) -> tuple[ProtocolKind, list[Event]]:
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("protocol="):
         raise ValueError("event log must start with a protocol= header")
-    protocol = ProtocolKind(lines[0][1].split("=", 1)[1])
+    header_no, name = lines[0][0], lines[0][1].split("=", 1)[1]
+    try:
+        protocol = ProtocolKind(name)
+    except ValueError:
+        raise ValueError(f"line {header_no}: unknown protocol {name!r}") from None
     events = []
     for lineno, ln in lines[1:]:
         fields = ln.split("\t")

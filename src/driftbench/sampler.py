@@ -9,8 +9,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Bucket, Sample
-
 
 class PolicyKind(Enum):
     FIXED = "fixed"
@@ -52,10 +50,13 @@ def parse_policy(text: str) -> AlphaPolicy:
 
 @dataclass(frozen=True)
 class ReplayBuffer:
-    """Bounded sample store; ``seen_count`` is the total stream size observed so far."""
+    """Bounded store of stream items; ``seen_count`` is the total stream size observed so far.
+
+    The protocols store stream row indices; the sampler never looks inside an item.
+    """
 
     capacity: int
-    entries: tuple[Sample, ...]
+    entries: tuple[object, ...]
     seen_count: int
 
     def __post_init__(self) -> None:
@@ -85,57 +86,43 @@ def acceptance_probability(policy: AlphaPolicy, i: int, k: int) -> float:
 
 def update_buffer(
     buffer: ReplayBuffer,
-    bucket: Bucket | Sequence[Sample],
+    bucket: Sequence[object],
     policy: AlphaPolicy,
     rng: np.random.Generator,
 ) -> ReplayBuffer:
-    """Fold one bucket into the buffer with bucket-level biased reservoir sampling.
+    """Fold one bucket's items into the buffer with bucket-level biased reservoir sampling.
 
-    All samples of the bucket share one timestamp: the seen count ``i`` is fixed
-    before the loop.  Samples fill the buffer directly while it is under
+    All items of the bucket share one timestamp: the seen count ``i`` is fixed
+    before the loop.  Items fill the buffer directly while it is under
     capacity; the rest enter a temporary set with the policy's acceptance
     probability.  Survivors are then chosen by a uniform shuffle, the first
     ``|T|`` entries are dropped and the temporary set is appended in arrival
     order.  When the acceptance probability saturates at 1.0 the drop removes
     the oldest entries instead, which keeps the exact FIFO semantics of the
     saturated regime.  If the concatenation exceeds capacity, only the final
-    ``k`` entries are retained.  Deterministic given the rng state.
+    ``k`` entries are retained.  Deterministic given the rng state: the draws
+    are ``rng.random(len(overflow))`` then ``rng.permutation(len(entries))``.
     """
-    samples = tuple(bucket.samples) if isinstance(bucket, Bucket) else tuple(bucket)
-    if not samples:
+    items = tuple(bucket)
+    if not items:
         raise ValueError("bucket must be non-empty")
-    reference = buffer.entries[0] if buffer.entries else samples[0]
-    dim = reference.features.shape
-    for s in samples:
-        if s.features.shape != dim:
-            raise ValueError(
-                f"sample {s.id}: feature dimension {s.features.shape} != buffer's {dim}"
-            )
 
     k = buffer.capacity
-    i = buffer.seen_count + len(samples)
+    i = buffer.seen_count + len(items)
     prob = acceptance_probability(policy, i, k)
 
     entries = list(buffer.entries)
-    n_fill = min(k - len(entries), len(samples))
-    entries.extend(samples[:n_fill])
-    overflow = samples[n_fill:]
+    n_fill = min(k - len(entries), len(items))
+    entries.extend(items[:n_fill])
+    overflow = items[n_fill:]
 
     if prob >= 1.0:
         accepted = list(overflow)
     else:
         draws = rng.random(len(overflow))
         accepted = [s for s, p in zip(overflow, draws) if p <= prob]
-
+        if accepted:
+            entries = [entries[j] for j in rng.permutation(len(entries))]
     if accepted:
-        if prob >= 1.0:
-            survivors = entries[len(accepted) :]
-        else:
-            perm = rng.permutation(len(entries))
-            shuffled = [entries[j] for j in perm]
-            survivors = shuffled[len(accepted) :]
-        entries = survivors + accepted
-        if len(entries) > k:
-            entries = entries[-k:]
-
+        entries = (entries[len(accepted) :] + accepted)[-k:]
     return ReplayBuffer(capacity=k, entries=tuple(entries), seen_count=i)

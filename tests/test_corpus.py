@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from driftbench.corpus import (
-    Bucket,
     DriftConfig,
     FeatureFileError,
     Sample,
@@ -34,23 +33,39 @@ def make_samples(n, timestamps=None, d=3, labels=None):
     ]
 
 
+def bucket_rows(stream, t):
+    return slice(stream.offsets[t], stream.offsets[t + 1])
+
+
+def bucket_sizes(stream):
+    return np.diff(stream.offsets).tolist()
+
+
+def stream_samples(stream):
+    return [
+        Sample(id=int(i), timestamp=int(ts), features=f, label=int(c))
+        for i, ts, f, c in zip(stream.ids, stream.timestamps, stream.x, stream.y)
+    ]
+
+
 class TestBucketize:
     def test_single_bucket_identity(self):
         stream = bucketize(make_samples(1000), 1)
         assert stream.n_buckets == 1
-        assert len(stream.buckets[0]) == 1000
+        assert bucket_sizes(stream) == [1000]
         assert stream.dropped == 0
 
     def test_1000_into_11(self):
         stream = bucketize(make_samples(1000), 11)
-        assert all(len(b) == 90 for b in stream.buckets)
+        assert bucket_sizes(stream) == [90] * 11
         assert stream.dropped == 10
 
     def test_sizes_sum_plus_dropped(self):
         for n, k in [(57, 7), (100, 9), (12, 12)]:
             stream = bucketize(make_samples(n), k)
-            assert sum(len(b) for b in stream.buckets) + stream.dropped == n
-            assert len({len(b) for b in stream.buckets}) == 1
+            assert sum(bucket_sizes(stream)) + stream.dropped == n
+            assert len(set(bucket_sizes(stream))) == 1
+            assert len(stream.x) == len(stream.y) == len(stream.ids) == stream.offsets[-1]
 
     def test_multimillion_sample_arithmetic(self):
         # 7,850,000 into 11 equal buckets under the floor rule.
@@ -61,17 +76,26 @@ class TestBucketize:
         samples = make_samples(20, timestamps=[0] * 20)
         samples.reverse()
         stream = bucketize(samples, 4)
-        ids = [s.id for b in stream.buckets for s in b.samples]
+        ids = stream.ids.tolist()
         assert ids == sorted(ids)
+
+    def test_rows_follow_their_samples(self):
+        samples = make_samples(12, timestamps=[5, 3, 9, 3, 0, 7, 7, 1, 2, 8, 4, 6], labels=[0, 1] * 6)
+        stream = bucketize(samples, 4)
+        by_id = {s.id: s for s in samples}
+        for row, sid in enumerate(stream.ids.tolist()):
+            assert np.array_equal(stream.x[row], by_id[sid].features)
+            assert stream.y[row] == by_id[sid].label
+            assert stream.timestamps[row] == by_id[sid].timestamp
 
     def test_bucket_boundaries_monotone(self):
         rng = np.random.default_rng(3)
         ts = [int(t) for t in rng.integers(0, 50, size=60)]
         stream = bucketize(make_samples(60, timestamps=ts), 5)
-        for earlier, later in zip(stream.buckets, stream.buckets[1:]):
-            assert max(s.timestamp for s in earlier.samples) <= min(
-                s.timestamp for s in later.samples
-            )
+        for t in range(stream.n_buckets - 1):
+            earlier = stream.timestamps[bucket_rows(stream, t)]
+            later = stream.timestamps[bucket_rows(stream, t + 1)]
+            assert earlier.max() <= later.min()
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -85,43 +109,63 @@ class TestBucketize:
         with pytest.raises(ValueError, match="unique"):
             bucketize(samples, 2)
 
+    def test_mixed_dimensions_rejected(self):
+        samples = make_samples(4)
+        samples[3] = Sample(id=3, timestamp=3, features=np.zeros(2), label=0)
+        with pytest.raises(ValueError, match="sample 3: expected dimension 3"):
+            bucketize(samples, 2)
+
     def test_pure(self):
         samples = make_samples(30)
         a = bucketize(samples, 3)
         b = bucketize(samples, 3)
-        assert [s.id for bk in a.buckets for s in bk.samples] == [
-            s.id for bk in b.buckets for s in bk.samples
-        ]
+        assert np.array_equal(a.ids, b.ids) and np.array_equal(a.x, b.x)
 
 
 class TestSplitIid:
     def test_seventy_thirty_split_sizes(self):
-        bucket = Bucket(0, tuple(make_samples(3300)))
-        train, test = split_iid(bucket, 0.7, seed=1)
+        train, test = split_iid(np.arange(3300), 0.7, seed=1)
         assert (len(train), len(test)) == (2310, 990)
 
     def test_partition_property(self):
-        bucket = Bucket(0, tuple(make_samples(10)))
-        train, test = split_iid(bucket, 0.5, seed=9)
+        rows = np.arange(10, 20)
+        train, test = split_iid(rows, 0.5, seed=9)
         assert len(train) == 5 and len(test) == 5
-        assert {s.id for s in train} | {s.id for s in test} == {s.id for s in bucket.samples}
-        assert not ({s.id for s in train} & {s.id for s in test})
+        assert set(train.tolist()) | set(test.tolist()) == set(rows.tolist())
+        assert not (set(train.tolist()) & set(test.tolist()))
 
     def test_determinism(self):
-        bucket = Bucket(0, tuple(make_samples(40)))
-        first = split_iid(bucket, 0.7, seed=123)
-        second = split_iid(bucket, 0.7, seed=123)
-        assert [s.id for s in first[0]] == [s.id for s in second[0]]
-        assert [s.id for s in first[1]] == [s.id for s in second[1]]
+        rows = np.arange(40)
+        first = split_iid(rows, 0.7, seed=123)
+        second = split_iid(rows, 0.7, seed=123)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
 
     def test_errors(self):
-        bucket = Bucket(0, tuple(make_samples(4)))
+        rows = np.arange(4)
         with pytest.raises(ValueError):
-            split_iid(bucket, 0.0, seed=0)
+            split_iid(rows, 0.0, seed=0)
         with pytest.raises(ValueError):
-            split_iid(bucket, 1.0, seed=0)
+            split_iid(rows, 1.0, seed=0)
         with pytest.raises(ValueError):
-            split_iid(Bucket(0, ()), 0.5, seed=0)
+            split_iid(np.arange(0), 0.5, seed=0)
+        with pytest.raises(ValueError, match="leaves no test rows"):
+            split_iid(rows, 0.9, seed=0)
+
+
+def per_sample_reference(cfg):
+    """The stream built one Sample at a time, as the generator did before it built arrays."""
+    rng = np.random.default_rng(cfg.seed)
+    samples, next_id = [], 0
+    for t in range(cfg.N):
+        means = class_means(cfg, t)
+        noise = rng.standard_normal((cfg.C, cfg.n_per_class, cfg.d)) * cfg.noise
+        points = [(c, means[c] + noise[c, j]) for c in range(cfg.C) for j in range(cfg.n_per_class)]
+        for pos in rng.permutation(len(points)):
+            label, features = points[pos]
+            samples.append(Sample(id=next_id, timestamp=t, features=features, label=label))
+            next_id += 1
+    return samples
 
 
 class TestDriftStream:
@@ -129,35 +173,47 @@ class TestDriftStream:
         cfg = DriftConfig(C=3, d=4, N=5, n_per_class=7, radius=1.0, drift_rate=0.1, noise=0.2, seed=0)
         stream = generate_drift_stream(cfg)
         assert stream.n_buckets == 5 and stream.d == 4 and stream.C == 3
-        for b in stream.buckets:
-            assert len(b) == 21
-            assert sorted({s.label for s in b.samples}) == [0, 1, 2]
+        assert stream.x.shape == (105, 4)
+        assert bucket_sizes(stream) == [21] * 5
+        for t in range(stream.n_buckets):
+            assert sorted(set(stream.y[bucket_rows(stream, t)].tolist())) == [0, 1, 2]
+
+    @pytest.mark.parametrize("drift_rate, seed", [(0.0, 4), (0.3, 2), (math.pi / 7, 31)])
+    def test_matches_per_sample_reference(self, drift_rate, seed):
+        cfg = DriftConfig(C=3, d=5, N=4, n_per_class=6, radius=1.5, drift_rate=drift_rate,
+                          noise=0.3, seed=seed)
+        stream = generate_drift_stream(cfg)
+        reference = per_sample_reference(cfg)
+        assert np.array_equal(stream.x, np.stack([s.features for s in reference]))
+        assert stream.y.tolist() == [s.label for s in reference]
+        assert stream.ids.tolist() == [s.id for s in reference]
+        assert stream.timestamps.tolist() == [s.timestamp for s in reference]
+        assert stream.offsets.tolist() == [0, 18, 36, 54, 72] and stream.dropped == 0
 
     def test_deterministic(self):
         cfg = DriftConfig(C=2, d=3, N=3, n_per_class=5, radius=1.0, drift_rate=0.0, noise=0.1, seed=4)
         a = generate_drift_stream(cfg)
         b = generate_drift_stream(cfg)
-        for ba, bb in zip(a.buckets, b.buckets):
-            for sa, sb in zip(ba.samples, bb.samples):
-                assert sa.id == sb.id and sa.label == sb.label
-                assert np.array_equal(sa.features, sb.features)
+        for field in ("x", "y", "ids", "timestamps", "offsets"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_bucketize_roundtrip(self):
         cfg = DriftConfig(C=2, d=2, N=4, n_per_class=6, radius=1.0, drift_rate=0.3, noise=0.1, seed=2)
         stream = generate_drift_stream(cfg)
-        flat = [s for b in stream.buckets for s in b.samples]
-        again = bucketize(flat, cfg.N)
-        for orig, rebuilt in zip(stream.buckets, again.buckets):
-            assert [s.id for s in orig.samples] == [s.id for s in rebuilt.samples]
+        again = bucketize(stream_samples(stream), cfg.N)
+        for field in ("x", "y", "ids", "timestamps", "offsets"):
+            assert np.array_equal(getattr(stream, field), getattr(again, field))
 
     def test_stationary_means_agree(self):
         # delta = 0: first- and last-bucket class means differ by < 4*sigma/sqrt(n) per coordinate.
         cfg = DriftConfig(C=3, d=4, N=6, n_per_class=400, radius=1.0, drift_rate=0.0, noise=0.25, seed=11)
         stream = generate_drift_stream(cfg)
         bound = 4 * cfg.noise / math.sqrt(cfg.n_per_class)
+        x_first, y_first = stream.x[bucket_rows(stream, 0)], stream.y[bucket_rows(stream, 0)]
+        x_last, y_last = stream.x[bucket_rows(stream, cfg.N - 1)], stream.y[bucket_rows(stream, cfg.N - 1)]
         for c in range(cfg.C):
-            first = np.mean([s.features for s in stream.buckets[0].samples if s.label == c], axis=0)
-            last = np.mean([s.features for s in stream.buckets[-1].samples if s.label == c], axis=0)
+            first = x_first[y_first == c].mean(axis=0)
+            last = x_last[y_last == c].mean(axis=0)
             assert np.all(np.abs(first - last) < bound)
 
     def test_rotated_means(self):
@@ -170,13 +226,12 @@ class TestDriftStream:
         bound = 3 * cfg.noise / math.sqrt(n)
         for t in (0, cfg.N - 1):
             means = class_means(cfg, t)
+            x, y = stream.x[bucket_rows(stream, t)], stream.y[bucket_rows(stream, t)]
             for c in range(cfg.C):
                 angle = 2 * math.pi * c / cfg.C + t * cfg.drift_rate
                 expected = np.array([math.cos(angle), math.sin(angle), 0.0])
                 assert np.allclose(means[c], expected, atol=1e-12)
-                sample_mean = np.mean(
-                    [s.features for s in stream.buckets[t].samples if s.label == c], axis=0
-                )
+                sample_mean = x[y == c].mean(axis=0)
                 assert np.all(np.abs(sample_mean - means[c]) < bound)
 
     def test_bayes_accuracy_against_frozen_oracle(self):
@@ -185,8 +240,7 @@ class TestDriftStream:
         cfg = DriftConfig(C=2, d=2, N=1, n_per_class=50_000, radius=1.0,
                           drift_rate=0.0, noise=0.1, seed=99)
         stream = generate_drift_stream(cfg)
-        x = np.stack([s.features for s in stream.buckets[0].samples])
-        y = np.array([s.label for s in stream.buckets[0].samples])
+        x, y = stream.x[bucket_rows(stream, 0)], stream.y[bucket_rows(stream, 0)]
         means = class_means(cfg, 0)
         pred = (x @ (means[0] - means[1]) < 0).astype(int)
         assert float((pred == y).mean()) == 1.0

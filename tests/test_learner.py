@@ -9,6 +9,7 @@ from driftbench.learner import (
     Hyperparams,
     LearnerState,
     Strategy,
+    fit,
     forward_loss_grad,
     init_learner,
     parse_architecture,
@@ -194,6 +195,25 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(init_learner(LINEAR_2_2, seed=0), [], Hyperparams(learning_rate=0.1))
 
+    def test_fit_rejects_bad_arrays(self):
+        state = init_learner(LINEAR_2_2, seed=0)
+        hp = Hyperparams(learning_rate=0.1)
+        with pytest.raises(ValueError, match="empty"):
+            fit(state, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), hp)
+        with pytest.raises(ValueError, match="dimension"):
+            fit(state, np.zeros((3, 3)), np.zeros(3, dtype=np.int64), hp)
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(state, np.array([[np.nan, 0.0]]), np.zeros(1, dtype=np.int64), hp)
+
+    def test_train_is_fit_on_stacked_samples(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((25, 2)), rng.integers(0, 2, 25)
+        hp = Hyperparams(learning_rate=0.3, epochs=3, decay_epoch=2, batch_size=8, seed=5)
+        a = train(init_learner(LINEAR_2_2, seed=1), make_batch(x, y), hp)
+        b = fit(init_learner(LINEAR_2_2, seed=1), x, y, hp)
+        for k in a.params:
+            assert np.array_equal(a.params[k], b.params[k])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         rng = np.random.default_rng(3)
@@ -234,36 +254,37 @@ class TestPredict:
 class TestStrategyStep:
     def setup_method(self):
         rng = np.random.default_rng(0)
-        self.data = make_batch(rng.standard_normal((20, 2)), rng.integers(0, 2, 20))
+        self.x, self.y = rng.standard_normal((20, 2)), rng.integers(0, 2, 20)
+        self.data = make_batch(self.x, self.y)
         self.hp = Hyperparams(learning_rate=0.2, epochs=2, decay_epoch=1, batch_size=8, seed=3)
 
     def test_napping_returns_prev_bit_identical(self):
         prev = init_learner(LINEAR_2_2, seed=9)
-        out = strategy_step(Strategy.NAPPING, prev, 5, self.data, self.hp, LINEAR_2_2)
+        out = strategy_step(Strategy.NAPPING, prev, 5, self.x, self.y, self.hp, LINEAR_2_2)
         assert out is prev
 
     def test_napping_requires_prev_after_first(self):
         with pytest.raises(ValueError):
-            strategy_step(Strategy.NAPPING, None, 2, self.data, self.hp, LINEAR_2_2)
+            strategy_step(Strategy.NAPPING, None, 2, self.x, self.y, self.hp, LINEAR_2_2)
 
     def test_from_scratch_independent_of_prev(self):
         prev_a = init_learner(LINEAR_2_2, seed=1)
         prev_b = train(prev_a, self.data, self.hp)
-        out_a = strategy_step(Strategy.FROM_SCRATCH, prev_a, 3, self.data, self.hp, LINEAR_2_2)
-        out_b = strategy_step(Strategy.FROM_SCRATCH, prev_b, 3, self.data, self.hp, LINEAR_2_2)
+        out_a = strategy_step(Strategy.FROM_SCRATCH, prev_a, 3, self.x, self.y, self.hp, LINEAR_2_2)
+        out_b = strategy_step(Strategy.FROM_SCRATCH, prev_b, 3, self.x, self.y, self.hp, LINEAR_2_2)
         for k in out_a.params:
             assert np.array_equal(out_a.params[k], out_b.params[k])
 
     def test_finetuning_zero_lr_equals_prev(self):
         prev = train(init_learner(LINEAR_2_2, seed=2), self.data, self.hp)
         hp0 = Hyperparams(learning_rate=0.0, epochs=1, decay_epoch=1, batch_size=8, seed=3)
-        out = strategy_step(Strategy.FINETUNING, prev, 4, self.data, hp0, LINEAR_2_2)
+        out = strategy_step(Strategy.FINETUNING, prev, 4, self.x, self.y, hp0, LINEAR_2_2)
         for k in prev.params:
             assert np.array_equal(out.params[k], prev.params[k])
 
     def test_finetuning_requires_prev_after_first(self):
         with pytest.raises(ValueError):
-            strategy_step(Strategy.FINETUNING, None, 1, self.data, self.hp, LINEAR_2_2)
+            strategy_step(Strategy.FINETUNING, None, 1, self.x, self.y, self.hp, LINEAR_2_2)
 
 
 def test_parse_architecture():

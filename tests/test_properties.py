@@ -1,10 +1,11 @@
-"""Property tests for the matrix and event-log formats and the replay buffer invariants."""
+"""Property tests for the config parser, the matrix and event-log formats and the replay buffer."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftbench.corpus import Bucket, Sample
+from driftbench.learner import Strategy
 from driftbench.protocol import (
     AccuracyMatrix,
     Event,
@@ -14,6 +15,7 @@ from driftbench.protocol import (
     matrix_to_text,
     parse_event_log,
 )
+from driftbench.runner import ConfigError, validate_config
 from driftbench.sampler import AlphaPolicy, PolicyKind, ReplayBuffer, update_buffer
 
 # Derandomized so the suite replays the same examples on every run.
@@ -46,14 +48,9 @@ policies = st.builds(
 
 
 def make_buckets(sizes):
-    buckets, sid = [], 0
-    for t, size in enumerate(sizes):
-        samples = tuple(
-            Sample(id=sid + j, timestamp=t, features=np.zeros(2), label=0) for j in range(size)
-        )
-        buckets.append(Bucket(index=t, samples=samples))
-        sid += size
-    return buckets
+    """Row indices of consecutive buckets of the given sizes, as the protocols pass them."""
+    offsets = np.cumsum([0] + sizes).tolist()
+    return [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
 
 
 bucket_sizes = st.lists(st.integers(1, 12), min_size=1, max_size=8)
@@ -81,7 +78,7 @@ def test_update_buffer_invariants(capacity, sizes, policy, seed):
     for bucket in make_buckets(sizes):
         buf = update_buffer(buf, bucket, policy, rng)
         seen += len(bucket)
-        ids = [s.id for s in buf.entries]
+        ids = list(buf.entries)
         assert len(ids) == min(capacity, seen)
         assert buf.seen_count == seen
         assert len(set(ids)) == len(ids)
@@ -95,5 +92,117 @@ def test_dynamic_unit_keeps_last_k_in_order(capacity, sizes, seed):
     arrived: list[int] = []
     for bucket in make_buckets(sizes):
         buf = update_buffer(buf, bucket, AlphaPolicy(PolicyKind.DYNAMIC, 1.0), rng)
-        arrived.extend(s.id for s in bucket.samples)
-        assert [s.id for s in buf.entries] == arrived[-capacity:]
+        arrived.extend(bucket)
+        assert list(buf.entries) == arrived[-capacity:]
+
+
+# A config entry is (key, value text, expected parsed value, reader, corrupt text):
+# the reader takes the parsed grid to the value; the corrupt text does not parse.
+POSITIVE = st.floats(1e-3, 1e3)
+
+
+def _number(key, value, reader):
+    return (key, repr(value) if isinstance(value, float) else str(value), value, reader, "@")
+
+
+def _optional(draw, entries):
+    return [e for e in entries if draw(st.booleans())]
+
+
+@st.composite
+def stream_entries(draw):
+    source = draw(st.sampled_from(["synthetic", "file"]))
+    entries = [
+        ("source", source, source, lambda g: g.stream.source, "bogus"),
+        _number("buckets", draw(st.integers(1, 50)), lambda g: g.stream.n_buckets),
+    ]
+    if source == "file":
+        path = draw(st.from_regex(r"[a-z]{1,8}\.tsv", fullmatch=True))
+        normalize = draw(st.booleans())
+        return entries + [("path", path, path, lambda g: g.stream.path, None)] + _optional(
+            draw, [("normalize", str(normalize).lower(), normalize, lambda g: g.stream.normalize, "maybe")]
+        )
+    drift = {
+        "classes": ("C", st.integers(1, 20)),
+        "dim": ("d", st.integers(2, 64)),
+        "per_class": ("n_per_class", st.integers(1, 500)),
+        "noise": ("noise", POSITIVE),
+        "radius": ("radius", POSITIVE),
+        "drift_rate": ("drift_rate", st.floats(0.0, 10.0)),
+        "stream_seed": ("seed", st.integers(0, 2**31)),
+    }
+    for key, (field, values) in drift.items():
+        if key in ("classes", "dim", "per_class", "noise") or draw(st.booleans()):
+            entries.append(_number(key, draw(values), lambda g, f=field: getattr(g.stream.drift, f)))
+    return entries
+
+
+def _cell(grid, name):
+    return next(c for c in grid.cells if c.name == name)
+
+
+@st.composite
+def cell_entries(draw, name):
+    def read(attr):
+        return lambda g: getattr(_cell(g, name), attr)
+
+    def read_hp(attr):
+        return lambda g: getattr(_cell(g, name).hyperparams, attr)
+
+    protocol = draw(st.sampled_from(list(ProtocolKind)))
+    strategy = draw(st.sampled_from(list(Strategy)))
+    arch = draw(st.sampled_from(["linear", "mlp", "mlp:8", "mlp:64"]))
+    policy = AlphaPolicy(draw(st.sampled_from(list(PolicyKind))), draw(st.floats(0.01, 10.0)))
+    entries = [
+        ("protocol", protocol.value, protocol, read("protocol"), "bogus"),
+        ("strategy", strategy.value, strategy, read("strategy"), "bogus"),
+        _number("buffer_capacity", draw(st.integers(1, 10**6)), read("buffer_capacity")),
+    ]
+    if protocol is ProtocolKind.IID:
+        entries.append(_number("train_fraction", draw(st.floats(0.01, 0.99)), read("train_fraction")))
+    entries += _optional(draw, [
+        ("architecture", arch, arch, read("arch_text"), "bogus"),
+        ("alpha", f"{policy.kind.value}:{policy.value!r}", policy, read("policy"), "bogus"),
+        _number("n_seeds", draw(st.integers(1, 10)), read("n_seeds")),
+        _number("base_seed", draw(st.integers(0, 10**6)), read("base_seed")),
+        _number("lr", draw(st.floats(0.0, 10.0)), read_hp("learning_rate")),
+        _number("momentum", draw(st.floats(0.0, 0.99)), read_hp("momentum")),
+        _number("weight_decay", draw(st.floats(0.0, 1.0)), read_hp("weight_decay")),
+        _number("batch", draw(st.integers(1, 1024)), read_hp("batch_size")),
+        _number("decay_factor", draw(st.floats(0.01, 1.0)), read_hp("decay_factor")),
+    ])
+    if draw(st.booleans()):  # the defaults, 100 and 60, are valid only together
+        epochs = draw(st.integers(1, 200))
+        entries.append(_number("epochs", epochs, read_hp("epochs")))
+        entries.append(_number("decay_epoch", draw(st.integers(1, epochs)), read_hp("decay_epoch")))
+    return entries
+
+
+@st.composite
+def configs(draw):
+    """A valid config's lines, and (line number, key, expected, reader, corrupt text) per key."""
+    sections = [("stream", draw(stream_entries()))]
+    for k in range(draw(st.integers(1, 3))):
+        sections.append((f"cell:c{k}", draw(cell_entries(f"c{k}"))))
+    lines, entries = [], []
+    for header, items in sections:
+        lines.append(f"[{header}]")
+        for key, text, expected, reader, corrupt in draw(st.permutations(items)):
+            lines.append(f"{key} = {text}")
+            entries.append((len(lines), key, expected, reader, corrupt))
+        lines.append("")
+    return lines, entries
+
+
+@SETTINGS
+@given(configs(), st.data())
+def test_config_values_preserved_and_corruption_named(config, data):
+    lines, entries = config
+    grid = validate_config("\n".join(lines), "out")
+    for _, key, expected, reader, _ in entries:
+        assert reader(grid) == expected, key
+    lineno, key, _, _, corrupt = data.draw(st.sampled_from([e for e in entries if e[4]]))
+    lines[lineno - 1] = f"{key} = {corrupt}"
+    with pytest.raises(ConfigError) as err:
+        validate_config("\n".join(lines), "out")
+    assert f"line {lineno}:" in str(err.value)

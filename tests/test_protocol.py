@@ -6,7 +6,6 @@ import pytest
 
 import driftbench.protocol as protocol_module
 from driftbench.corpus import (
-    Bucket,
     DriftConfig,
     Sample,
     TemporalStream,
@@ -43,13 +42,36 @@ def small_stream(drift_rate=0.0, C=3, d=4, N=4, n_per_class=40, noise=0.3, seed=
     )
 
 
+def rows_of(stream, t):
+    return np.arange(stream.offsets[t], stream.offsets[t + 1])
+
+
+def samples_at(stream, rows):
+    """Stream rows as samples, the input of the reference :func:`evaluate`."""
+    return [
+        Sample(id=int(stream.ids[r]), timestamp=int(stream.timestamps[r]),
+               features=stream.x[r], label=int(stream.y[r]))
+        for r in rows
+    ]
+
+
+def bucket_samples(stream, t):
+    return samples_at(stream, rows_of(stream, t))
+
+
+def sub_stream(stream, rows, sizes):
+    """The given rows of ``stream`` as a stream of buckets of the given sizes."""
+    return TemporalStream(stream.x[rows], stream.y[rows], stream.ids[rows],
+                          stream.timestamps[rows], np.cumsum([0, *sizes]), stream.C)
+
+
 def config_for(stream, strategy=Strategy.FINETUNING, capacity=None, fraction=0.7, hp=HP_FAST, alpha="fixed"):
     from driftbench.sampler import AlphaPolicy, PolicyKind
 
     policy = (
         AlphaPolicy(PolicyKind.FIXED, 1.0) if alpha == "fixed" else AlphaPolicy(PolicyKind.DYNAMIC, 1.0)
     )
-    bucket_size = len(stream.buckets[0])
+    bucket_size = int(stream.offsets[1])
     return RunConfig(
         strategy=strategy,
         architecture=Architecture("linear", stream.d, stream.C),
@@ -96,6 +118,8 @@ class TestAccuracyMatrix:
         [
             ("N=2 protocol=iid extra\n0.5,0.5\n0.5,0.5\n", "bad matrix header"),
             ("N=2 protocol=iid\n0.5,0.5\n0.5,high\n", r"row 1, column 1: bad cell 'high'"),
+            ("N=2 protocol=iid\n0.5,0.5\n0.5,nan\n", r"row 1, column 1: non-finite cell 'nan'"),
+            ("N=2 protocol=streaming\nNA,inf\nNA,NA\n", r"row 0, column 1: non-finite cell 'inf'"),
         ],
     )
     def test_malformed_text_named(self, text, message):
@@ -107,12 +131,13 @@ class TestEvaluate:
     def test_perfect_learner(self):
         stream = small_stream()
         cfg = config_for(stream)
+        rows = rows_of(stream, 0)
         state = strategy_step(
-            Strategy.FROM_SCRATCH, None, 0, stream.buckets[0].samples,
+            Strategy.FROM_SCRATCH, None, 0, stream.x[rows], stream.y[rows],
             Hyperparams(learning_rate=1.0, epochs=30, decay_epoch=20, batch_size=32),
             cfg.architecture,
         )
-        acc = evaluate(state, stream.buckets[0].samples)
+        acc = evaluate(state, bucket_samples(stream, 0))
         assert acc > 0.9
 
     def test_counting(self):
@@ -158,7 +183,7 @@ class TestGroupedScoring:
     @pytest.mark.parametrize("kind", [ProtocolKind.IID, ProtocolKind.STREAMING])
     def test_cells_equal_evaluate_across_scoring_groups(self, kind, monkeypatch):
         # With a 20-row budget each step's targets split into several scoring
-        # groups, and the 40-sample bucket (28-sample iid test set) exceeds it.
+        # groups, and the 40-row bucket (28-row iid test set) exceeds it.
         monkeypatch.setattr(protocol_module, "SCORE_BATCH_ROWS", 20, raising=False)
         states = []
 
@@ -169,19 +194,19 @@ class TestGroupedScoring:
         monkeypatch.setattr(protocol_module, "strategy_step", recording_step)
         base = small_stream(N=8, n_per_class=20)
         sizes = (12, 5, 6, 40, 4, 7, 8, 30)
-        stream = TemporalStream(
-            buckets=tuple(Bucket(b.index, b.samples[:k]) for b, k in zip(base.buckets, sizes)),
-            d=base.d, C=base.C, dropped=0,
-        )
+        rows = np.concatenate([rows_of(base, t)[:k] for t, k in enumerate(sizes)])
+        stream = sub_stream(base, rows, sizes)
+        assert np.diff(stream.offsets).tolist() == list(sizes)
         seed = 3
         if kind is ProtocolKind.IID:
             matrix = run_iid_protocol(stream, config_for(stream, capacity=20, fraction=0.3), seed)
             targets = [
-                split_iid(b, 0.3, seed + SPLIT_SEED_OFFSET + b.index)[1] for b in stream.buckets
+                samples_at(stream, split_iid(rows_of(stream, t), 0.3, seed + SPLIT_SEED_OFFSET + t)[1])
+                for t in range(stream.n_buckets)
             ]
         else:
             matrix = run_streaming_protocol(stream, config_for(stream, capacity=20, fraction=None), seed)
-            targets = [b.samples for b in stream.buckets]
+            targets = [bucket_samples(stream, t) for t in range(stream.n_buckets)]
         assert len(states) == stream.n_buckets
         rows, cols = np.nonzero(~np.isnan(matrix.cells))
         assert len(rows) == (64 if kind is ProtocolKind.IID else 28)
@@ -202,16 +227,18 @@ class TestIidProtocol:
         cfg = config_for(stream, strategy=Strategy.NAPPING)
         seed = 2
         matrix = run_iid_protocol(stream, cfg, seed=seed)
-        tr0, _ = split_iid(stream.buckets[0], cfg.train_fraction, seed + SPLIT_SEED_OFFSET)
+        tr0, _ = split_iid(rows_of(stream, 0), cfg.train_fraction, seed + SPLIT_SEED_OFFSET)
         hp = Hyperparams(**{**HP_FAST.__dict__, "seed": seed + LEARNER_SEED_OFFSET})
-        frozen = strategy_step(Strategy.NAPPING, None, 0, tr0, hp, cfg.architecture)
+        frozen = strategy_step(
+            Strategy.NAPPING, None, 0, stream.x[tr0], stream.y[tr0], hp, cfg.architecture
+        )
         for j in range(matrix.n):
-            _, te = split_iid(stream.buckets[j], cfg.train_fraction, seed + SPLIT_SEED_OFFSET + j)
-            assert matrix.cells[0, j] == evaluate(frozen, te)
+            _, te = split_iid(rows_of(stream, j), cfg.train_fraction, seed + SPLIT_SEED_OFFSET + j)
+            assert matrix.cells[0, j] == evaluate(frozen, samples_at(stream, te))
 
     def test_diagonal_beats_superdiagonal_under_drift(self):
         stream = small_stream(drift_rate=math.pi / 16, N=6, n_per_class=80)
-        cfg = config_for(stream, capacity=int(0.7 * len(stream.buckets[0])) + 1)
+        cfg = config_for(stream, capacity=int(0.7 * stream.offsets[1]) + 1)
         reports = [compute_metrics(run_iid_protocol(stream, cfg, seed=s)) for s in range(5)]
         agg = aggregate(reports)
         assert agg.means["in_domain"] > agg.means["next_domain"]
@@ -221,15 +248,15 @@ class TestIidProtocol:
         base = generate_drift_stream(
             DriftConfig(C=3, d=4, N=1, n_per_class=120, radius=1.0, drift_rate=0.0, noise=0.5, seed=5)
         )
-        b1 = base.buckets[0]
-        dup = Bucket(
-            1,
-            tuple(
-                Sample(id=s.id + len(b1), timestamp=1, features=s.features, label=s.label)
-                for s in b1.samples
-            ),
+        n = len(base.y)
+        stream = TemporalStream(
+            x=np.concatenate([base.x, base.x]),
+            y=np.concatenate([base.y, base.y]),
+            ids=np.concatenate([base.ids, base.ids + n]),
+            timestamps=np.repeat([0, 1], n),
+            offsets=np.array([0, n, 2 * n]),
+            C=3,
         )
-        stream = TemporalStream(buckets=(b1, dup), d=4, C=3, dropped=0)
         cfg = config_for(stream, capacity=252)
         r11, r12 = [], []
         for seed in range(5):
@@ -245,10 +272,10 @@ class TestIidProtocol:
         seed = 3
         run_iid_protocol(stream, cfg, seed=seed)
         train_ids, test_ids = set(), set()
-        for b in stream.buckets:
-            tr, te = split_iid(b, cfg.train_fraction, seed + SPLIT_SEED_OFFSET + b.index)
-            train_ids |= {s.id for s in tr}
-            test_ids |= {s.id for s in te}
+        for t in range(stream.n_buckets):
+            tr, te = split_iid(rows_of(stream, t), cfg.train_fraction, seed + SPLIT_SEED_OFFSET + t)
+            train_ids |= set(stream.ids[tr].tolist())
+            test_ids |= set(stream.ids[te].tolist())
         assert not (train_ids & test_ids)
 
     def test_deterministic(self):
@@ -263,7 +290,8 @@ class TestIidProtocol:
         cfg = config_for(stream, fraction=None)
         with pytest.raises(ValueError):
             run_iid_protocol(stream, cfg, seed=0)
-        single = TemporalStream(buckets=stream.buckets[:1], d=stream.d, C=stream.C, dropped=0)
+        first = rows_of(stream, 0)
+        single = sub_stream(stream, first, [len(first)])
         with pytest.raises(ValueError):
             run_iid_protocol(single, config_for(stream), seed=0)
 
@@ -283,16 +311,19 @@ class TestStreamingProtocol:
         matrix = run_streaming_protocol(stream, cfg, seed=4)
         prev = None
         expected = np.full((3, 3), np.nan)
-        for i, bucket in enumerate(stream.buckets):
+        for i in range(stream.n_buckets):
             hp = Hyperparams(**{**HP_FAST.__dict__, "seed": 4 + LEARNER_SEED_OFFSET + i})
-            prev = strategy_step(cfg.strategy, prev, i, bucket.samples, hp, cfg.architecture)
+            rows = rows_of(stream, i)
+            prev = strategy_step(
+                cfg.strategy, prev, i, stream.x[rows], stream.y[rows], hp, cfg.architecture
+            )
             for j in range(i + 1, 3):
-                expected[i, j] = evaluate(prev, stream.buckets[j].samples)
+                expected[i, j] = evaluate(prev, bucket_samples(stream, j))
         assert np.array_equal(np.nan_to_num(matrix.cells), np.nan_to_num(expected))
 
     def test_stationary_matches_iid_in_domain(self):
         stream = small_stream(N=5, n_per_class=100)
-        iid_cfg = config_for(stream, capacity=int(0.7 * len(stream.buckets[0])) + 1)
+        iid_cfg = config_for(stream, capacity=int(0.7 * stream.offsets[1]) + 1)
         str_cfg = config_for(stream, fraction=None)
         iid_in = aggregate(
             [compute_metrics(run_iid_protocol(stream, iid_cfg, s)) for s in range(5)]
@@ -348,11 +379,14 @@ class TestStreamingProtocol:
             ("evalute\t0\t1", r"line 3: unknown event kind 'evalute'"),
             ("evaluate\t0", "line 3: expected 3 tab-separated fields, got 2"),
             ("evaluate\t0\tone", "line 3: step and bucket must be integers"),
+            ("protocol=bogus", "line 1: unknown protocol 'bogus'"),
         ],
     )
     def test_malformed_event_log_named(self, body, message):
+        # A body that starts with its own header replaces the well-formed prefix.
+        prefix = "" if body.startswith("protocol=") else "protocol=streaming\ntrain\t0\t0\n"
         with pytest.raises(ValueError, match=message):
-            parse_event_log(f"protocol=streaming\ntrain\t0\t0\n{body}\n")
+            parse_event_log(f"{prefix}{body}\n")
 
     def test_napping_trains_on_full_first_bucket(self):
         stream = small_stream(N=3)
@@ -360,20 +394,23 @@ class TestStreamingProtocol:
         seed = 6
         matrix = run_streaming_protocol(stream, cfg, seed=seed)
         hp = Hyperparams(**{**HP_FAST.__dict__, "seed": seed + LEARNER_SEED_OFFSET})
+        rows = rows_of(stream, 0)
         frozen = strategy_step(
-            Strategy.NAPPING, None, 0, stream.buckets[0].samples, hp, cfg.architecture
+            Strategy.NAPPING, None, 0, stream.x[rows], stream.y[rows], hp, cfg.architecture
         )
         for j in (1, 2):
-            assert matrix.cells[0, j] == evaluate(frozen, stream.buckets[j].samples)
+            assert matrix.cells[0, j] == evaluate(frozen, bucket_samples(stream, j))
 
     def test_matrix_cells_pure_across_evaluation_order(self):
         stream = small_stream(N=3)
         cfg = config_for(stream, fraction=None)
+        rows = rows_of(stream, 0)
         state = strategy_step(
-            Strategy.FROM_SCRATCH, None, 0, stream.buckets[0].samples, HP_FAST, cfg.architecture
+            Strategy.FROM_SCRATCH, None, 0, stream.x[rows], stream.y[rows], HP_FAST, cfg.architecture
         )
-        forward = [evaluate(state, b.samples) for b in stream.buckets]
-        backward = [evaluate(state, b.samples) for b in reversed(stream.buckets)]
+        buckets = [bucket_samples(stream, t) for t in range(stream.n_buckets)]
+        forward = [evaluate(state, b) for b in buckets]
+        backward = [evaluate(state, b) for b in reversed(buckets)]
         assert forward == backward[::-1]
 
 
@@ -381,7 +418,7 @@ class TestStrategyComparisons:
     def test_stationary_finetuning_matches_from_scratch(self):
         # delta = 0: the two strategies are statistically indistinguishable in-domain.
         stream = small_stream(N=5, n_per_class=100)
-        capacity = int(0.7 * len(stream.buckets[0])) + 1
+        capacity = int(0.7 * stream.offsets[1]) + 1
         means = {}
         for strategy in (Strategy.FINETUNING, Strategy.FROM_SCRATCH):
             cfg = config_for(stream, strategy=strategy, capacity=capacity)

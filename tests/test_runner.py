@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftbench.cli import main
-from driftbench.corpus import DriftConfig, generate_drift_stream, write_feature_file
+from driftbench.corpus import DriftConfig, Sample, generate_drift_stream, write_feature_file
 from driftbench.protocol import (
     ProtocolKind,
     audit_streaming_order,
@@ -40,6 +40,15 @@ batch = 32
 epochs = 3
 decay_epoch = 2
 """
+
+
+def drift_samples(cfg):
+    """A synthetic stream as samples, ready for :func:`write_feature_file`."""
+    stream = generate_drift_stream(cfg)
+    return [
+        Sample(id=int(i), timestamp=int(ts), features=f, label=int(c))
+        for i, ts, f, c in zip(stream.ids, stream.timestamps, stream.x, stream.y)
+    ]
 
 
 class TestValidateConfig:
@@ -147,7 +156,7 @@ class TestLoadStream:
 
     def test_from_file_uses_header_class_count(self, tmp_path):
         cfg = DriftConfig(C=2, d=3, N=2, n_per_class=10, radius=1.0, drift_rate=0.0, noise=0.2, seed=1)
-        samples = [s for b in generate_drift_stream(cfg).buckets for s in b.samples]
+        samples = drift_samples(cfg)
         path = tmp_path / "feats.tsv"
         write_feature_file(path, samples, d=3, C=5)
         text = GOOD_CONFIG.replace(
@@ -238,7 +247,7 @@ class TestRunExperiment:
     def test_file_stream_end_to_end(self, tmp_path):
         cfg = DriftConfig(C=3, d=4, N=3, n_per_class=30, radius=1.0,
                           drift_rate=0.2, noise=0.3, seed=7)
-        samples = [s for b in generate_drift_stream(cfg).buckets for s in b.samples]
+        samples = drift_samples(cfg)
         path = tmp_path / "feats.tsv"
         write_feature_file(path, samples, d=4, C=3)
         text = GOOD_CONFIG.replace(
@@ -372,6 +381,17 @@ class TestCli:
 
         samples = load_feature_file(tmp_path / "curated" / "features.tsv")
         assert not any(s.id in (0, 1) for s in samples)
+
+    def test_curate_names_bad_count(self, tmp_path, capsys):
+        spec = tmp_path / "cur.cfg"
+        spec.write_text("background_low = 2\nper_class_top = ten\nfinal_per_class = 1\n")
+        code = main([
+            "curate", "--embeddings", str(tmp_path / "emb.tsv"), "--queries",
+            str(tmp_path / "q.tsv"), "--spec", str(spec), "--out", str(tmp_path / "curated"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{spec}:2: key 'per_class_top': expected int, got 'ten'" in err
 
     def test_help_lists_config_keys(self):
         assert "buffer_capacity" in config_reference()

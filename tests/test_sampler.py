@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from driftbench.corpus import Bucket, Sample
 from driftbench.sampler import (
     AlphaPolicy,
     PolicyKind,
@@ -15,20 +14,10 @@ FIXED1 = AlphaPolicy(PolicyKind.FIXED, 1.0)
 FIFO = AlphaPolicy(PolicyKind.DYNAMIC, 1.0)
 
 
-def make_bucket(index, size, start_id, d=2):
-    samples = tuple(
-        Sample(id=start_id + j, timestamp=index, features=np.zeros(d), label=0)
-        for j in range(size)
-    )
-    return Bucket(index=index, samples=samples)
-
-
-def make_stream(sizes, d=2):
-    buckets, sid = [], 0
-    for t, size in enumerate(sizes):
-        buckets.append(make_bucket(t, size, sid, d))
-        sid += size
-    return buckets
+def make_stream(sizes):
+    """Row indices of consecutive buckets of the given sizes, as the protocols pass them."""
+    offsets = np.cumsum([0] + list(sizes)).tolist()
+    return [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
 
 
 class TestAcceptanceProbability:
@@ -73,9 +62,8 @@ def test_parse_policy():
 class TestUpdateBuffer:
     def test_under_capacity_fills_in_order(self):
         buf = ReplayBuffer.empty(100)
-        bucket = make_bucket(0, 60, 0)
-        out = update_buffer(buf, bucket, FIXED1, np.random.default_rng(0))
-        assert [s.id for s in out.entries] == list(range(60))
+        out = update_buffer(buf, range(60), FIXED1, np.random.default_rng(0))
+        assert list(out.entries) == list(range(60))
         assert out.seen_count == 60
 
     def test_fifo_two_full_buckets(self):
@@ -84,21 +72,20 @@ class TestUpdateBuffer:
         b1, b2 = make_stream([100, 100])
         buf = update_buffer(buf, b1, FIFO, rng)
         buf = update_buffer(buf, b2, FIFO, rng)
-        assert [s.id for s in buf.entries] == [s.id for s in b2.samples]
+        assert list(buf.entries) == list(b2)
 
     @pytest.mark.parametrize("sizes", [[100] * 4, [60, 60, 60], [60, 100, 30, 100], [250, 40]])
     def test_fifo_equals_last_k_for_any_sizes(self, sizes):
         # Dynamic c=1.0 degenerates to a FIFO of the last k stream samples, every seed.
         k = 100
         stream = make_stream(sizes)
-        flat = [s for b in stream for s in b.samples]
+        flat = [row for b in stream for row in b]
         for seed in range(10):
             buf = ReplayBuffer.empty(k)
             rng = np.random.default_rng(seed)
             for b in stream:
                 buf = update_buffer(buf, b, FIFO, rng)
-            want = flat[-min(k, len(flat)) :]
-            assert [s.id for s in buf.entries] == [s.id for s in want]
+            assert list(buf.entries) == flat[-min(k, len(flat)) :]
 
     def test_capacity_invariant(self):
         rng_cfg = np.random.default_rng(5)
@@ -120,45 +107,38 @@ class TestUpdateBuffer:
                     assert len(buf.entries) == min(k, total)
 
     def test_determinism(self):
-        bucket = make_bucket(0, 300, 0)
-        follow = make_bucket(1, 300, 300)
+        bucket, follow = make_stream([300, 300])
         runs = []
         for _ in range(2):
             buf = ReplayBuffer.empty(50)
             rng = np.random.default_rng(42)
             buf = update_buffer(buf, bucket, FIXED1, rng)
             buf = update_buffer(buf, follow, FIXED1, rng)
-            runs.append([s.id for s in buf.entries])
+            runs.append(list(buf.entries))
         assert runs[0] == runs[1]
 
     def test_does_not_mutate_input(self):
         buf = ReplayBuffer.empty(10)
-        out = update_buffer(buf, make_bucket(0, 5, 0), FIXED1, np.random.default_rng(0))
+        out = update_buffer(buf, range(5), FIXED1, np.random.default_rng(0))
         assert buf.entries == () and buf.seen_count == 0
         assert out is not buf
 
-    def test_dimension_mismatch(self):
-        buf = update_buffer(
-            ReplayBuffer.empty(10), make_bucket(0, 3, 0, d=2), FIXED1, np.random.default_rng(0)
-        )
-        with pytest.raises(ValueError, match="dimension"):
-            update_buffer(buf, make_bucket(1, 3, 10, d=3), FIXED1, np.random.default_rng(0))
-
     def test_empty_bucket_rejected(self):
         with pytest.raises(ValueError):
-            update_buffer(ReplayBuffer.empty(5), Bucket(0, ()), FIXED1, np.random.default_rng(0))
+            update_buffer(ReplayBuffer.empty(5), range(0), FIXED1, np.random.default_rng(0))
 
     def test_accepts_plain_sequences(self):
-        samples = list(make_bucket(0, 4, 0).samples)
-        out = update_buffer(ReplayBuffer.empty(8), samples, FIXED1, np.random.default_rng(0))
-        assert [s.id for s in out.entries] == [0, 1, 2, 3]
+        # Any item type is stored as given: rows here, samples or ids elsewhere.
+        items = [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
+        out = update_buffer(ReplayBuffer.empty(8), items, FIXED1, np.random.default_rng(0))
+        assert out.entries == tuple(items)
 
 
 def test_monotone_recency_bias():
     # Mean fraction of final-bucket samples must not decrease in alpha (200 seeds).
     k = 60
     stream = make_stream([120] * 5)
-    final_ids = {s.id for s in stream[-1].samples}
+    final_rows = set(stream[-1])
     fractions = {}
     for value in (0.5, 5.0):
         policy = AlphaPolicy(PolicyKind.FIXED, value)
@@ -168,7 +148,7 @@ def test_monotone_recency_bias():
             rng = np.random.default_rng(seed)
             for b in stream:
                 buf = update_buffer(buf, b, policy, rng)
-            total += sum(1 for s in buf.entries if s.id in final_ids) / k
+            total += sum(1 for row in buf.entries if row in final_rows) / k
         fractions[value] = total / 200
     assert fractions[5.0] >= fractions[0.5]
 
@@ -177,4 +157,4 @@ def test_buffer_validation():
     with pytest.raises(ValueError):
         ReplayBuffer.empty(0)
     with pytest.raises(ValueError):
-        ReplayBuffer(capacity=1, entries=tuple(make_bucket(0, 2, 0).samples), seen_count=2)
+        ReplayBuffer(capacity=1, entries=(0, 1), seen_count=2)
