@@ -1,17 +1,29 @@
-"""Timestamped labeled sample streams: bucketization, splits, synthetic drift, file ingestion."""
+"""Timestamped labeled sample streams: bucketization, splits, synthetic drift, file IO."""
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 
 class FeatureFileError(ValueError):
     """Raised when a feature file is malformed; the message names the offending line."""
+
+
+class FieldValueError(ValueError):
+    """A config dataclass rejected the value of one field: ``field`` fails ``requirement``."""
+
+    def __init__(self, field: str, requirement: str) -> None:
+        super().__init__(f"{field} {requirement}")
+        self.field = field
+        self.requirement = requirement
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +79,17 @@ class DriftConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.C < 1 or self.N < 1 or self.n_per_class < 1:
-            raise ValueError("C, N and n_per_class must all be >= 1")
+        for field in ("C", "N", "n_per_class"):
+            if getattr(self, field) < 1:
+                raise FieldValueError(field, "must be >= 1")
         if self.d < 2:
-            raise ValueError("d must be >= 2")
+            raise FieldValueError("d", "must be >= 2")
         if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be finite and > 0")
+            raise FieldValueError("radius", "must be finite and > 0")
         if not (math.isfinite(self.noise) and self.noise > 0):
-            raise ValueError("noise must be finite and > 0")
+            raise FieldValueError("noise", "must be finite and > 0")
         if not (math.isfinite(self.drift_rate) and self.drift_rate >= 0):
-            raise ValueError("drift_rate must be finite and >= 0")
+            raise FieldValueError("drift_rate", "must be finite and >= 0")
 
 
 def bucket_shape(n_samples: int, n_buckets: int) -> tuple[int, int]:
@@ -173,6 +186,8 @@ def generate_drift_stream(cfg: DriftConfig) -> TemporalStream:
 
 
 def _parse_header(line: str, path: str) -> tuple[int, int]:
+    if not line.startswith("#"):
+        raise FeatureFileError(f"{path}:1: missing '#d=<d> C=<C>' header")
     parts = line.strip().lstrip("#").split()
     try:
         fields = dict(p.split("=", 1) for p in parts)
@@ -187,10 +202,49 @@ def _parse_header(line: str, path: str) -> tuple[int, int]:
 def read_feature_header(path: str | Path) -> tuple[int, int]:
     """Read (d, C) from a feature file header without loading the records."""
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    if not first.startswith("#"):
-        raise FeatureFileError(f"{path}:1: missing '#d=<d> C=<C>' header")
-    return _parse_header(first, str(path))
+        return _parse_header(fh.readline(), str(path))
+
+
+def parse_records(
+    lines: Iterable[str], n_ints: int, k: int, normalize: bool
+) -> tuple[list[list[int]], np.ndarray]:
+    """Parse ``i_1<TAB>...<TAB>i_n<TAB>v1,...,vk`` lines into ``n_ints`` int columns and one matrix.
+
+    Blank lines are skipped.  The vector fields go to ``np.loadtxt`` and form
+    one finite ``(rows, k)`` array; with ``normalize`` set, each row is
+    scaled in place to unit L2 norm, ``sqrt(x . x)``, which equals
+    ``np.linalg.norm`` bit for bit.  ``n_ints`` must be >= 1.  Raises
+    ``ValueError`` on a wrong field count, a non-integer field, a vector
+    field ``np.loadtxt`` rejects or without ``k`` values, a non-finite value,
+    or a zero row to normalize.  The error names no line: callers re-read a
+    rejected file line by line for the message.
+    """
+    columns: list[list[int]] = [[] for _ in range(n_ints)]
+
+    def vector_fields() -> Iterator[str]:
+        for line in lines:
+            line = line.strip()
+            if line:
+                *ints, vector = line.split("\t")
+                if len(ints) != n_ints:
+                    raise ValueError(f"expected {n_ints + 1} tab-separated fields")
+                for column, text in zip(columns, ints):
+                    column.append(int(text))
+                yield vector
+
+    fields = vector_fields()
+    first = next(fields, None)
+    if first is None:
+        return columns, np.empty((0, k))
+    x = np.loadtxt(chain([first], fields), delimiter=",", comments=None, ndmin=2)
+    if x.shape != (len(columns[0]), k) or not np.isfinite(x).all():
+        raise ValueError("malformed vector rows")
+    if normalize:
+        norms = np.sqrt(np.vecdot(x, x))
+        if not norms.all():
+            raise ValueError("zero vector cannot be normalized")
+        x /= norms[:, None]
+    return columns, x
 
 
 def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]:
@@ -198,15 +252,32 @@ def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]
 
     With ``normalize`` set, each feature vector is scaled to unit L2 norm; zero
     vectors are rejected.  Malformed records raise :class:`FeatureFileError`
-    naming the line.
+    naming the line.  The features of all samples are rows of one matrix.
     """
     path = str(path)
+    try:
+        return _load_feature_rows(path, normalize)
+    except ValueError:
+        # The line-by-line reader finds the first bad line and names it.
+        return _load_feature_lines(path, normalize)
+
+
+def _load_feature_rows(path: str, normalize: bool) -> list[Sample]:
+    with open(path, encoding="utf-8") as fh:
+        d, c = _parse_header(fh.readline(), path)
+        (ids, timestamps, labels), x = parse_records(fh, 3, d, normalize)
+    if ids and (min(ids) < 0 or min(labels) < 0 or max(labels) >= c):
+        raise ValueError("id or label out of range")
+    return [
+        Sample(id=sid, timestamp=ts, features=row, label=label)
+        for sid, ts, row, label in zip(ids, timestamps, x, labels)
+    ]
+
+
+def _load_feature_lines(path: str, normalize: bool) -> list[Sample]:
     samples: list[Sample] = []
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise FeatureFileError(f"{path}:1: missing '#d=<d> C=<C>' header")
-        d, c = _parse_header(header, path)
+        d, c = _parse_header(fh.readline(), path)
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -238,9 +309,28 @@ def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]
     return samples
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing text so that it holds either its old content or all of the new.
+
+    The text goes to a temporary file in the same directory, which replaces
+    ``path`` only when the block exits normally; if the block raises, the
+    temporary file is removed and ``path`` is left as it was.  This guards
+    against an interrupted process, not against power loss (there is no fsync).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_feature_file(path: str | Path, samples: Sequence[Sample], d: int, C: int) -> None:
-    """Write samples in the feature-file format read by :func:`load_feature_file`."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write samples in the feature-file format read by :func:`load_feature_file`, atomically."""
+    with atomic_write(path) as fh:
         fh.write(f"#d={d} C={C}\n")
         for s in samples:
             feats = ",".join(repr(float(v)) for v in s.features)

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Sample
+from .corpus import Sample, atomic_write, parse_records
 
 
 class ShortageError(ValueError):
@@ -74,19 +74,44 @@ def _unit(vector: np.ndarray, context: str) -> np.ndarray:
     return vector / norm
 
 
+def _embedding_dimension(header: str, path: str) -> int:
+    header = header.strip()
+    if not header.startswith("#m="):
+        raise EmbeddingFileError(f"{path}:1: expected '#m=<m>' header")
+    try:
+        return int(header[3:])
+    except ValueError as exc:
+        raise EmbeddingFileError(f"{path}:1: bad dimension in header") from exc
+
+
 def load_embedding_file(path: str | Path) -> list[EmbeddingRecord]:
-    """Load ``#m=<m>`` header plus ``id<TAB>v1,...,vm`` records, unit-normalizing each vector."""
+    """Load ``#m=<m>`` header plus ``id<TAB>v1,...,vm`` records, unit-normalizing each vector.
+
+    The vectors of all records are rows of one matrix.  Malformed records
+    raise :class:`EmbeddingFileError` naming the line.
+    """
     path = str(path)
+    try:
+        return _load_embedding_rows(path)
+    except ValueError:
+        # The line-by-line reader finds the first bad line and names it.
+        return _load_embedding_lines(path)
+
+
+def _load_embedding_rows(path: str) -> list[EmbeddingRecord]:
+    with open(path, encoding="utf-8") as fh:
+        m = _embedding_dimension(fh.readline(), path)
+        (ids,), x = parse_records(fh, 1, m, normalize=True)
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate id")
+    return [EmbeddingRecord(id=rid, vector=row) for rid, row in zip(ids, x)]
+
+
+def _load_embedding_lines(path: str) -> list[EmbeddingRecord]:
     records: list[EmbeddingRecord] = []
     seen: set[int] = set()
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#m="):
-            raise EmbeddingFileError(f"{path}:1: expected '#m=<m>' header")
-        try:
-            m = int(header[3:])
-        except ValueError as exc:
-            raise EmbeddingFileError(f"{path}:1: bad dimension in header") from exc
+        m = _embedding_dimension(fh.readline(), path)
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -148,28 +173,37 @@ def load_rejection_list(path: str | Path) -> set[int]:
     return rejected
 
 
-def cosine_rank(embeddings: Sequence[EmbeddingRecord], query: np.ndarray) -> CosineRanking:
-    """Rank all embeddings by dot-product similarity to the query, descending.
-
-    Inputs are unit vectors, so the dot product is the cosine score.  Ties break
-    by ascending id, making the order total and deterministic.
-    """
+def _stack(embeddings: Sequence[EmbeddingRecord]) -> tuple[list[int], np.ndarray]:
     if not embeddings:
         raise ValueError("no embeddings to rank")
-    dim = embeddings[0].vector.shape
-    if query.shape != dim:
-        raise ValueError(f"query dimension {query.shape} != embedding dimension {dim}")
-    matrix = np.stack([e.vector for e in embeddings])
+    return [e.id for e in embeddings], np.stack([e.vector for e in embeddings])
+
+
+def rank_rows(ids: Sequence[int], matrix: np.ndarray, query: np.ndarray) -> CosineRanking:
+    """Rank the rows of a stacked ``(U, m)`` embedding matrix, row ``i`` having id ``ids[i]``.
+
+    Rows are ordered by descending dot product with the query (the cosine
+    score, for unit vectors); ties break by ascending id, making the order
+    total and deterministic.  ``ids`` is shared by the returned ranking.
+    """
+    if query.shape != matrix.shape[1:]:
+        raise ValueError(f"query dimension {query.shape} != embedding dimension {matrix.shape[1:]}")
     raw = matrix @ query
-    order = sorted(range(len(embeddings)), key=lambda i: (-raw[i], embeddings[i].id))
-    ids = tuple(embeddings[i].id for i in order)
-    scores = {embeddings[i].id: float(raw[i]) for i in range(len(embeddings))}
-    return CosineRanking(ids=ids, scores=scores)
+    order = np.lexsort((np.asarray(ids), -raw))
+    return CosineRanking(
+        ids=tuple(map(ids.__getitem__, order.tolist())), scores=dict(zip(ids, raw.tolist()))
+    )
+
+
+def cosine_rank(embeddings: Sequence[EmbeddingRecord], query: np.ndarray) -> CosineRanking:
+    """Rank all embeddings by dot-product similarity to the query: :func:`rank_rows` for one query."""
+    return rank_rows(*_stack(embeddings), query)
 
 
 def rank_all(embeddings: Sequence[EmbeddingRecord], spec: CurationSpec) -> dict[str, CosineRanking]:
-    """One ranking per query class, in spec order."""
-    return {name: cosine_rank(embeddings, q) for name, q in spec.queries}
+    """One ranking per query class, in spec order; the embeddings are stacked once."""
+    ids, matrix = _stack(embeddings)
+    return {name: rank_rows(ids, matrix, q) for name, q in spec.queries}
 
 
 def select_labeled(
@@ -292,7 +326,7 @@ def curated_samples(
 
 
 def write_class_table(path: str | Path, class_names: Sequence[str]) -> None:
-    """Write the ``index<TAB>name`` table mapping label indices to class names."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the ``index<TAB>name`` table mapping label indices to class names, atomically."""
+    with atomic_write(path) as fh:
         for idx, name in enumerate(class_names):
             fh.write(f"{idx}\t{name}\n")

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Sample, as_arrays
+from .corpus import FieldValueError, Sample, as_arrays
 
 DEFAULT_HIDDEN = 64
 
@@ -84,17 +84,18 @@ class Hyperparams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError("learning_rate must be finite and >= 0")
+            raise FieldValueError("learning_rate", "must be finite and >= 0")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+            raise FieldValueError("momentum", "must be in [0, 1)")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError("weight_decay must be finite and >= 0")
-        if self.batch_size < 1 or self.epochs < 1 or self.decay_epoch < 1:
-            raise ValueError("batch_size, epochs and decay_epoch must be >= 1")
+            raise FieldValueError("weight_decay", "must be finite and >= 0")
+        for field in ("batch_size", "epochs", "decay_epoch"):
+            if getattr(self, field) < 1:
+                raise FieldValueError(field, "must be >= 1")
         if self.decay_epoch > self.epochs:
-            raise ValueError("decay_epoch must be <= epochs")
+            raise FieldValueError("decay_epoch", "must be <= epochs")
         if not 0.0 < self.decay_factor <= 1.0:
-            raise ValueError("decay_factor must be in (0, 1]")
+            raise FieldValueError("decay_factor", "must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from pathlib import Path
 
 from .corpus import (
     DriftConfig,
+    FieldValueError,
     TemporalStream,
+    atomic_write,
     bucketize,
     generate_drift_stream,
     load_feature_file,
@@ -188,6 +190,16 @@ def _entry_line(section: _Section, key: str) -> str:
     return f"section [{section.name}] (line {section.lineno})"
 
 
+# Config key of each DriftConfig and Hyperparams field whose name differs from it.
+_FIELD_KEYS = {"C": "classes", "d": "dim", "N": "buckets", "n_per_class": "per_class",
+               "learning_rate": "lr", "batch_size": "batch"}
+
+
+def _field_diagnostic(section: _Section, exc: FieldValueError) -> str:
+    key = _FIELD_KEYS.get(exc.field, exc.field)
+    return f"{_entry_line(section, key)}: key {key!r} {exc.requirement}"
+
+
 def _build_stream_spec(section: _Section, diags: list[str]) -> StreamSpec | None:
     values = _check_keys(section, _STREAM_KEYS, diags)
     source = values.get("source")
@@ -218,8 +230,8 @@ def _build_stream_spec(section: _Section, diags: list[str]) -> StreamSpec | None
                 noise=values["noise"],
                 seed=values.get("stream_seed", 0),
             )
-        except ValueError as exc:
-            diags.append(f"section [{section.name}] (line {section.lineno}): {exc}")
+        except FieldValueError as exc:
+            diags.append(_field_diagnostic(section, exc))
             return None
         return StreamSpec(source="synthetic", drift=drift, n_buckets=n_buckets)
     if "path" not in values:
@@ -299,8 +311,8 @@ def _build_cell(section: _Section, diags: list[str]) -> CellConfig | None:
             decay_epoch=int(values.get("decay_epoch", 60)),  # type: ignore[arg-type]
             decay_factor=float(values.get("decay_factor", 0.1)),  # type: ignore[arg-type]
         )
-    except ValueError as exc:
-        diags.append(f"section [{section.name}] (line {section.lineno}): {exc}")
+    except FieldValueError as exc:
+        diags.append(_field_diagnostic(section, exc))
         hp = None  # type: ignore[assignment]
 
     n_seeds = int(values.get("n_seeds", 5))  # type: ignore[arg-type]
@@ -367,6 +379,11 @@ def load_stream(spec: StreamSpec) -> TemporalStream:
     return bucketize(samples, spec.n_buckets, class_count=class_count)
 
 
+def _write_artifact(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _run_cell(stream: TemporalStream, cell: CellConfig, cell_dir: Path, base_seed: int) -> AggregateReport:
     cfg = RunConfig(
         strategy=cell.strategy,
@@ -384,11 +401,11 @@ def _run_cell(stream: TemporalStream, cell: CellConfig, cell_dir: Path, base_see
         matrix = runner(stream, cfg, seed, event_log=events)
         if cell.protocol is ProtocolKind.STREAMING:
             audit_streaming_order(events)
-        (cell_dir / f"matrix_seed{seed}.txt").write_text(matrix_to_text(matrix))
-        (cell_dir / f"events_seed{seed}.log").write_text(event_log_text(cell.protocol, events))
+        _write_artifact(cell_dir / f"matrix_seed{seed}.txt", matrix_to_text(matrix))
+        _write_artifact(cell_dir / f"events_seed{seed}.log", event_log_text(cell.protocol, events))
         reports.append(compute_metrics(matrix))
     agg = aggregate(reports)
-    (cell_dir / "report.txt").write_text(report_text(agg))
+    _write_artifact(cell_dir / "report.txt", report_text(agg))
     return agg
 
 
@@ -401,7 +418,7 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
     """
     grid.out_dir.mkdir(parents=True, exist_ok=True)
     stream = load_stream(grid.stream)
-    (grid.out_dir / "stream_manifest.tsv").write_text(stream_manifest(stream))
+    _write_artifact(grid.out_dir / "stream_manifest.tsv", stream_manifest(stream))
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -419,13 +436,13 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures[cell.name] = f"{type(exc).__name__}: {exc}"
             cell_dir.mkdir(parents=True, exist_ok=True)
-            (cell_dir / "error.txt").write_text(failures[cell.name] + "\n")
+            _write_artifact(cell_dir / "error.txt", failures[cell.name] + "\n")
 
     lines = ["cell,metric,mean,std"]
     for cell in grid.cells:
         if cell.name in reports:
             lines.extend(csv_rows(cell.name, reports[cell.name]))
-    (grid.out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
+    _write_artifact(grid.out_dir / "summary.csv", "\n".join(lines) + "\n")
     return ExperimentResult(reports=reports, failures=failures)
 
 

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import driftbench.corpus as corpus_module
 from driftbench.corpus import (
     DriftConfig,
     FeatureFileError,
     Sample,
+    as_arrays,
+    atomic_write,
     bucket_shape,
     bucketize,
     class_means,
@@ -302,6 +305,54 @@ class TestFeatureFile:
         p = self.write(tmp_path, "#d=1 C=2\n0\t0\t5\t1.0\n")
         with pytest.raises(FeatureFileError, match="label"):
             load_feature_file(p)
+
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_well_formed_file_is_read_as_arrays(self, tmp_path, monkeypatch, normalize):
+        # A silent fallback to the line-by-line reader would keep results and lose the speed.
+        path = tmp_path / "f.tsv"
+        write_feature_file(path, make_samples(40, d=5, labels=[i % 3 for i in range(40)]), d=5, C=3)
+        expected = corpus_module._load_feature_lines(str(path), normalize)
+
+        def no_fallback(path, normalize):
+            raise AssertionError(f"{path} fell back to the line-by-line reader")
+
+        monkeypatch.setattr(corpus_module, "_load_feature_lines", no_fallback)
+        loaded = load_feature_file(path, normalize=normalize)
+        assert [(s.id, s.timestamp, s.label) for s in loaded] == [
+            (s.id, s.timestamp, s.label) for s in expected
+        ]
+        assert as_arrays(loaded)[0].tobytes() == as_arrays(expected)[0].tobytes()
+        path.write_text("#d=5 C=3\n\n")
+        assert load_feature_file(path, normalize=normalize) == []
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_old_file_or_none(self, tmp_path, existing):
+        path = tmp_path / "features.tsv"
+        if existing:
+            path.write_text("old\n")
+        samples = make_samples(3, d=2)
+        samples.insert(2, Sample(id=9, timestamp=0, features=np.array(["x"], dtype=object), label=0))
+        with pytest.raises(ValueError):
+            write_feature_file(path, samples, d=2, C=1)
+        assert list(tmp_path.iterdir()) == ([path] if existing else [])
+        if existing:
+            assert path.read_text() == "old\n"
+
+    def test_block_error_leaves_old_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError), atomic_write(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "old\n"
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "new\n"
 
 
 def test_stream_manifest_format():

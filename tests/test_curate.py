@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import driftbench.curate as curate_module
 from driftbench.curate import (
     BACKGROUND_CLASS,
     CurationSpec,
@@ -15,6 +16,7 @@ from driftbench.curate import (
     load_query_file,
     load_rejection_list,
     rank_all,
+    rank_rows,
     select_labeled,
     write_class_table,
 )
@@ -74,8 +76,60 @@ class TestCosineRank:
         assert list(ranking.ids) == [1, 3, 5]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"query dimension \(5,\) != embedding dimension \(4,\)"):
             cosine_rank(random_embeddings(3, 4), np.zeros(5))
+        spec = CurationSpec(
+            queries=(("a", unit([1, 0, 0, 0])), ("b", np.zeros(5))),
+            per_class_top=1, background_low_per_class=1, final_per_class=1,
+        )
+        with pytest.raises(ValueError, match="query dimension"):
+            rank_all(random_embeddings(3, 4), spec)
+
+    def test_no_embeddings(self):
+        spec = CurationSpec(
+            queries=(("a", unit([1, 0])),), per_class_top=1, background_low_per_class=1,
+            final_per_class=1,
+        )
+        with pytest.raises(ValueError, match="no embeddings to rank"):
+            cosine_rank([], unit([1, 0]))
+        with pytest.raises(ValueError, match="no embeddings to rank"):
+            rank_all([], spec)
+
+    def test_rank_all_matches_sorted_reference(self):
+        # Exact ties (repeated vectors under shuffled ids), zero scores from
+        # signed-zero components, and a zero-containing query.
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal((40, 3))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        zeros = np.array([[-0.0, 1.0, -0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0]])
+        vectors = np.concatenate([base, base[:15], zeros, zeros])
+        ids = rng.permutation(10**6)[: len(vectors)].tolist()
+        embeddings = [EmbeddingRecord(id=i, vector=v) for i, v in zip(ids, vectors)]
+        queries = tuple((f"q{c}", q) for c, q in enumerate(
+            [unit([1.0, -0.0, 0.0]), -unit([1.0, 0.0, 0.0]), *base[:3]]
+        ))
+        spec = CurationSpec(queries=queries, per_class_top=1, background_low_per_class=1,
+                            final_per_class=1)
+        rankings = rank_all(embeddings, spec)
+        assert list(rankings) == [name for name, _ in queries]
+        for name, query in queries:
+            raw = np.stack(vectors) @ query
+            order = sorted(range(len(ids)), key=lambda i: (-raw[i], ids[i]))
+            assert rankings[name].ids == tuple(ids[i] for i in order)
+            assert [(k, v.hex()) for k, v in rankings[name].scores.items()] == [
+                (i, float(r).hex()) for i, r in zip(ids, raw)
+            ]
+            assert rankings[name] == cosine_rank(embeddings, query)
+        # Zero scores tie, and ties list the lower id first.
+        zero_ids = [i for i, v in zip(ids, vectors) if v[0] == 0.0]
+        first = rankings["q0"].ids
+        assert [i for i in first if i in set(zero_ids)] == sorted(zero_ids)
+
+    def test_rank_rows_shares_ids(self):
+        ids = [7, 3, 5]
+        ranking = rank_rows(ids, np.eye(3), np.array([0.0, 1.0, 0.0]))
+        assert ranking.ids == (3, 5, 7)
+        assert all(a is b for a, b in zip(ranking.scores, ids))
 
 
 class TestSelectLabeled:
@@ -249,6 +303,28 @@ class TestFiles:
         p.write_text("#m=2\n0\t1.0,2.0\n0\t2.0,1.0\n")
         with pytest.raises(EmbeddingFileError, match="duplicate"):
             load_embedding_file(p)
+
+    def test_well_formed_embedding_file_is_read_as_arrays(self, tmp_path, monkeypatch):
+        # A silent fallback to the line-by-line reader would keep results and lose the speed.
+        p = tmp_path / "emb.tsv"
+        rows = np.column_stack([np.arange(50), np.random.default_rng(3).standard_normal((50, 6))])
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write("#m=6\n\n")
+            np.savetxt(fh, rows, fmt="%d\t" + ",".join(["%.6f"] * 6))
+        expected = curate_module._load_embedding_lines(str(p))
+
+        def no_fallback(path):
+            raise AssertionError(f"{path} fell back to the line-by-line reader")
+
+        monkeypatch.setattr(curate_module, "_load_embedding_lines", no_fallback)
+        records = load_embedding_file(p)
+        assert [r.id for r in records] == [r.id for r in expected]
+        assert np.stack([r.vector for r in records]).tobytes() == np.stack(
+            [r.vector for r in expected]
+        ).tobytes()
+        assert all(r.vector.base is records[0].vector.base for r in records)
+        p.write_text("#m=6\n\n")
+        assert load_embedding_file(p) == []
 
     def test_query_file(self, tmp_path):
         p = tmp_path / "q.tsv"

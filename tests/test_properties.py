@@ -1,10 +1,13 @@
-"""Property tests for the config parser, the matrix and event-log formats and the replay buffer."""
+"""Property tests for the config parser, the matrix and event-log formats, the replay buffer,
+and the array readers of feature and embedding files against their line-by-line references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftbench.corpus import _load_feature_lines, _load_feature_rows, load_feature_file
+from driftbench.curate import _load_embedding_lines, _load_embedding_rows, load_embedding_file
 from driftbench.learner import Strategy
 from driftbench.protocol import (
     AccuracyMatrix,
@@ -206,3 +209,121 @@ def test_config_values_preserved_and_corruption_named(config, data):
     with pytest.raises(ConfigError) as err:
         validate_config("\n".join(lines), "out")
     assert f"line {lineno}:" in str(err.value)
+
+
+# Vector files: a well-formed file with one named corruption, and sometimes a
+# second drawn one, each of a kind a reader must reject or read as the
+# line-by-line reference does.  Components stay below 1e150, so no squared
+# norm overflows (numpy would warn).
+COMPONENTS = st.floats(-1e150, 1e150, allow_nan=False).map(repr)
+ODD_TOKENS = ["nan", "inf", "-inf", "1_0", "1#2", "#", "", " 2.5 ", "-0.0", "1e3", "\u0661", "x"]
+CORRUPTIONS = [
+    "none", "blank", "padded", "hash", "extra_component", "missing_component", "duplicate_id",
+    "zero_vector", "extra_field", "bad_id", "negative_id", "header_only",
+] + [f"token:{token}" for token in ODD_TOKENS]
+FILE_SETTINGS = settings(SETTINGS, max_examples=15)
+
+
+@st.composite
+def vector_files(draw, lead_fields, corruption):
+    """(k, body lines) of a file whose records have ``lead_fields`` int fields and k components."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    records = [
+        [str(i)] + [str(draw(st.integers(0, 3))) for _ in range(lead_fields - 1)]
+        + [draw(COMPONENTS) for _ in range(k)]
+        for i in ids
+    ]
+    padded: set[int] = set()
+    blanks: list[tuple[int, str]] = []
+    header_only = False
+    for kind in [corruption] + draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=1)):
+        r = draw(st.integers(0, n - 1))
+        record = records[r]
+        if kind == "padded":
+            padded.add(r)
+        elif kind == "blank":
+            blanks.append((r, draw(st.sampled_from(["", "   ", "\t"]))))
+        elif kind == "header_only":
+            header_only = True
+        elif kind == "hash":
+            record[-1] += "#1"
+        elif kind.startswith("token:"):
+            record[draw(st.integers(lead_fields, len(record) - 1))] = kind.partition(":")[2]
+        elif kind == "extra_component":
+            record.append("1.0")
+        elif kind == "missing_component":
+            record.pop()
+        elif kind == "duplicate_id":
+            record[0] = records[0][0]
+        elif kind == "zero_vector":
+            record[lead_fields:] = ["0.0"] * (len(record) - lead_fields)
+        elif kind == "extra_field":
+            record[0] += "\t7"
+        elif kind == "bad_id":
+            record[0] = draw(st.sampled_from(["x", "1_0", "", "1.5"]))
+        elif kind == "negative_id":
+            record[0] = "-" + record[0]
+    body = []
+    for r, record in enumerate([] if header_only else records):
+        line = "\t".join(record[:lead_fields]) + "\t" + ",".join(record[lead_fields:])
+        body.append(f" \t {line} " if r in padded else line)
+    for r, blank in blanks:
+        body.insert(min(r, len(body)), blank)
+    return k, body
+
+
+def _outcome(load, path, *args):
+    """The loaded items as (id, timestamp, label, vector dtype, shape, bytes), or the error's type and text."""
+    try:
+        items = load(path, *args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return [
+        (item.id, getattr(item, "timestamp", None), getattr(item, "label", None),
+         vector.dtype, vector.shape, vector.tobytes())
+        for item in items
+        for vector in [getattr(item, "features", getattr(item, "vector", None))]
+    ]
+
+
+def _assert_reader_matches(path, reader, fast_reader, reference, *args):
+    expected = _outcome(reference, path, *args)
+    assert _outcome(reader, path, *args) == expected
+    try:
+        fast = fast_reader(str(path), *args)
+    except ValueError:
+        return  # the reader falls back to the reference, compared above
+    assert _outcome(lambda *_: fast, path) == expected
+
+
+@pytest.fixture(scope="module")
+def vector_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("vectors") / "vectors.tsv"
+
+
+DIM_OFFSETS = st.sampled_from([0, 0, 0, -1, 1])
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@FILE_SETTINGS
+@given(data=st.data(), dim_offset=DIM_OFFSETS)
+def test_embedding_reader_matches_line_reference(vector_path, corruption, data, dim_offset):
+    k, body = data.draw(vector_files(1, corruption))
+    vector_path.write_text("\n".join([f"#m={k + dim_offset}"] + body) + "\n", encoding="utf-8")
+    _assert_reader_matches(vector_path, load_embedding_file, _load_embedding_rows, _load_embedding_lines)
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@FILE_SETTINGS
+@given(data=st.data(), dim_offset=DIM_OFFSETS, classes=st.integers(1, 4), normalize=st.booleans())
+def test_feature_reader_matches_line_reference(
+    vector_path, corruption, data, dim_offset, classes, normalize
+):
+    k, body = data.draw(vector_files(3, corruption))
+    vector_path.write_text("\n".join([f"#d={k + dim_offset} C={classes}"] + body) + "\n",
+                           encoding="utf-8")
+    _assert_reader_matches(
+        vector_path, load_feature_file, _load_feature_rows, _load_feature_lines, normalize
+    )

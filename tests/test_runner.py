@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,8 +113,21 @@ class TestValidateConfig:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_weight_decay_rejected(self, tmp_path, value):
         text = GOOD_CONFIG + f"weight_decay = {value}\n"
-        with pytest.raises(ConfigError, match=r"line 11\): weight_decay must be finite"):
+        with pytest.raises(ConfigError, match=r"line 22: key 'weight_decay' must be finite"):
             validate_config(text, tmp_path)
+
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("classes = 3", "classes = 0", "line 3: key 'classes' must be >= 1"),
+            ("per_class = 30", "per_class = 0", "line 6: key 'per_class' must be >= 1"),
+            ("lr = 0.5", "momentum = 1.5", r"line 18: key 'momentum' must be in \[0, 1\)"),
+            ("decay_epoch = 2", "decay_epoch = 4", "line 21: key 'decay_epoch' must be <= epochs"),
+        ],
+    )
+    def test_range_error_names_key_line(self, tmp_path, old, new, expected):
+        with pytest.raises(ConfigError, match=f"^{expected}$"):
+            validate_config(GOOD_CONFIG.replace(old, new), tmp_path)
 
     def test_gdumb_like_rejected(self, tmp_path):
         text = GOOD_CONFIG.replace("strategy = finetuning", "strategy = gdumb_like")
@@ -220,6 +236,23 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "ft-fast" / "report.txt").exists()
         rows = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()
         assert all(not r.startswith("bad,") for r in rows)
+
+    def test_interrupted_write_keeps_previous_artifact(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_experiment(validate_config(GOOD_CONFIG, out))
+        before = (out / "summary.csv").read_bytes()
+        real_replace = os.replace
+
+        def interrupted(src, dst):
+            if Path(dst).name == "summary.csv":
+                raise OSError("interrupted")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            run_experiment(validate_config(GOOD_CONFIG.replace("lr = 0.5", "lr = 0.1"), out))
+        assert (out / "summary.csv").read_bytes() == before
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_cell_fails_loudly(self, tmp_path):
