@@ -205,6 +205,21 @@ def read_feature_header(path: str | Path) -> tuple[int, int]:
         return _parse_header(fh.readline(), str(path))
 
 
+def checked_norm(vector: np.ndarray) -> float:
+    """The L2 norm of a finite vector, as ``np.linalg.norm`` computes it.
+
+    Raises ``ValueError`` when the norm is 0 or its square overflows; numpy
+    would return 0 or, with an overflow warning, ``inf``.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vector))
+    if norm == 0.0:
+        raise ValueError("zero vector cannot be normalized")
+    if norm == math.inf:
+        raise ValueError("squared norm overflows; vector cannot be normalized")
+    return norm
+
+
 def parse_records(
     lines: Iterable[str], n_ints: int, k: int, normalize: bool
 ) -> tuple[list[list[int]], np.ndarray]:
@@ -216,8 +231,9 @@ def parse_records(
     ``np.linalg.norm`` bit for bit.  ``n_ints`` must be >= 1.  Raises
     ``ValueError`` on a wrong field count, a non-integer field, a vector
     field ``np.loadtxt`` rejects or without ``k`` values, a non-finite value,
-    or a zero row to normalize.  The error names no line: callers re-read a
-    rejected file line by line for the message.
+    or a row to normalize that is zero or whose squared norm overflows.  The
+    error names no line: callers re-read a rejected file line by line for the
+    message.
     """
     columns: list[list[int]] = [[] for _ in range(n_ints)]
 
@@ -240,9 +256,10 @@ def parse_records(
     if x.shape != (len(columns[0]), k) or not np.isfinite(x).all():
         raise ValueError("malformed vector rows")
     if normalize:
-        norms = np.sqrt(np.vecdot(x, x))
-        if not norms.all():
-            raise ValueError("zero vector cannot be normalized")
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.vecdot(x, x))
+        if not norms.all() or np.isinf(norms).any():
+            raise ValueError("zero vector or overflowing squared norm cannot be normalized")
         x /= norms[:, None]
     return columns, x
 
@@ -250,9 +267,10 @@ def parse_records(
 def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]:
     """Load ``id<TAB>timestamp<TAB>label<TAB>f1,...,fd`` records into samples.
 
-    With ``normalize`` set, each feature vector is scaled to unit L2 norm; zero
-    vectors are rejected.  Malformed records raise :class:`FeatureFileError`
-    naming the line.  The features of all samples are rows of one matrix.
+    With ``normalize`` set, each feature vector is scaled to unit L2 norm;
+    vectors that are zero or whose squared norm overflows are rejected.
+    Malformed records raise :class:`FeatureFileError` naming the line.  The
+    features of all samples are rows of one matrix.
     """
     path = str(path)
     try:
@@ -301,10 +319,10 @@ def _load_feature_lines(path: str, normalize: bool) -> list[Sample]:
             if not 0 <= label < c:
                 raise FeatureFileError(f"{path}:{lineno}: label {label} outside [0, {c})")
             if normalize:
-                norm = float(np.linalg.norm(feats))
-                if norm == 0.0:
-                    raise FeatureFileError(f"{path}:{lineno}: zero vector cannot be normalized")
-                feats = feats / norm
+                try:
+                    feats = feats / checked_norm(feats)
+                except ValueError as exc:
+                    raise FeatureFileError(f"{path}:{lineno}: {exc}") from exc
             samples.append(Sample(id=sid, timestamp=ts, features=feats, label=label))
     return samples
 

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Sample, atomic_write, parse_records
+from .corpus import Sample, atomic_write, checked_norm, parse_records
 
 
 class ShortageError(ValueError):
@@ -68,10 +68,10 @@ class CosineRanking:
 def _unit(vector: np.ndarray, context: str) -> np.ndarray:
     if not np.all(np.isfinite(vector)):
         raise EmbeddingFileError(f"{context}: non-finite value")
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise EmbeddingFileError(f"{context}: zero vector cannot be normalized")
-    return vector / norm
+    try:
+        return vector / checked_norm(vector)
+    except ValueError as exc:
+        raise EmbeddingFileError(f"{context}: {exc}") from exc
 
 
 def _embedding_dimension(header: str, path: str) -> int:

@@ -130,46 +130,52 @@ def init_learner(arch: Architecture, seed: int) -> LearnerState:
     return LearnerState(architecture=arch, params=params, velocity=velocity)
 
 
-def _logits(arch: Architecture, params: Mapping[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+def _forward(
+    arch: Architecture, params: Mapping[str, np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Hidden ReLU activations (``None`` for ``linear``) and logits, adding biases in place."""
     if arch.kind == "linear":
-        return x @ params["w"].T + params["b"]
-    pre = x @ params["w1"].T + params["b1"]
-    return np.maximum(pre, 0.0) @ params["w2"].T + params["b2"]
+        z = x @ params["w"].T
+        z += params["b"]
+        return None, z
+    hid = x @ params["w1"].T
+    hid += params["b1"]
+    np.maximum(hid, 0.0, out=hid)
+    z = hid @ params["w2"].T
+    z += params["b2"]
+    return hid, z
 
 
 def _loss_grad_arrays(
-    state: LearnerState, x: np.ndarray, y: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
+    state: LearnerState, x: np.ndarray, y: np.ndarray, with_loss: bool = True
+) -> tuple[float | None, dict[str, np.ndarray]]:
+    """Mean cross-entropy (``None`` unless ``with_loss``) and its gradients.
+
+    The softmax is computed in the logits' own buffer.
+    """
     arch, params = state.architecture, state.params
     n = x.shape[0]
-    if arch.kind == "linear":
-        z = x @ params["w"].T + params["b"]
-    else:
-        pre = x @ params["w1"].T + params["b1"]
-        hid = np.maximum(pre, 0.0)
-        z = hid @ params["w2"].T + params["b2"]
+    hid, z = _forward(arch, params, x)
 
-    z_shift = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z_shift).sum(axis=1))
-    loss = float(np.mean(log_norm - z_shift[np.arange(n), y]))
+    z -= z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    loss = float(np.mean(log_norm - z[np.arange(n), y])) if with_loss else None
 
-    probs = np.exp(z_shift - log_norm[:, None])
-    dz = probs
+    z -= log_norm[:, None]
+    dz = np.exp(z, out=z)
     dz[np.arange(n), y] -= 1.0
     dz /= n
 
-    if arch.kind == "linear":
-        grads = {"w": dz.T @ x, "b": dz.sum(axis=0)}
-    else:
-        dhid = dz @ params["w2"]
-        dpre = dhid * (pre > 0.0)  # ReLU subgradient at 0 is 0
-        grads = {
-            "w1": dpre.T @ x,
-            "b1": dpre.sum(axis=0),
-            "w2": dz.T @ hid,
-            "b2": dz.sum(axis=0),
-        }
-    return loss, grads
+    if hid is None:
+        return loss, {"w": dz.T @ x, "b": dz.sum(axis=0)}
+    dpre = dz @ params["w2"]
+    dpre *= hid > 0.0  # ReLU subgradient at 0 is 0
+    return loss, {
+        "w1": dpre.T @ x,
+        "b1": dpre.sum(axis=0),
+        "w2": dz.T @ hid,
+        "b2": dz.sum(axis=0),
+    }
 
 
 def forward_loss_grad(
@@ -193,9 +199,12 @@ def fit(state: LearnerState, x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> L
     """Run momentum SGD for ``hp.epochs`` epochs over seeded shuffles of the rows of ``(x, y)``.
 
     Update rule per minibatch: ``v <- momentum * v + g``, ``theta <- theta - lr * v``,
-    with weight decay added to the gradient.  The last batch of an epoch may be
-    smaller.  Deterministic per ``hp.seed``.  Raises ``FloatingPointError`` when
-    training diverged, i.e. any parameter is non-finite afterwards.
+    with weight decay added to the gradient.  The updates run in place on
+    copies of ``state``'s arrays, which is never mutated, with the roundings
+    of the formulas above.  The minibatch loss is not computed.  The last
+    batch of an epoch may be smaller.  Deterministic per ``hp.seed``.  Raises
+    ``FloatingPointError`` when training diverged, i.e. any parameter is
+    non-finite afterwards.
     """
     if len(y) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -215,12 +224,14 @@ def fit(state: LearnerState, x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> L
         order = rng.permutation(n)
         for start in range(0, n, hp.batch_size):
             idx = order[start : start + hp.batch_size]
-            _, grads = _loss_grad_arrays(work, x[idx], y[idx])
+            _, grads = _loss_grad_arrays(work, x[idx], y[idx], with_loss=False)
             for name, g in grads.items():
+                p, v = params[name], velocity[name]
                 if hp.weight_decay:
-                    g = g + hp.weight_decay * params[name]
-                velocity[name] = hp.momentum * velocity[name] + g
-                params[name] = params[name] - lr * velocity[name]
+                    g += hp.weight_decay * p
+                v *= hp.momentum
+                v += g
+                p -= lr * v
     for name, value in params.items():
         if not np.all(np.isfinite(value)):
             raise FloatingPointError(
@@ -240,7 +251,7 @@ def predict_batch(state: LearnerState, features: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected shape (n, {state.architecture.d}), got {features.shape}")
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite feature value")
-    return np.argmax(_logits(state.architecture, state.params, features), axis=1)
+    return np.argmax(_forward(state.architecture, state.params, features)[1], axis=1)
 
 
 def predict(state: LearnerState, features: np.ndarray) -> int:

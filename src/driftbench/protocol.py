@@ -172,8 +172,10 @@ def _run_protocol(
     Step ``i`` folds the stream rows ``train_rows[i]`` into the replay buffer,
     trains on the buffer's rows (Napping: on ``train_rows[0]``) and scores the
     targets ``first:`` of the ``(x, y, offsets)`` target table, with
-    ``first = 0`` for iid and ``i + 1`` for streaming.  Only streaming targets
-    are trained on, so only streaming checks the evaluation order.
+    ``first = 0`` for iid and ``i + 1`` for streaming.  A step with no target
+    left, streaming's last, only ingests: its ``train`` event is logged, but no
+    model is fit, since none would be scored.  Only streaming targets are
+    trained on, so only streaming checks the evaluation order.
     """
     n = len(train_rows)
     streaming = kind is ProtocolKind.STREAMING
@@ -192,12 +194,14 @@ def _run_protocol(
             )
         buffer = update_buffer(buffer, train_rows[i], cfg.alpha_policy, sampler_rng)
         events.append(Event(kind="train", step=i, bucket=i))
+        first = i + 1 if streaming else 0
+        if first == n:
+            continue  # no target left to score, so no model is fit
         rows = np.array(train_rows[0] if cfg.strategy is Strategy.NAPPING else buffer.entries)
         hp = replace(cfg.hyperparams, seed=seed + LEARNER_SEED_OFFSET + i)
         state = strategy_step(
             cfg.strategy, state, i, stream.x[rows], stream.y[rows], hp, cfg.architecture
         )
-        first = i + 1 if streaming else 0
         cells[i, first:] = _score(state, target_x, target_y, target_offsets[first:])
         for j in range(first, n):
             events.append(Event(kind="evaluate", step=i, bucket=j))
@@ -248,7 +252,9 @@ def run_streaming_protocol(
     seeded from any events already in ``event_log`` and advanced as each one is
     appended, must equal the bucket's index before the bucket is trained on.
     The runner's post-run :func:`audit_streaming_order` re-checks the written
-    log independently.
+    log independently.  The last bucket is ingested and logged as a ``train``
+    event, but no model is fit for it: it has no future bucket to score, so
+    ``N - 1`` models are fit.
     """
     if stream.n_buckets < 2:
         raise ValueError("streaming protocol needs at least 2 buckets")

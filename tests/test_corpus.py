@@ -291,6 +291,12 @@ class TestFeatureFile:
         with pytest.raises(FeatureFileError, match="zero vector"):
             load_feature_file(p, normalize=True)
 
+    def test_normalize_rejects_overflowing_squared_norm(self, tmp_path):
+        p = self.write(tmp_path, "#d=2 C=1\n0\t0\t0\t3.0,4.0\n1\t0\t0\t1e200,-1e200\n")
+        with pytest.raises(FeatureFileError, match=r":3: squared norm overflows"):
+            load_feature_file(p, normalize=True)
+        assert load_feature_file(p)[1].features.tolist() == [1e200, -1e200]
+
     def test_non_finite_rejected(self, tmp_path):
         p = self.write(tmp_path, "#d=2 C=1\n0\t0\t0\t1.0,nan\n")
         with pytest.raises(FeatureFileError, match="non-finite"):

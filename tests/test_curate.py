@@ -333,6 +333,20 @@ class TestFiles:
         assert [name for name, _ in queries] == ["alpha", "beta"]
         assert np.allclose(queries[1][1], [0.0, 1.0])
 
+    def test_overflowing_squared_norm_rejected_by_line(self, tmp_path):
+        # 1e200 is finite but its square is not: numpy's norm would be inf
+        # and the "unit" vector all zeros.  A component of 1e150 still loads.
+        p = tmp_path / "emb.tsv"
+        p.write_text("#m=2\n0\t1.0,2.0\n1\t1e200,1e200\n")
+        with pytest.raises(EmbeddingFileError, match=r"emb\.tsv:3: squared norm overflows"):
+            load_embedding_file(p)
+        p.write_text("#m=2\n0\t1e150,0.0\n")
+        assert load_embedding_file(p)[0].vector.tolist() == [1.0, 0.0]
+        q = tmp_path / "q.tsv"
+        q.write_text("alpha\t1.0,0.0\nbeta\t-1e200,1e200\n")
+        with pytest.raises(EmbeddingFileError, match=r"q\.tsv:2: squared norm overflows"):
+            load_query_file(q)
+
     def test_rejection_list(self, tmp_path):
         p = tmp_path / "reject.txt"
         p.write_text("3\n17\n\n5\n")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftbench.corpus import Sample
 from driftbench.learner import (
@@ -229,6 +231,113 @@ class TestTrain:
             Hyperparams(learning_rate=0.1, epochs=5, decay_epoch=6)
         with pytest.raises(ValueError):
             Hyperparams(learning_rate=0.1, momentum=1.0)
+
+
+def reference_fit(state, x, y, hp):
+    """The allocation-based momentum-SGD loop that :func:`fit` must match bit for bit."""
+    arch = state.architecture
+    params = {k: v.copy() for k, v in state.params.items()}
+    velocity = {k: v.copy() for k, v in state.velocity.items()}
+    rng = np.random.default_rng([hp.seed, 1])
+    n = x.shape[0]
+    lr = hp.learning_rate
+    for epoch in range(1, hp.epochs + 1):
+        if epoch == hp.decay_epoch + 1:
+            lr *= hp.decay_factor
+        order = rng.permutation(n)
+        for start in range(0, n, hp.batch_size):
+            idx = order[start : start + hp.batch_size]
+            xb, yb, m = x[idx], y[idx], len(idx)
+            if arch.kind == "linear":
+                z = xb @ params["w"].T + params["b"]
+            else:
+                pre = xb @ params["w1"].T + params["b1"]
+                hid = np.maximum(pre, 0.0)
+                z = hid @ params["w2"].T + params["b2"]
+            z_shift = z - z.max(axis=1, keepdims=True)
+            log_norm = np.log(np.exp(z_shift).sum(axis=1))
+            dz = np.exp(z_shift - log_norm[:, None])
+            dz[np.arange(m), yb] -= 1.0
+            dz /= m
+            if arch.kind == "linear":
+                grads = {"w": dz.T @ xb, "b": dz.sum(axis=0)}
+            else:
+                dpre = (dz @ params["w2"]) * (pre > 0.0)
+                grads = {"w1": dpre.T @ xb, "b1": dpre.sum(axis=0),
+                         "w2": dz.T @ hid, "b2": dz.sum(axis=0)}
+            for name, g in grads.items():
+                if hp.weight_decay:
+                    g = g + hp.weight_decay * params[name]
+                velocity[name] = hp.momentum * velocity[name] + g
+                params[name] = params[name] - lr * velocity[name]
+    return params, velocity
+
+
+@st.composite
+def fit_cases(draw):
+    """A start state with non-zero velocity, a dataset and hyperparameters for :func:`fit`."""
+    d, c = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    hidden = draw(st.sampled_from([None, 1, 3, 8]))
+    arch = Architecture("linear", d, c) if hidden is None else Architecture("mlp", d, c, hidden)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    batch = draw(st.integers(1, 16))  # most draws leave a ragged last batch
+    epochs = draw(st.integers(1, 4))
+    hp = Hyperparams(
+        learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        weight_decay=draw(st.sampled_from([0.0, 0.0, 1e-3, 0.05])),
+        batch_size=batch,
+        epochs=epochs,
+        decay_epoch=draw(st.integers(1, epochs)),
+        decay_factor=draw(st.sampled_from([0.1, 1.0])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    start = init_learner(arch, seed=draw(st.integers(0, 1000)))
+    velocity = {k: 0.1 * rng.standard_normal(v.shape) for k, v in start.velocity.items()}
+    state = LearnerState(arch, start.params, velocity)
+    return state, rng.standard_normal((n, d)), rng.integers(0, c, n), hp
+
+
+def assert_fit_matches_reference(state, x, y, hp):
+    params, velocity = reference_fit(state, x, y, hp)
+    out = fit(state, x, y, hp)
+    assert out.params.keys() == params.keys()
+    for k in params:  # bytes, so that signed zeros and NaN payloads count too
+        assert out.params[k].tobytes() == params[k].tobytes(), k
+        assert out.velocity[k].tobytes() == velocity[k].tobytes(), k
+
+
+class TestInPlaceFit:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(fit_cases())
+    def test_fit_matches_allocating_reference(self, case):
+        assert_fit_matches_reference(*case)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp:64"])
+    def test_fit_matches_reference_at_paper_grid_shapes(self, arch):
+        # 3,300 rows of d=128, C=11 in batches of 256: the BLAS kernels of the paper-scale runs.
+        rng = np.random.default_rng(11)
+        state = init_learner(parse_architecture(arch, 128, 11), seed=2)
+        hp = Hyperparams(learning_rate=0.1, weight_decay=1e-3, batch_size=256, epochs=2,
+                         decay_epoch=1, seed=5)
+        assert_fit_matches_reference(state, rng.standard_normal((3300, 128)),
+                                     rng.integers(0, 11, 3300), hp)
+
+    @pytest.mark.parametrize("arch", [LINEAR_2_2, Architecture("mlp", 2, 2, hidden=4)])
+    def test_fit_leaves_input_state_unchanged(self, arch):
+        rng = np.random.default_rng(7)
+        start = init_learner(arch, seed=3)
+        velocity = {k: rng.standard_normal(v.shape) for k, v in start.velocity.items()}
+        state = LearnerState(arch, start.params, velocity)
+        before = {k: (v.tobytes(), state.velocity[k].tobytes()) for k, v in state.params.items()}
+        hp = Hyperparams(learning_rate=0.3, weight_decay=1e-3, epochs=3, decay_epoch=2,
+                         batch_size=8, seed=1)
+        out = fit(state, rng.standard_normal((20, 2)), rng.integers(0, 2, 20), hp)
+        for k, (p, v) in before.items():
+            assert state.params[k].tobytes() == p and state.velocity[k].tobytes() == v
+            assert not np.shares_memory(out.params[k], state.params[k])
+            assert not np.shares_memory(out.velocity[k], state.velocity[k])
 
 
 class TestPredict:

@@ -213,9 +213,10 @@ def test_config_values_preserved_and_corruption_named(config, data):
 
 # Vector files: a well-formed file with one named corruption, and sometimes a
 # second drawn one, each of a kind a reader must reject or read as the
-# line-by-line reference does.  Components stay below 1e150, so no squared
-# norm overflows (numpy would warn).
-COMPONENTS = st.floats(-1e150, 1e150, allow_nan=False).map(repr)
+# line-by-line reference does.  Components span every finite float, so some
+# squared norms overflow; readers must reject those vectors by line, and
+# without numpy's overflow warning, which pytest turns into an error.
+COMPONENTS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 ODD_TOKENS = ["nan", "inf", "-inf", "1_0", "1#2", "#", "", " 2.5 ", "-0.0", "1e3", "\u0661", "x"]
 CORRUPTIONS = [
     "none", "blank", "padded", "hash", "extra_component", "missing_component", "duplicate_id",

@@ -31,6 +31,7 @@ from driftbench.protocol import (
     run_iid_protocol,
     run_streaming_protocol,
 )
+from driftbench.sampler import update_buffer
 
 HP_FAST = Hyperparams(learning_rate=0.5, batch_size=64, epochs=6, decay_epoch=4)
 
@@ -207,11 +208,44 @@ class TestGroupedScoring:
         else:
             matrix = run_streaming_protocol(stream, config_for(stream, capacity=20, fraction=None), seed)
             targets = [bucket_samples(stream, t) for t in range(stream.n_buckets)]
-        assert len(states) == stream.n_buckets
+        # Streaming fits no model for the last bucket: no target is left to score.
+        fits = stream.n_buckets if kind is ProtocolKind.IID else stream.n_buckets - 1
+        assert len(states) == fits
         rows, cols = np.nonzero(~np.isnan(matrix.cells))
         assert len(rows) == (64 if kind is ProtocolKind.IID else 28)
         for i, j in zip(rows, cols):
             assert matrix.cells[i, j] == evaluate(states[i], targets[j])
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("kind", [ProtocolKind.IID, ProtocolKind.STREAMING])
+    def test_fits_only_steps_that_are_scored(self, kind, monkeypatch):
+        # Streaming's last bucket has no future bucket to score, so it is
+        # ingested and logged but no model is fit for it; iid scores every row.
+        fitted, ingested = [], []
+
+        def counting_step(strategy, prev, i, *args):
+            fitted.append(i)
+            return strategy_step(strategy, prev, i, *args)
+
+        def counting_update(buffer, rows, *args):
+            ingested.append(list(rows))
+            return update_buffer(buffer, rows, *args)
+
+        monkeypatch.setattr(protocol_module, "strategy_step", counting_step)
+        monkeypatch.setattr(protocol_module, "update_buffer", counting_update)
+        stream = small_stream(N=5)
+        events: list[Event] = []
+        if kind is ProtocolKind.IID:
+            matrix = run_iid_protocol(stream, config_for(stream), seed=1, event_log=events)
+        else:
+            matrix = run_streaming_protocol(stream, config_for(stream, fraction=None), seed=1,
+                                            event_log=events)
+        n = stream.n_buckets
+        assert fitted == list(range(n if kind is ProtocolKind.IID else n - 1))
+        assert len(ingested) == n
+        assert [e for e in events if e.kind == "train"] == [Event("train", i, i) for i in range(n)]
+        assert matrix.n == n
 
 
 class TestIidProtocol:

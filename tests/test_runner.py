@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import driftbench.learner as learner_module
 from driftbench.cli import main
 from driftbench.corpus import DriftConfig, Sample, generate_drift_stream, write_feature_file
 from driftbench.protocol import (
@@ -43,6 +44,28 @@ batch = 32
 epochs = 3
 decay_epoch = 2
 """
+
+# The paper-scale grid: C=11, d=128, N=10 buckets of 3,300 samples, 20 epochs,
+# an iid linear finetuning cell and a streaming mlp:64 from-scratch cell, 2 seeds.
+PAPER_GRID_CONFIG = """\
+[stream]
+source = synthetic
+classes = 11
+dim = 128
+buckets = 10
+per_class = 300
+noise = 0.3
+drift_rate = 0.157
+stream_seed = 0
+""" + "".join(
+    f"[cell:{name}]\nprotocol = {protocol}\nn_seeds = 2\nbase_seed = 0\n"
+    f"strategy = {strategy}\narchitecture = {arch}\n{extra}lr = {lr}\n"
+    "buffer_capacity = 3300\nbatch = 256\nepochs = 20\ndecay_epoch = 15\n"
+    for name, protocol, strategy, arch, extra, lr in [
+        ("iid-linear-finetuning", "iid", "finetuning", "linear", "train_fraction = 0.7\n", 0.5),
+        ("streaming-mlp64-from_scratch", "streaming", "from_scratch", "mlp:64", "", 0.1),
+    ]
+)
 
 
 def drift_samples(cfg):
@@ -322,6 +345,24 @@ class TestRunExperiment:
             name: agg.means["next_domain"] for name, agg in result.reports.items()
         }
         assert next_domain["a50"] > next_domain["a05"]
+
+    def test_paper_grid_minibatch_step_count(self, tmp_path, monkeypatch):
+        # Per seed: iid trains 10 + 9 x 13 batches of 256 per epoch (a 2,310-row
+        # train split, then a full 3,300-row buffer); streaming trains 13 at
+        # each of its 9 scored steps and none for the last bucket.  20 epochs.
+        steps = 0
+        real = learner_module._loss_grad_arrays
+
+        def counting(*args, **kwargs):
+            nonlocal steps
+            steps += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        monkeypatch.setattr(learner_module, "_loss_grad_arrays", counting)
+        result = run_experiment(validate_config(PAPER_GRID_CONFIG, tmp_path / "out"))
+        assert result.ok
+        assert steps == 2 * 20 * ((10 + 9 * 13) + 9 * 13) == 9_760
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         grid = validate_config(GOOD_CONFIG, tmp_path / "out")
