@@ -47,7 +47,7 @@ def _mean_over(cells: np.ndarray, mask: np.ndarray) -> float | None:
     if np.any(np.isnan(region)):
         return None
     # Row-major accumulation in extended precision keeps the oracle tolerance tight.
-    total = math.fsum(float(v) for v in region)
+    total = math.fsum(region.tolist())
     return total / region.size
 
 

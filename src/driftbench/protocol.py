@@ -78,9 +78,13 @@ class AccuracyMatrix:
 
 def matrix_to_text(matrix: AccuracyMatrix) -> str:
     """Plain-text grid: header line, then N comma-separated rows with NA for absent cells."""
-    lines = [f"N={matrix.n} protocol={matrix.protocol.value}"]
-    for row in matrix.cells:
-        lines.append(",".join("NA" if v != v else f"{v:.6f}" for v in row.tolist()))
+    n = matrix.n
+    streaming = matrix.protocol is ProtocolKind.STREAMING
+    lines = [f"N={n} protocol={matrix.protocol.value}"]
+    for i, row in enumerate(matrix.cells.tolist()):
+        # Validation makes the absent cells a row prefix: i + 1 of them when streaming.
+        absent = i + 1 if streaming else 0
+        lines.append(",".join(["NA"] * absent + ["%.6f"] * (n - absent)) % tuple(row[absent:]))
     return "\n".join(lines) + "\n"
 
 
@@ -173,15 +177,18 @@ def _run_protocol(
     trains on the buffer's rows (Napping: on ``train_rows[0]``) and scores the
     targets ``first:`` of the ``(x, y, offsets)`` target table, with
     ``first = 0`` for iid and ``i + 1`` for streaming.  A step with no target
-    left, streaming's last, only ingests: its ``train`` event is logged, but no
-    model is fit, since none would be scored.  Only streaming targets are
-    trained on, so only streaming checks the evaluation order.
+    left, streaming's last, only ingests: no model is fit, since none would be
+    scored.  The loop builds no per-evaluation object; ``event_log``, if
+    given, receives the step's :class:`Event` objects as the step runs.  Only
+    streaming targets are trained on, so only streaming checks the order.
     """
     n = len(train_rows)
     streaming = kind is ProtocolKind.STREAMING
-    events = event_log if event_log is not None else []
-    prior = Counter(e.bucket for e in events if e.kind == "evaluate")
-    evaluated = [prior[b] for b in range(n)]
+    prior = Counter(e.bucket for e in event_log or () if e.kind == "evaluate")
+    evaluated = np.array([prior[b] for b in range(n)], dtype=np.int64)
+    prior_trained = {e.bucket for e in event_log or () if e.kind == "train"}
+    if streaming and event_log:
+        audit_streaming_order(event_log)
     buffer = ReplayBuffer.empty(cfg.buffer_capacity)
     sampler_rng = np.random.default_rng(seed + SAMPLER_SEED_OFFSET)
     cells = np.full((n, n), np.nan)
@@ -192,20 +199,24 @@ def _run_protocol(
             raise ProtocolOrderError(
                 f"bucket {i} has {evaluated[i]} of {i} required evaluations before training"
             )
+        if streaming and i > 0 and i in prior_trained:
+            raise ProtocolOrderError(f"bucket {i} was evaluated after a prior train event on it")
         buffer = update_buffer(buffer, train_rows[i], cfg.alpha_policy, sampler_rng)
-        events.append(Event(kind="train", step=i, bucket=i))
+        if event_log is not None:
+            event_log.append(Event(kind="train", step=i, bucket=i))
         first = i + 1 if streaming else 0
-        if first == n:
-            continue  # no target left to score, so no model is fit
-        rows = np.array(train_rows[0] if cfg.strategy is Strategy.NAPPING else buffer.entries)
-        hp = replace(cfg.hyperparams, seed=seed + LEARNER_SEED_OFFSET + i)
-        state = strategy_step(
-            cfg.strategy, state, i, stream.x[rows], stream.y[rows], hp, cfg.architecture
-        )
-        cells[i, first:] = _score(state, target_x, target_y, target_offsets[first:])
-        for j in range(first, n):
-            events.append(Event(kind="evaluate", step=i, bucket=j))
-            evaluated[j] += 1
+        if first < n:
+            rows = np.array(train_rows[0] if cfg.strategy is Strategy.NAPPING else buffer.entries)
+            hp = replace(cfg.hyperparams, seed=seed + LEARNER_SEED_OFFSET + i)
+            state = strategy_step(
+                cfg.strategy, state, i, stream.x[rows], stream.y[rows], hp, cfg.architecture
+            )
+            cells[i, first:] = _score(state, target_x, target_y, target_offsets[first:])
+            if event_log is not None:
+                event_log.extend(Event(kind="evaluate", step=i, bucket=j) for j in range(first, n))
+            evaluated[first:] += 1
+            if streaming and evaluated[i] != i:
+                raise ProtocolOrderError(f"step {i} evaluated bucket {i} after training on it")
     return AccuracyMatrix(cells=cells, protocol=kind)
 
 
@@ -220,7 +231,8 @@ def run_iid_protocol(
     Test sets are fixed once per seed and never trained on; their rows are
     gathered once into the target table.  Training data for each step is the
     replay buffer after ingesting the bucket's train split (Napping trains
-    once, on the first bucket's train split).
+    once, on the first bucket's train split).  ``event_log`` is as for
+    :func:`run_streaming_protocol`.
     """
     if stream.n_buckets < 2:
         raise ValueError("iid protocol needs at least 2 buckets")
@@ -248,13 +260,18 @@ def run_streaming_protocol(
 
     No held-out splits: bucket j is evaluated by every earlier predictor before
     it is ever ingested for training.  The ordering is checked at each step,
-    not merely followed by convention: a per-bucket count of evaluate events,
-    seeded from any events already in ``event_log`` and advanced as each one is
-    appended, must equal the bucket's index before the bucket is trained on.
-    The runner's post-run :func:`audit_streaming_order` re-checks the written
-    log independently.  The last bucket is ingested and logged as a ``train``
-    event, but no model is fit for it: it has no future bucket to score, so
+    not merely followed by convention: a per-bucket count of evaluations,
+    seeded from the evaluate events already in ``event_log``, must equal the
+    bucket's index before the bucket is trained on, and must not grow after.
+    Events already in ``event_log`` must pass :func:`audit_streaming_order`,
+    and must not train on a bucket this run evaluates.  The last bucket is
+    ingested but no model is fit for it: it has no future bucket to score, so
     ``N - 1`` models are fit.
+
+    ``event_log``, if given, receives each step's events as the step runs, so
+    a run that raises keeps the events of the steps it began.  Without it no
+    :class:`Event` is built; a run that returns has followed the order above,
+    which is what the runner writes as its event log.
     """
     if stream.n_buckets < 2:
         raise ValueError("streaming protocol needs at least 2 buckets")
@@ -283,6 +300,28 @@ def event_log_text(protocol: ProtocolKind, events: Sequence[Event]) -> str:
     """Serialize an event log: a protocol header, then one tab-separated event per line."""
     lines = [f"protocol={protocol.value}"]
     lines.extend(f"{e.kind}\t{e.step}\t{e.bucket}" for e in events)
+    return "\n".join(lines) + "\n"
+
+
+# Private, so that bench/spans.py leaves it unwrapped, as it leaves the other
+# artifact formatters, and a traced run counts its time in runner.self_s.
+def _step_log_text(protocol: ProtocolKind, n: int) -> str:
+    """The text :func:`event_log_text` writes for the events of a finished ``n``-bucket run.
+
+    Step ``i`` is a ``train`` event on bucket ``i``, then an ``evaluate`` event
+    on each bucket ``first`` to ``n - 1`` (``first`` is 0 for iid, ``i + 1``
+    for streaming), written with one join over the bucket numbers' strings.
+    """
+    streaming = protocol is ProtocolKind.STREAMING
+    buckets = [str(b) for b in range(n)]
+    lines = [f"protocol={protocol.value}"]
+    for step in range(n):
+        first = step + 1 if streaming else 0
+        label = buckets[step]
+        lines.append(f"train\t{label}\t{label}")
+        if first < n:
+            prefix = f"evaluate\t{label}\t"
+            lines.append(prefix + ("\n" + prefix).join(buckets[first:]))
     return "\n".join(lines) + "\n"
 
 

@@ -21,11 +21,9 @@ from .corpus import (
 from .learner import Hyperparams, Strategy, parse_architecture, parse_strategy
 from .metrics import AggregateReport, aggregate, compute_metrics, csv_rows, report_text
 from .protocol import (
-    Event,
     ProtocolKind,
     RunConfig,
-    audit_streaming_order,
-    event_log_text,
+    _step_log_text,
     matrix_to_text,
     run_iid_protocol,
     run_streaming_protocol,
@@ -397,12 +395,11 @@ def _run_cell(stream: TemporalStream, cell: CellConfig, cell_dir: Path, base_see
     cell_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for seed in range(base_seed, base_seed + cell.n_seeds):
-        events: list[Event] = []
-        matrix = runner(stream, cfg, seed, event_log=events)
-        if cell.protocol is ProtocolKind.STREAMING:
-            audit_streaming_order(events)
+        matrix = runner(stream, cfg, seed)
         _write_artifact(cell_dir / f"matrix_seed{seed}.txt", matrix_to_text(matrix))
-        _write_artifact(cell_dir / f"events_seed{seed}.log", event_log_text(cell.protocol, events))
+        _write_artifact(
+            cell_dir / f"events_seed{seed}.log", _step_log_text(matrix.protocol, matrix.n)
+        )
         reports.append(compute_metrics(matrix))
     agg = aggregate(reports)
     _write_artifact(cell_dir / "report.txt", report_text(agg))

@@ -1,15 +1,19 @@
 """Property tests for the config parser, the matrix and event-log formats, the replay buffer,
-and the array readers of feature and embedding files against their line-by-line references."""
+the runner's event logs against the protocol's events, and the array readers of feature and
+embedding files against their line-by-line references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftbench.protocol as protocol_module
+
 from driftbench.corpus import _load_feature_lines, _load_feature_rows, load_feature_file
 from driftbench.curate import _load_embedding_lines, _load_embedding_rows, load_embedding_file
 from driftbench.learner import Strategy
 from driftbench.protocol import (
+    LEARNER_SEED_OFFSET,
     AccuracyMatrix,
     Event,
     ProtocolKind,
@@ -17,8 +21,10 @@ from driftbench.protocol import (
     matrix_from_text,
     matrix_to_text,
     parse_event_log,
+    run_iid_protocol,
+    run_streaming_protocol,
 )
-from driftbench.runner import ConfigError, validate_config
+from driftbench.runner import ConfigError, run_experiment, validate_config
 from driftbench.sampler import AlphaPolicy, PolicyKind, ReplayBuffer, update_buffer
 
 # Derandomized so the suite replays the same examples on every run.
@@ -70,6 +76,94 @@ def test_written_matrix_text_is_a_fixed_point(matrix):
 @given(st.sampled_from(list(ProtocolKind)), st.lists(events, max_size=30))
 def test_event_log_roundtrip(protocol, evs):
     assert parse_event_log(event_log_text(protocol, evs)) == (protocol, evs)
+
+
+def matrix_text_per_cell(matrix):
+    """Reference writer: one ``.6f`` format per present cell, ``NA`` per absent one."""
+    lines = [f"N={matrix.n} protocol={matrix.protocol.value}"]
+    for row in matrix.cells:
+        lines.append(",".join("NA" if v != v else f"{v:.6f}" for v in row.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+# Exact values and ``.6f`` rounding ties, mixed into seeded uniform cells.
+EDGE_CELLS = [0.0, 1.0, 0.5, 0.0000005, 0.0000015, 0.0000025, 0.1234565, 0.9999995, 0.9999985]
+
+
+@st.composite
+def wide_matrices(draw):
+    n = draw(st.integers(2, 40))
+    protocol = draw(st.sampled_from(list(ProtocolKind)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random((n, n))
+    edges = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    cells[edges] = rng.choice(EDGE_CELLS, size=int(edges.sum()))
+    drawn = draw(st.lists(st.floats(0.0, 1.0), max_size=n))
+    cells.flat[rng.choice(n * n, size=len(drawn), replace=False)] = drawn
+    if protocol is ProtocolKind.STREAMING:
+        cells[~np.triu(np.ones((n, n), dtype=bool), k=1)] = np.nan
+    return AccuracyMatrix(cells=cells, protocol=protocol)
+
+
+@SETTINGS
+@given(wide_matrices())
+def test_matrix_text_matches_per_cell_writer(matrix):
+    assert matrix_to_text(matrix) == matrix_text_per_cell(matrix)
+
+
+def one_cell_config(kind, n):
+    """A two-seed grid of one tiny ``kind`` cell over ``n`` buckets of 6 samples."""
+    extra = "train_fraction = 0.5\n" if kind is ProtocolKind.IID else ""
+    return (
+        "[stream]\nsource = synthetic\nclasses = 2\ndim = 3\n"
+        f"buckets = {n}\nper_class = 3\nnoise = 0.3\ndrift_rate = 0.2\n"
+        f"[cell:c]\nprotocol = {kind.value}\nstrategy = finetuning\n{extra}"
+        "buffer_capacity = 8\nn_seeds = 2\nbase_seed = 0\nbatch = 4\nepochs = 1\ndecay_epoch = 1\n"
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(st.sampled_from(list(ProtocolKind)), st.integers(2, 30), st.data())
+def test_runner_event_log_matches_public_event_log(tmp_path_factory, kind, n, data):
+    # Seed 1 diverges at a drawn fitted step: the runner keeps seed 0's log,
+    # writes none for seed 1, and the public log of seed 1 keeps the events
+    # of the steps it began.
+    fits = n if kind is ProtocolKind.IID else n - 1
+    diverge_at = data.draw(st.integers(0, fits - 1))
+    real_step = protocol_module.strategy_step
+    calls = []
+
+    def diverging_step(strategy, prev, i, x, y, hp, arch):
+        if hp.seed - LEARNER_SEED_OFFSET - i == 1 and i == diverge_at:
+            raise FloatingPointError("training diverged")
+        return real_step(strategy, prev, i, x, y, hp, arch)
+
+    public = run_iid_protocol if kind is ProtocolKind.IID else run_streaming_protocol
+
+    def recording(stream, cfg, seed, **kwargs):
+        calls.append((stream, cfg, seed))
+        return public(stream, cfg, seed, **kwargs)
+
+    out = tmp_path_factory.mktemp("run")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol_module, "strategy_step", diverging_step)
+        mp.setattr(f"driftbench.runner.{public.__name__}", recording)
+        result = run_experiment(validate_config(one_cell_config(kind, n), out))
+        cell_dir = out / "c"
+        assert set(result.failures) == {"c"} and "diverged" in result.failures["c"]
+        assert not (cell_dir / "events_seed1.log").exists()
+        (stream, cfg, _), _ = calls
+        full: list[Event] = []
+        public(stream, cfg, 0, event_log=full)
+        assert (cell_dir / "events_seed0.log").read_text() == event_log_text(kind, full)
+
+        partial: list[Event] = []
+        with pytest.raises(FloatingPointError):
+            public(stream, cfg, 1, event_log=partial)
+    full = []
+    public(stream, cfg, 1, event_log=full)
+    began = full.index(Event("train", diverge_at, diverge_at)) + 1
+    assert partial == full[:began]
 
 
 @SETTINGS

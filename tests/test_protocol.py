@@ -1,8 +1,12 @@
 import inspect
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftbench.protocol as protocol_module
 from driftbench.corpus import (
@@ -81,6 +85,17 @@ def config_for(stream, strategy=Strategy.FINETUNING, capacity=None, fraction=0.7
         buffer_capacity=capacity or bucket_size,
         train_fraction=fraction,
     )
+
+
+def mutant_protocol(monkeypatch, old, new):
+    """A copy of the protocol module with the one source line ``old`` rewritten to ``new``."""
+    source = inspect.getsource(protocol_module)
+    assert source.count(old) == 1, f"mutation target {old!r} not found once"
+    module = types.ModuleType("driftbench._protocol_mutant")
+    module.__package__ = "driftbench"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), protocol_module.__file__, "exec"), module.__dict__)
+    return module
 
 
 class TestAccuracyMatrix:
@@ -386,6 +401,75 @@ class TestStreamingProtocol:
         run_streaming_protocol(stream, cfg, seed=0, event_log=events)
         with pytest.raises(ProtocolOrderError, match="bucket 1 has 2 of 1 required evaluations"):
             run_streaming_protocol(stream, cfg, seed=0, event_log=events)
+
+    @pytest.mark.parametrize("mutated_first", ["i", "0"])
+    def test_counter_rejects_evaluation_after_training(self, monkeypatch, mutated_first):
+        # A copy of the loop that evaluates buckets it has already trained on:
+        # ``i`` scores the bucket just ingested, ``0`` also every earlier one.
+        # The audit flags the log such a loop writes; the counter must stop it.
+        mutant = mutant_protocol(monkeypatch, "first = i + 1 if streaming else 0",
+                                 f"first = {mutated_first} if streaming else 0")
+        stream = small_stream(N=4)
+        events: list = []
+        with pytest.raises(mutant.ProtocolOrderError, match="step 0 evaluated bucket 0 after training"):
+            mutant.run_streaming_protocol(stream, config_for(stream, fraction=None), seed=0,
+                                          event_log=events)
+        with pytest.raises(ProtocolOrderError):
+            audit_streaming_order(events)
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_counter_rejects_written_log_prefixes_the_audit_rejects(self, kind):
+        # Prior logs here are every prefix of a log this package writes,
+        # complete or cut short by a failing step.  Whenever the audit flags the
+        # prior log followed by a clean run's events, the run must be refused.
+        stream = small_stream(N=4)
+        cfg = config_for(stream, fraction=None)
+        written: list[Event] = []
+        if kind is ProtocolKind.IID:
+            run_iid_protocol(stream, config_for(stream), seed=0, event_log=written)
+        else:
+            run_streaming_protocol(stream, cfg, seed=0, event_log=written)
+        clean: list[Event] = []
+        run_streaming_protocol(stream, cfg, seed=0, event_log=clean)
+        flagged = 0
+        for k in range(len(written) + 1):
+            prior = written[:k]
+            try:
+                audit_streaming_order(prior + clean)
+            except ProtocolOrderError:
+                flagged += 1
+                with pytest.raises(ProtocolOrderError):
+                    run_streaming_protocol(stream, cfg, seed=0, event_log=list(prior))
+        assert flagged > 0
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @given(st.lists(st.builds(Event, st.sampled_from(["train", "evaluate"]),
+                              st.integers(0, 4), st.integers(-1, 5)), max_size=5))
+    def test_counter_rejects_any_prior_log_the_audit_rejects(self, prior):
+        # Arbitrary prior logs, with buckets outside the run's range too: a
+        # prior ``train`` event on a bucket the run evaluates, or a violation
+        # inside the prior log itself, must refuse the run like a reused log.
+        stream = small_stream(N=4, n_per_class=5)
+        cfg = config_for(stream, fraction=None)
+        clean: list[Event] = []
+        run_streaming_protocol(stream, cfg, seed=0, event_log=clean)
+        try:
+            audit_streaming_order(prior + clean)
+        except ProtocolOrderError:
+            with pytest.raises(ProtocolOrderError):
+                run_streaming_protocol(stream, cfg, seed=0, event_log=list(prior))
+
+    @pytest.mark.parametrize("prior, message", [
+        ([Event("train", 0, 2)], "bucket 2 was evaluated after a prior train event"),
+        ([Event("train", 0, 7), Event("evaluate", 0, 7)], "event 1: evaluation on bucket 7"),
+    ])
+    def test_prior_train_events_rejected(self, prior, message):
+        stream = small_stream(N=4, n_per_class=5)
+        cfg = config_for(stream, fraction=None)
+        with pytest.raises(ProtocolOrderError, match=message):
+            run_streaming_protocol(stream, cfg, seed=0, event_log=prior)
+        # A prior train event on bucket 0, which no run evaluates, is allowed.
+        run_streaming_protocol(stream, cfg, seed=0, event_log=[Event("train", 0, 0)])
 
     def test_audit_flags_violations(self):
         bad = [

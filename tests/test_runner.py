@@ -8,6 +8,7 @@ import driftbench.learner as learner_module
 from driftbench.cli import main
 from driftbench.corpus import DriftConfig, Sample, generate_drift_stream, write_feature_file
 from driftbench.protocol import (
+    Event,
     ProtocolKind,
     audit_streaming_order,
     matrix_from_text,
@@ -66,6 +67,30 @@ stream_seed = 0
         ("streaming-mlp64-from_scratch", "streaming", "from_scratch", "mlp:64", "", 0.1),
     ]
 )
+
+# The long-stream bench workload at seed 0: N=400 buckets of 4 samples, one
+# streaming finetuning cell with a 64-sample FIFO buffer and 1 epoch, 2 seeds.
+LONG_STREAM_CONFIG = """\
+[stream]
+source = synthetic
+classes = 4
+dim = 8
+buckets = 400
+per_class = 1
+noise = 0.3
+drift_rate = 0.157
+stream_seed = 0
+[cell:streaming-finetuning-fifo]
+protocol = streaming
+n_seeds = 2
+base_seed = 0
+strategy = finetuning
+alpha = dynamic:1.0
+buffer_capacity = 64
+epochs = 1
+decay_epoch = 1
+lr = 0.5
+"""
 
 
 def drift_samples(cfg):
@@ -363,6 +388,25 @@ class TestRunExperiment:
         result = run_experiment(validate_config(PAPER_GRID_CONFIG, tmp_path / "out"))
         assert result.ok
         assert steps == 2 * 20 * ((10 + 9 * 13) + 9 * 13) == 9_760
+
+    def test_long_stream_builds_no_events(self, tmp_path, monkeypatch):
+        # The runner writes each event log from the protocol and N; building
+        # one Event per action would be 2 x (400 train + 79,800 evaluate) =
+        # 160,400 objects here.
+        built = 0
+        real = Event.__init__
+
+        def counting(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        monkeypatch.setattr(Event, "__init__", counting)
+        result = run_experiment(validate_config(LONG_STREAM_CONFIG, tmp_path / "out"))
+        assert result.ok
+        assert (tmp_path / "out" / "streaming-finetuning-fifo" / "events_seed1.log").exists()
+        assert built == 0
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         grid = validate_config(GOOD_CONFIG, tmp_path / "out")
