@@ -8,6 +8,7 @@ from .corpus import (
     bucketize,
     generate_drift_stream,
     load_feature_file,
+    read_feature_file,
     split_iid,
 )
 from .learner import (
@@ -71,6 +72,7 @@ __all__ = [
     "load_feature_file",
     "parse_policy",
     "predict",
+    "read_feature_file",
     "run_iid_protocol",
     "run_streaming_protocol",
     "split_iid",

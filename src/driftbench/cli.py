@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import curate as cur
 from .corpus import write_feature_file
 from .metrics import METRIC_NAMES, compute_metrics
@@ -61,7 +63,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_curate(args: argparse.Namespace) -> int:
     values = _parse_curation_spec(args.spec)
-    embeddings = cur.load_embedding_file(args.embeddings)
+    ids, x = cur.load_embedding_file(args.embeddings)
     queries = cur.load_query_file(args.queries)
     spec = cur.CurationSpec(
         queries=tuple(queries),
@@ -69,21 +71,22 @@ def _cmd_curate(args: argparse.Namespace) -> int:
         background_low_per_class=values["background_low"],
         final_per_class=values["final_per_class"],
     )
-    rankings = cur.rank_all(embeddings, spec)
+    id_list = ids.tolist()
+    rankings = {name: cur.rank_rows(id_list, x, q) for name, q in spec.queries}
     labeled = cur.select_labeled(rankings, spec)
     background = cur.assemble_background(rankings, spec, labeled)
     if "reject_file" in values:
         rejected = cur.load_rejection_list(values["reject_file"])
-        labeled = {name: ids - rejected for name, ids in labeled.items()}
+        labeled = {name: chosen - rejected for name, chosen in labeled.items()}
         background -= rejected
     dataset = cur.finalize_bucket(labeled, background, spec, seed=values.get("seed", 0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    samples = cur.curated_samples(dataset, embeddings)
-    dim = embeddings[0].vector.shape[0]
-    write_feature_file(out / "features.tsv", samples, d=dim, C=len(dataset.class_names))
+    rows, labels = cur.curated_rows(dataset, ids)
+    C = len(dataset.class_names)
+    write_feature_file(out / "features.tsv", ids[rows], np.zeros_like(rows), labels, x[rows], C)
     cur.write_class_table(out / "classes.txt", dataset.class_names)
-    print(f"wrote {len(samples)} samples across {len(dataset.class_names)} classes to {out}")
+    print(f"wrote {len(rows)} samples across {C} classes to {out}")
     return 0
 
 

@@ -103,31 +103,22 @@ def bucket_shape(n_samples: int, n_buckets: int) -> tuple[int, int]:
 
 
 def bucketize(
-    samples: Sequence[Sample], n_buckets: int, class_count: int | None = None
+    ids: np.ndarray, timestamps: np.ndarray, x: np.ndarray, y: np.ndarray, n_buckets: int, C: int
 ) -> TemporalStream:
-    """Sort samples by (timestamp, id) and partition them into equal contiguous buckets.
+    """Sort rows by (timestamp, id) and partition them into equal contiguous buckets.
 
-    The trailing ``len(samples) mod n_buckets`` samples are dropped so every bucket
-    has identical size; the stream records how many were dropped.  Ties in timestamp
-    keep ascending-id order, so the partition is deterministic.
+    The trailing ``len(ids) mod n_buckets`` rows are dropped so every bucket
+    has identical size; the stream records how many were dropped.  Ties in
+    timestamp keep ascending-id order, so the partition is deterministic.
     """
-    size, dropped = bucket_shape(len(samples), n_buckets)
-    ids = [s.id for s in samples]
-    if len(set(ids)) != len(ids):
+    size, dropped = bucket_shape(len(ids), n_buckets)
+    if len(np.unique(ids)) != len(ids):
         raise ValueError("sample ids must be unique within a stream")
-    d = int(samples[0].features.shape[0])
-    for s in samples:
-        if s.features.shape != (d,):
-            raise ValueError(f"sample {s.id}: expected dimension {d}, got {s.features.shape}")
-    inferred_c = max(s.label for s in samples) + 1
-    c = inferred_c if class_count is None else class_count
-    if inferred_c > c:
-        raise ValueError(f"label {inferred_c - 1} out of range for class_count={c}")
-    kept = sorted(samples, key=lambda s: (s.timestamp, s.id))[: size * n_buckets]
-    x, y = as_arrays(kept)
-    ids = np.array([s.id for s in kept])
-    timestamps = np.array([s.timestamp for s in kept])
-    return TemporalStream(x, y, ids, timestamps, np.arange(n_buckets + 1) * size, c, dropped)
+    if y.max() >= C:
+        raise ValueError(f"label {y.max()} out of range for class_count={C}")
+    kept = np.lexsort((ids, timestamps))[: size * n_buckets]
+    offsets = np.arange(n_buckets + 1) * size
+    return TemporalStream(x[kept], y[kept], ids[kept], timestamps[kept], offsets, C, dropped)
 
 
 def split_iid(
@@ -199,12 +190,6 @@ def _parse_header(line: str, path: str) -> tuple[int, int]:
     return d, c
 
 
-def read_feature_header(path: str | Path) -> tuple[int, int]:
-    """Read (d, C) from a feature file header without loading the records."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_header(fh.readline(), str(path))
-
-
 def checked_norm(vector: np.ndarray) -> float:
     """The L2 norm of a finite vector, as ``np.linalg.norm`` computes it.
 
@@ -220,20 +205,26 @@ def checked_norm(vector: np.ndarray) -> float:
     return norm
 
 
+def parse_int64(text: str) -> int:
+    """``int(text)``, rejecting with ``ValueError`` a value that does not fit in int64."""
+    if -(2**63) <= (value := int(text)) < 2**63:
+        return value
+    raise ValueError(f"integer {text} outside the int64 range")
+
+
 def parse_records(
     lines: Iterable[str], n_ints: int, k: int, normalize: bool
-) -> tuple[list[list[int]], np.ndarray]:
-    """Parse ``i_1<TAB>...<TAB>i_n<TAB>v1,...,vk`` lines into ``n_ints`` int columns and one matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse ``i_1<TAB>...<TAB>i_n<TAB>v1,...,vk`` lines into ``(n_ints, rows)`` int64s and a matrix.
 
     Blank lines are skipped.  The vector fields go to ``np.loadtxt`` and form
     one finite ``(rows, k)`` array; with ``normalize`` set, each row is
     scaled in place to unit L2 norm, ``sqrt(x . x)``, which equals
     ``np.linalg.norm`` bit for bit.  ``n_ints`` must be >= 1.  Raises
-    ``ValueError`` on a wrong field count, a non-integer field, a vector
-    field ``np.loadtxt`` rejects or without ``k`` values, a non-finite value,
-    or a row to normalize that is zero or whose squared norm overflows.  The
-    error names no line: callers re-read a rejected file line by line for the
-    message.
+    ``ValueError`` on a wrong field count, a non-integer or non-int64 field,
+    a vector field ``np.loadtxt`` rejects or without ``k`` values, a non-finite
+    value, or a row to normalize that is zero or whose squared norm overflows.
+    The error names no line: callers re-read a rejected file line by line.
     """
     columns: list[list[int]] = [[] for _ in range(n_ints)]
 
@@ -251,9 +242,13 @@ def parse_records(
     fields = vector_fields()
     first = next(fields, None)
     if first is None:
-        return columns, np.empty((0, k))
+        return np.empty((n_ints, 0), dtype=np.int64), np.empty((0, k))
     x = np.loadtxt(chain([first], fields), delimiter=",", comments=None, ndmin=2)
-    if x.shape != (len(columns[0]), k) or not np.isfinite(x).all():
+    try:
+        ints = np.array(columns, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("integer field outside the int64 range") from exc
+    if x.shape != (ints.shape[1], k) or not np.isfinite(x).all():
         raise ValueError("malformed vector rows")
     if normalize:
         with np.errstate(over="ignore"):
@@ -261,16 +256,19 @@ def parse_records(
         if not norms.all() or np.isinf(norms).any():
             raise ValueError("zero vector or overflowing squared norm cannot be normalized")
         x /= norms[:, None]
-    return columns, x
+    return ints, x
 
 
-def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]:
-    """Load ``id<TAB>timestamp<TAB>label<TAB>f1,...,fd`` records into samples.
+FeatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
 
-    With ``normalize`` set, each feature vector is scaled to unit L2 norm;
-    vectors that are zero or whose squared norm overflows are rejected.
-    Malformed records raise :class:`FeatureFileError` naming the line.  The
-    features of all samples are rows of one matrix.
+
+def read_feature_file(path: str | Path, normalize: bool = False) -> FeatureArrays:
+    """Read ``id<TAB>timestamp<TAB>label<TAB>f1,...,fd`` records as (ids, timestamps, labels, x, C).
+
+    Three int64 vectors and the ``(rows, d)`` matrix, in file order, and the
+    header's class count.  With ``normalize`` set, each row is scaled to unit
+    L2 norm; rows that are zero or whose squared norm overflows are rejected.
+    Malformed records raise :class:`FeatureFileError` naming the line.
     """
     path = str(path)
     try:
@@ -280,20 +278,24 @@ def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]
         return _load_feature_lines(path, normalize)
 
 
-def _load_feature_rows(path: str, normalize: bool) -> list[Sample]:
+def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]:
+    """:func:`read_feature_file` as one :class:`Sample` per record; features are rows of one matrix."""
+    ids, timestamps, labels, x, _ = read_feature_file(path, normalize)
+    return [Sample(*rec) for rec in zip(ids.tolist(), timestamps.tolist(), x, labels.tolist())]
+
+
+def _load_feature_rows(path: str, normalize: bool) -> FeatureArrays:
     with open(path, encoding="utf-8") as fh:
         d, c = _parse_header(fh.readline(), path)
         (ids, timestamps, labels), x = parse_records(fh, 3, d, normalize)
-    if ids and (min(ids) < 0 or min(labels) < 0 or max(labels) >= c):
+    if len(ids) and (ids.min() < 0 or labels.min() < 0 or labels.max() >= c):
         raise ValueError("id or label out of range")
-    return [
-        Sample(id=sid, timestamp=ts, features=row, label=label)
-        for sid, ts, row, label in zip(ids, timestamps, x, labels)
-    ]
+    return ids, timestamps, labels, x, c
 
 
-def _load_feature_lines(path: str, normalize: bool) -> list[Sample]:
-    samples: list[Sample] = []
+def _load_feature_lines(path: str, normalize: bool) -> FeatureArrays:
+    records: list[tuple[int, int, int]] = []
+    rows: list[np.ndarray] = []
     with open(path, encoding="utf-8") as fh:
         d, c = _parse_header(fh.readline(), path)
         for lineno, line in enumerate(fh, start=2):
@@ -304,7 +306,7 @@ def _load_feature_lines(path: str, normalize: bool) -> list[Sample]:
             if len(parts) != 4:
                 raise FeatureFileError(f"{path}:{lineno}: expected 4 tab-separated fields")
             try:
-                sid, ts, label = int(parts[0]), int(parts[1]), int(parts[2])
+                sid, ts, label = map(parse_int64, parts[:3])
                 feats = np.array([float(v) for v in parts[3].split(",")])
             except ValueError as exc:
                 raise FeatureFileError(f"{path}:{lineno}: {exc}") from exc
@@ -323,8 +325,10 @@ def _load_feature_lines(path: str, normalize: bool) -> list[Sample]:
                     feats = feats / checked_norm(feats)
                 except ValueError as exc:
                     raise FeatureFileError(f"{path}:{lineno}: {exc}") from exc
-            samples.append(Sample(id=sid, timestamp=ts, features=feats, label=label))
-    return samples
+            records.append((sid, ts, label))
+            rows.append(feats)
+    ids, timestamps, labels = np.array(records, dtype=np.int64).reshape(-1, 3).T.copy()
+    return ids, timestamps, labels, np.array(rows).reshape(len(rows), d), c
 
 
 @contextmanager
@@ -346,13 +350,15 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
-def write_feature_file(path: str | Path, samples: Sequence[Sample], d: int, C: int) -> None:
-    """Write samples in the feature-file format read by :func:`load_feature_file`, atomically."""
+def write_feature_file(
+    path: str | Path, ids: np.ndarray, timestamps: np.ndarray, labels: np.ndarray, x: np.ndarray, C: int
+) -> None:
+    """Write rows in the feature-file format read by :func:`read_feature_file`, atomically."""
     with atomic_write(path) as fh:
-        fh.write(f"#d={d} C={C}\n")
-        for s in samples:
-            feats = ",".join(repr(float(v)) for v in s.features)
-            fh.write(f"{s.id}\t{s.timestamp}\t{s.label}\t{feats}\n")
+        fh.write(f"#d={x.shape[1]} C={C}\n")
+        for sid, ts, label, row in zip(ids.tolist(), timestamps.tolist(), labels.tolist(), x):
+            feats = ",".join(repr(float(v)) for v in row.tolist())
+            fh.write(f"{sid}\t{ts}\t{label}\t{feats}\n")
 
 
 def stream_manifest(stream: TemporalStream) -> str:

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Sample, atomic_write, checked_norm, parse_records
+from .corpus import atomic_write, checked_norm, parse_int64, parse_records
 
 
 class ShortageError(ValueError):
@@ -84,11 +84,11 @@ def _embedding_dimension(header: str, path: str) -> int:
         raise EmbeddingFileError(f"{path}:1: bad dimension in header") from exc
 
 
-def load_embedding_file(path: str | Path) -> list[EmbeddingRecord]:
-    """Load ``#m=<m>`` header plus ``id<TAB>v1,...,vm`` records, unit-normalizing each vector.
+def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Load ``#m=<m>`` header plus ``id<TAB>v1,...,vm`` records as (int64 ids, (rows, m) matrix).
 
-    The vectors of all records are rows of one matrix.  Malformed records
-    raise :class:`EmbeddingFileError` naming the line.
+    Rows are in file order, each vector scaled to unit L2 norm.  Malformed
+    records raise :class:`EmbeddingFileError` naming the line.
     """
     path = str(path)
     try:
@@ -98,18 +98,17 @@ def load_embedding_file(path: str | Path) -> list[EmbeddingRecord]:
         return _load_embedding_lines(path)
 
 
-def _load_embedding_rows(path: str) -> list[EmbeddingRecord]:
+def _load_embedding_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, encoding="utf-8") as fh:
         m = _embedding_dimension(fh.readline(), path)
         (ids,), x = parse_records(fh, 1, m, normalize=True)
-    if len(set(ids)) != len(ids):
+    if len(np.unique(ids)) != len(ids):
         raise ValueError("duplicate id")
-    return [EmbeddingRecord(id=rid, vector=row) for rid, row in zip(ids, x)]
+    return ids, x
 
 
-def _load_embedding_lines(path: str) -> list[EmbeddingRecord]:
-    records: list[EmbeddingRecord] = []
-    seen: set[int] = set()
+def _load_embedding_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
+    rows: dict[int, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         m = _embedding_dimension(fh.readline(), path)
         for lineno, line in enumerate(fh, start=2):
@@ -120,17 +119,16 @@ def _load_embedding_lines(path: str) -> list[EmbeddingRecord]:
             if len(parts) != 2:
                 raise EmbeddingFileError(f"{path}:{lineno}: expected 'id<TAB>vector'")
             try:
-                rid = int(parts[0])
+                rid = parse_int64(parts[0])
                 vec = np.array([float(v) for v in parts[1].split(",")])
             except ValueError as exc:
                 raise EmbeddingFileError(f"{path}:{lineno}: {exc}") from exc
             if vec.shape != (m,):
                 raise EmbeddingFileError(f"{path}:{lineno}: expected {m} components")
-            if rid in seen:
+            if rid in rows:
                 raise EmbeddingFileError(f"{path}:{lineno}: duplicate id {rid}")
-            seen.add(rid)
-            records.append(EmbeddingRecord(id=rid, vector=_unit(vec, f"{path}:{lineno}")))
-    return records
+            rows[rid] = _unit(vec, f"{path}:{lineno}")
+    return np.array(list(rows), dtype=np.int64), np.array(list(rows.values())).reshape(len(rows), m)
 
 
 def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
@@ -304,25 +302,17 @@ def finalize_bucket(
     )
 
 
-def curated_samples(
-    dataset: CuratedDataset,
-    embeddings: Sequence[EmbeddingRecord],
-    timestamps: Mapping[int, int] | None = None,
-) -> list[Sample]:
-    """Turn a curated selection into corpus samples (features = embedding vectors).
+def curated_rows(dataset: CuratedDataset, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The curated selection as (rows, labels): embedding-matrix rows in ascending-id order.
 
-    Timestamps default to 0 and can be joined in via the optional mapping.
+    Row ``r`` holds id ``ids[r]``; label ``k`` is ``dataset.class_names[k]``.
     """
-    by_id = {e.id: e for e in embeddings}
-    samples = []
-    for label, name in enumerate(dataset.class_names):
-        for rid in dataset.selections[name]:
-            ts = timestamps.get(rid, 0) if timestamps else 0
-            samples.append(
-                Sample(id=rid, timestamp=ts, features=by_id[rid].vector, label=label)
-            )
-    samples.sort(key=lambda s: s.id)
-    return samples
+    names = dataset.class_names
+    chosen = np.array([rid for name in names for rid in dataset.selections[name]], dtype=np.int64)
+    labels = np.repeat(np.arange(len(names)), [len(dataset.selections[name]) for name in names])
+    by_id = np.argsort(chosen, kind="stable")
+    sorter = np.argsort(ids)
+    return sorter[np.searchsorted(ids, chosen[by_id], sorter=sorter)], labels[by_id]
 
 
 def write_class_table(path: str | Path, class_names: Sequence[str]) -> None:

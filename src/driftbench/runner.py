@@ -14,8 +14,7 @@ from .corpus import (
     atomic_write,
     bucketize,
     generate_drift_stream,
-    load_feature_file,
-    read_feature_header,
+    read_feature_file,
     stream_manifest,
 )
 from .learner import Hyperparams, Strategy, parse_architecture, parse_strategy
@@ -372,9 +371,8 @@ def load_stream(spec: StreamSpec) -> TemporalStream:
         assert spec.drift is not None
         return generate_drift_stream(spec.drift)
     assert spec.path is not None
-    _, class_count = read_feature_header(spec.path)
-    samples = load_feature_file(spec.path, normalize=spec.normalize)
-    return bucketize(samples, spec.n_buckets, class_count=class_count)
+    ids, timestamps, labels, x, class_count = read_feature_file(spec.path, spec.normalize)
+    return bucketize(ids, timestamps, x, labels, spec.n_buckets, class_count)
 
 
 def _write_artifact(path: Path, text: str) -> None:
@@ -413,21 +411,20 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
     directory and does not disturb the others.  ``DRIFTBENCH_SEED`` overrides
     every cell's base seed when set.
     """
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    try:
+        env_base = None if env_seed is None else int(env_seed)
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
     grid.out_dir.mkdir(parents=True, exist_ok=True)
     stream = load_stream(grid.stream)
     _write_artifact(grid.out_dir / "stream_manifest.tsv", stream_manifest(stream))
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            env_base = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
 
     reports: dict[str, AggregateReport] = {}
     failures: dict[str, str] = {}
     for cell in grid.cells:
         cell_dir = grid.out_dir / cell.name
-        base = env_base if env_seed is not None else cell.base_seed
+        base = cell.base_seed if env_base is None else env_base
         try:
             reports[cell.name] = _run_cell(stream, cell, cell_dir, base)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract

@@ -1,10 +1,12 @@
-"""Byte-identity guard: a pinned grid's artifacts must keep their recorded SHA-256 digests.
+"""Byte-identity guard: pinned runs' artifacts must keep their recorded SHA-256 digests.
 
 The grid covers both protocols, both architectures, every strategy and both
 alpha policies (fixed below 1, so the reservoir draws and shuffles, and the
 FIFO ``dynamic:1.0``), on one synthetic stream and one file stream.  A
 refactor of the run path that changes any matrix, event log, report or
-manifest by a single byte fails here.  Re-record the digests only for a
+manifest by a single byte fails here.  A small ``driftbench curate`` run,
+with shared query heads and a rejection list, pins the curated feature file
+and class table the same way.  Re-record the digests only for a
 change that is meant to alter outputs, and say so where the change is
 described.
 """
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftbench.cli import main
 from driftbench.runner import run_experiment, validate_config
 
 DIGESTS = Path(__file__).with_name("byte_identity_digests.json")
@@ -131,3 +134,34 @@ def test_pinned_grid_artifacts_match_recorded_digests(source, tmp_path, monkeypa
     assert sorted(got) == sorted(want)
     changed = sorted(name for name in want if got[name] != want[name])
     assert not changed, f"artifacts differ from the recorded digests: {changed}"
+
+
+def write_curation_inputs(root: Path) -> list[str]:
+    """Embedding, query, rejection and spec files for a curation with shuffled ids; the CLI args."""
+    rng = np.random.default_rng(23)
+    ids = rng.permutation(np.arange(500, 740))
+    vectors = rng.standard_normal((240, 6))
+    with open(root / "emb.tsv", "w", encoding="utf-8") as fh:
+        fh.write("#m=6\n")
+        for rid, row in zip(ids, vectors):
+            fh.write(f"{rid}\t" + ",".join(repr(float(v)) for v in row) + "\n")
+    # Neighbouring queries share head ids, so duplicate resolution refills.
+    (root / "q.tsv").write_text(
+        "red\t1.0,0.2,0.0,0.0,0.0,0.0\ngreen\t0.6,0.8,0.1,0.0,0.0,0.0\nblue\t0.0,0.0,1.0,0.0,0.5,0.0\n"
+    )
+    (root / "reject.txt").write_text("".join(f"{rid}\n" for rid in ids[::7]))
+    (root / "cur.cfg").write_text(
+        "per_class_top = 12\nbackground_low = 30\nfinal_per_class = 8\nseed = 4\n"
+        f"reject_file = {root / 'reject.txt'}\n"
+    )
+    return ["curate", "--embeddings", str(root / "emb.tsv"), "--queries", str(root / "q.tsv"),
+            "--spec", str(root / "cur.cfg"), "--out", str(root / "curated")]
+
+
+def test_curated_files_match_recorded_digests(tmp_path):
+    assert main(write_curation_inputs(tmp_path)) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / "curated" / name).read_bytes()).hexdigest()
+        for name in ("classes.txt", "features.tsv")
+    }
+    assert got == json.loads(DIGESTS.read_text(encoding="utf-8"))["curate"]

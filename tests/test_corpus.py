@@ -15,25 +15,19 @@ from driftbench.corpus import (
     class_means,
     generate_drift_stream,
     load_feature_file,
-    read_feature_header,
+    read_feature_file,
     split_iid,
     stream_manifest,
     write_feature_file,
 )
 
 
-def make_samples(n, timestamps=None, d=3, labels=None):
-    rng = np.random.default_rng(0)
-    feats = rng.standard_normal((n, d))
-    return [
-        Sample(
-            id=i,
-            timestamp=timestamps[i] if timestamps else i,
-            features=feats[i],
-            label=labels[i] if labels else 0,
-        )
-        for i in range(n)
-    ]
+def make_rows(n, timestamps=None, d=3, labels=None):
+    """``(ids, timestamps, x, y)`` for ``n`` rows with ids ``0..n-1``, in that order."""
+    x = np.random.default_rng(0).standard_normal((n, d))
+    ts = np.array(timestamps if timestamps else range(n), dtype=np.int64)
+    y = np.array(labels if labels else [0] * n, dtype=np.int64)
+    return np.arange(n), ts, x, y
 
 
 def bucket_rows(stream, t):
@@ -44,28 +38,21 @@ def bucket_sizes(stream):
     return np.diff(stream.offsets).tolist()
 
 
-def stream_samples(stream):
-    return [
-        Sample(id=int(i), timestamp=int(ts), features=f, label=int(c))
-        for i, ts, f, c in zip(stream.ids, stream.timestamps, stream.x, stream.y)
-    ]
-
-
 class TestBucketize:
     def test_single_bucket_identity(self):
-        stream = bucketize(make_samples(1000), 1)
+        stream = bucketize(*make_rows(1000), 1, C=1)
         assert stream.n_buckets == 1
         assert bucket_sizes(stream) == [1000]
         assert stream.dropped == 0
 
     def test_1000_into_11(self):
-        stream = bucketize(make_samples(1000), 11)
+        stream = bucketize(*make_rows(1000), 11, C=1)
         assert bucket_sizes(stream) == [90] * 11
         assert stream.dropped == 10
 
     def test_sizes_sum_plus_dropped(self):
         for n, k in [(57, 7), (100, 9), (12, 12)]:
-            stream = bucketize(make_samples(n), k)
+            stream = bucketize(*make_rows(n), k, C=1)
             assert sum(bucket_sizes(stream)) + stream.dropped == n
             assert len(set(bucket_sizes(stream))) == 1
             assert len(stream.x) == len(stream.y) == len(stream.ids) == stream.offsets[-1]
@@ -76,25 +63,23 @@ class TestBucketize:
 
     def test_time_ordering_and_tie_break(self):
         # All equal timestamps: order within buckets must be ascending id.
-        samples = make_samples(20, timestamps=[0] * 20)
-        samples.reverse()
-        stream = bucketize(samples, 4)
+        ids, ts, x, y = make_rows(20, timestamps=[0] * 20)
+        stream = bucketize(ids[::-1], ts, x[::-1], y, 4, C=1)
         ids = stream.ids.tolist()
         assert ids == sorted(ids)
 
     def test_rows_follow_their_samples(self):
-        samples = make_samples(12, timestamps=[5, 3, 9, 3, 0, 7, 7, 1, 2, 8, 4, 6], labels=[0, 1] * 6)
-        stream = bucketize(samples, 4)
-        by_id = {s.id: s for s in samples}
+        ids, ts, x, y = make_rows(12, timestamps=[5, 3, 9, 3, 0, 7, 7, 1, 2, 8, 4, 6], labels=[0, 1] * 6)
+        stream = bucketize(ids, ts, x, y, 4, C=2)
         for row, sid in enumerate(stream.ids.tolist()):
-            assert np.array_equal(stream.x[row], by_id[sid].features)
-            assert stream.y[row] == by_id[sid].label
-            assert stream.timestamps[row] == by_id[sid].timestamp
+            assert np.array_equal(stream.x[row], x[sid])
+            assert stream.y[row] == y[sid]
+            assert stream.timestamps[row] == ts[sid]
 
     def test_bucket_boundaries_monotone(self):
         rng = np.random.default_rng(3)
         ts = [int(t) for t in rng.integers(0, 50, size=60)]
-        stream = bucketize(make_samples(60, timestamps=ts), 5)
+        stream = bucketize(*make_rows(60, timestamps=ts), 5, C=1)
         for t in range(stream.n_buckets - 1):
             earlier = stream.timestamps[bucket_rows(stream, t)]
             later = stream.timestamps[bucket_rows(stream, t + 1)]
@@ -102,26 +87,22 @@ class TestBucketize:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            bucketize(make_samples(5), 0)
+            bucketize(*make_rows(5), 0, C=1)
         with pytest.raises(ValueError):
-            bucketize(make_samples(3), 4)
+            bucketize(*make_rows(3), 4, C=1)
+        with pytest.raises(ValueError, match="label 2 out of range for class_count=2"):
+            bucketize(*make_rows(4, labels=[0, 2, 1, 0]), 2, C=2)
 
     def test_duplicate_ids_rejected(self):
-        samples = make_samples(4)
-        samples[2] = Sample(id=0, timestamp=2, features=samples[2].features, label=0)
+        ids, ts, x, y = make_rows(4)
+        ids[2] = 0
         with pytest.raises(ValueError, match="unique"):
-            bucketize(samples, 2)
-
-    def test_mixed_dimensions_rejected(self):
-        samples = make_samples(4)
-        samples[3] = Sample(id=3, timestamp=3, features=np.zeros(2), label=0)
-        with pytest.raises(ValueError, match="sample 3: expected dimension 3"):
-            bucketize(samples, 2)
+            bucketize(ids, ts, x, y, 2, C=1)
 
     def test_pure(self):
-        samples = make_samples(30)
-        a = bucketize(samples, 3)
-        b = bucketize(samples, 3)
+        rows = make_rows(30)
+        a = bucketize(*rows, 3, C=1)
+        b = bucketize(*rows, 3, C=1)
         assert np.array_equal(a.ids, b.ids) and np.array_equal(a.x, b.x)
 
 
@@ -203,7 +184,7 @@ class TestDriftStream:
     def test_bucketize_roundtrip(self):
         cfg = DriftConfig(C=2, d=2, N=4, n_per_class=6, radius=1.0, drift_rate=0.3, noise=0.1, seed=2)
         stream = generate_drift_stream(cfg)
-        again = bucketize(stream_samples(stream), cfg.N)
+        again = bucketize(stream.ids, stream.timestamps, stream.x, stream.y, cfg.N, cfg.C)
         for field in ("x", "y", "ids", "timestamps", "offsets"):
             assert np.array_equal(getattr(stream, field), getattr(again, field))
 
@@ -266,15 +247,17 @@ class TestFeatureFile:
         return p
 
     def test_roundtrip(self, tmp_path):
-        samples = make_samples(3, d=4, labels=[0, 1, 2])
+        ids, ts, x, y = make_rows(3, d=4, labels=[0, 1, 2])
         path = tmp_path / "f.tsv"
-        write_feature_file(path, samples, d=4, C=3)
-        assert read_feature_header(path) == (4, 3)
+        write_feature_file(path, ids, ts, y, x, C=3)
+        assert path.read_text().startswith("#d=4 C=3\n")
+        *arrays, c = read_feature_file(path)
+        assert c == 3
+        for got, want in zip(arrays, (ids, ts, y, x)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         loaded = load_feature_file(path)
-        assert len(loaded) == 3
-        for orig, got in zip(samples, loaded):
-            assert got.id == orig.id and got.label == orig.label
-            assert np.array_equal(got.features, orig.features)
+        assert [(s.id, s.timestamp, s.label) for s in loaded] == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+        assert as_arrays(loaded)[0].tobytes() == x.tobytes()
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         p = self.write(tmp_path, "#d=4 C=2\n0\t0\t0\t1.0,2.0,3.0\n")
@@ -307,6 +290,15 @@ class TestFeatureFile:
         with pytest.raises(FeatureFileError, match="header"):
             load_feature_file(p)
 
+    @pytest.mark.parametrize("record", [f"{2**70}\t0\t0\t1.0", f"1\t{-2**63 - 1}\t0\t1.0"])
+    def test_integer_beyond_int64_names_line(self, tmp_path, record):
+        p = self.write(tmp_path, f"#d=1 C=1\n0\t0\t0\t1.0\n{record}\n")
+        with pytest.raises(FeatureFileError, match=r"features\.tsv:3: integer -?\d+ outside the int64 range"):
+            read_feature_file(p)
+        p = self.write(tmp_path, f"#d=1 C=1\n{2**63 - 1}\t{-2**63}\t0\t1.0\n")
+        ids, ts, *_ = read_feature_file(p)
+        assert ids.tolist() == [2**63 - 1] and ts.tolist() == [-2**63] and ts.dtype == np.int64
+
     def test_label_out_of_range(self, tmp_path):
         p = self.write(tmp_path, "#d=1 C=2\n0\t0\t5\t1.0\n")
         with pytest.raises(FeatureFileError, match="label"):
@@ -317,19 +309,21 @@ class TestFeatureFile:
     def test_well_formed_file_is_read_as_arrays(self, tmp_path, monkeypatch, normalize):
         # A silent fallback to the line-by-line reader would keep results and lose the speed.
         path = tmp_path / "f.tsv"
-        write_feature_file(path, make_samples(40, d=5, labels=[i % 3 for i in range(40)]), d=5, C=3)
+        ids, ts, x, y = make_rows(40, d=5, labels=[i % 3 for i in range(40)])
+        write_feature_file(path, ids, ts, y, x, C=3)
         expected = corpus_module._load_feature_lines(str(path), normalize)
 
         def no_fallback(path, normalize):
             raise AssertionError(f"{path} fell back to the line-by-line reader")
 
         monkeypatch.setattr(corpus_module, "_load_feature_lines", no_fallback)
-        loaded = load_feature_file(path, normalize=normalize)
-        assert [(s.id, s.timestamp, s.label) for s in loaded] == [
-            (s.id, s.timestamp, s.label) for s in expected
-        ]
-        assert as_arrays(loaded)[0].tobytes() == as_arrays(expected)[0].tobytes()
+        *loaded, c = read_feature_file(path, normalize=normalize)
+        assert c == expected[4] == 3
+        for got, want in zip(loaded, expected):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         path.write_text("#d=5 C=3\n\n")
+        *empty, _ = read_feature_file(path, normalize=normalize)
+        assert [a.shape for a in empty] == [(0,), (0,), (0,), (0, 5)]
         assert load_feature_file(path, normalize=normalize) == []
 
 
@@ -339,10 +333,11 @@ class TestAtomicWrite:
         path = tmp_path / "features.tsv"
         if existing:
             path.write_text("old\n")
-        samples = make_samples(3, d=2)
-        samples.insert(2, Sample(id=9, timestamp=0, features=np.array(["x"], dtype=object), label=0))
+        ids, ts, x, y = make_rows(4, d=2)
+        x = x.astype(object)
+        x[2, 1] = "x"
         with pytest.raises(ValueError):
-            write_feature_file(path, samples, d=2, C=1)
+            write_feature_file(path, ids, ts, y, x, C=1)
         assert list(tmp_path.iterdir()) == ([path] if existing else [])
         if existing:
             assert path.read_text() == "old\n"

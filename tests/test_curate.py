@@ -10,7 +10,7 @@ from driftbench.curate import (
     ShortageError,
     assemble_background,
     cosine_rank,
-    curated_samples,
+    curated_rows,
     finalize_bucket,
     load_embedding_file,
     load_query_file,
@@ -285,9 +285,9 @@ class TestFiles:
     def test_embedding_roundtrip(self, tmp_path):
         p = tmp_path / "emb.tsv"
         p.write_text("#m=2\n0\t3.0,4.0\n1\t0.0,2.0\n")
-        records = load_embedding_file(p)
-        assert np.allclose(records[0].vector, [0.6, 0.8])
-        assert np.allclose(records[1].vector, [0.0, 1.0])
+        ids, x = load_embedding_file(p)
+        assert ids.tolist() == [0, 1] and ids.dtype == np.int64
+        assert np.allclose(x, [[0.6, 0.8], [0.0, 1.0]])
 
     def test_embedding_errors(self, tmp_path):
         p = tmp_path / "emb.tsv"
@@ -303,6 +303,9 @@ class TestFiles:
         p.write_text("#m=2\n0\t1.0,2.0\n0\t2.0,1.0\n")
         with pytest.raises(EmbeddingFileError, match="duplicate"):
             load_embedding_file(p)
+        p.write_text(f"#m=2\n0\t1.0,2.0\n{2**70}\t2.0,1.0\n")
+        with pytest.raises(EmbeddingFileError, match=r"emb\.tsv:3: integer \d+ outside the int64 range"):
+            load_embedding_file(p)
 
     def test_well_formed_embedding_file_is_read_as_arrays(self, tmp_path, monkeypatch):
         # A silent fallback to the line-by-line reader would keep results and lose the speed.
@@ -317,14 +320,12 @@ class TestFiles:
             raise AssertionError(f"{path} fell back to the line-by-line reader")
 
         monkeypatch.setattr(curate_module, "_load_embedding_lines", no_fallback)
-        records = load_embedding_file(p)
-        assert [r.id for r in records] == [r.id for r in expected]
-        assert np.stack([r.vector for r in records]).tobytes() == np.stack(
-            [r.vector for r in expected]
-        ).tobytes()
-        assert all(r.vector.base is records[0].vector.base for r in records)
+        ids, x = load_embedding_file(p)
+        assert (ids.dtype, ids.tobytes()) == (expected[0].dtype, expected[0].tobytes())
+        assert (x.shape, x.tobytes()) == (expected[1].shape, expected[1].tobytes())
         p.write_text("#m=6\n\n")
-        assert load_embedding_file(p) == []
+        ids, x = load_embedding_file(p)
+        assert (ids.shape, ids.dtype, x.shape) == ((0,), np.int64, (0, 6))
 
     def test_query_file(self, tmp_path):
         p = tmp_path / "q.tsv"
@@ -341,7 +342,7 @@ class TestFiles:
         with pytest.raises(EmbeddingFileError, match=r"emb\.tsv:3: squared norm overflows"):
             load_embedding_file(p)
         p.write_text("#m=2\n0\t1e150,0.0\n")
-        assert load_embedding_file(p)[0].vector.tolist() == [1.0, 0.0]
+        assert load_embedding_file(p)[1].tolist() == [[1.0, 0.0]]
         q = tmp_path / "q.tsv"
         q.write_text("alpha\t1.0,0.0\nbeta\t-1e200,1e200\n")
         with pytest.raises(EmbeddingFileError, match=r"q\.tsv:2: squared norm overflows"):
@@ -358,8 +359,9 @@ class TestFiles:
         assert p.read_text() == "0\tcat\n1\tdog\n2\tbackground\n"
 
 
-def test_curated_samples_joinable():
-    embeddings = random_embeddings(60, 4, seed=10)
+def test_curated_rows_in_ascending_id_order():
+    embeddings = random_embeddings(60, 4, seed=10)[::-1]
+    ids = np.array([e.id for e in embeddings])
     queries = (("x", unit([1, 0, 0, 0])), ("y", unit([0, 1, 0, 0])))
     spec = CurationSpec(
         queries=queries, per_class_top=5, background_low_per_class=10, final_per_class=3
@@ -368,10 +370,14 @@ def test_curated_samples_joinable():
     labeled = select_labeled(rankings, spec)
     background = assemble_background(rankings, spec, labeled)
     dataset = finalize_bucket(labeled, background, spec, seed=0)
-    samples = curated_samples(dataset, embeddings, timestamps={i: 100 + i for i in range(60)})
-    assert len(samples) == 9
-    assert all(s.timestamp >= 100 for s in samples)
-    assert {s.label for s in samples} == {0, 1, 2}
+    rows, labels = curated_rows(dataset, ids)
+    by_id = sorted(
+        (rid, label)
+        for label, name in enumerate(dataset.class_names)
+        for rid in dataset.selections[name]
+    )
+    assert list(zip(ids[rows].tolist(), labels.tolist())) == by_id
+    assert len(rows) == 9 and set(labels.tolist()) == {0, 1, 2}
 
 
 def test_curation_spec_validation():

@@ -1,6 +1,7 @@
 """Property tests for the config parser, the matrix and event-log formats, the replay buffer,
-the runner's event logs against the protocol's events, and the array readers of feature and
-embedding files against their line-by-line references."""
+the runner's event logs against the protocol's events, the array readers of feature and
+embedding files against their line-by-line references, and ``bucketize`` against the
+sorted-sample version it replaced."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 import driftbench.protocol as protocol_module
 
-from driftbench.corpus import _load_feature_lines, _load_feature_rows, load_feature_file
+from driftbench.corpus import (
+    Sample,
+    _load_feature_lines,
+    _load_feature_rows,
+    as_arrays,
+    bucket_shape,
+    bucketize,
+    read_feature_file,
+)
 from driftbench.curate import _load_embedding_lines, _load_embedding_rows, load_embedding_file
 from driftbench.learner import Strategy
 from driftbench.protocol import (
@@ -357,7 +366,7 @@ def vector_files(draw, lead_fields, corruption):
         elif kind == "extra_field":
             record[0] += "\t7"
         elif kind == "bad_id":
-            record[0] = draw(st.sampled_from(["x", "1_0", "", "1.5"]))
+            record[0] = draw(st.sampled_from(["x", "1_0", "", "1.5", str(2**70)]))
         elif kind == "negative_id":
             record[0] = "-" + record[0]
     body = []
@@ -370,17 +379,12 @@ def vector_files(draw, lead_fields, corruption):
 
 
 def _outcome(load, path, *args):
-    """The loaded items as (id, timestamp, label, vector dtype, shape, bytes), or the error's type and text."""
+    """Each loaded array as (dtype, shape, bytes), other values as they are; or the error's type and text."""
     try:
-        items = load(path, *args)
+        loaded = load(path, *args)
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
         return type(exc), str(exc)
-    return [
-        (item.id, getattr(item, "timestamp", None), getattr(item, "label", None),
-         vector.dtype, vector.shape, vector.tobytes())
-        for item in items
-        for vector in [getattr(item, "features", getattr(item, "vector", None))]
-    ]
+    return [(a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in loaded]
 
 
 def _assert_reader_matches(path, reader, fast_reader, reference, *args):
@@ -420,5 +424,36 @@ def test_feature_reader_matches_line_reference(
     vector_path.write_text("\n".join([f"#d={k + dim_offset} C={classes}"] + body) + "\n",
                            encoding="utf-8")
     _assert_reader_matches(
-        vector_path, load_feature_file, _load_feature_rows, _load_feature_lines, normalize
+        vector_path, read_feature_file, _load_feature_rows, _load_feature_lines, normalize
     )
+
+
+def _bucketize_samples(samples, n_buckets):
+    """``bucketize`` as it was when it took samples: sort them by (timestamp, id), then stack."""
+    size, dropped = bucket_shape(len(samples), n_buckets)
+    kept = sorted(samples, key=lambda s: (s.timestamp, s.id))[: size * n_buckets]
+    x, y = as_arrays(kept)
+    ids = np.array([s.id for s in kept])
+    timestamps = np.array([s.timestamp for s in kept])
+    return x, y, ids, timestamps, np.arange(n_buckets + 1) * size, dropped
+
+
+@SETTINGS
+@given(st.data())
+def test_bucketize_matches_sorted_sample_reference(data):
+    n = data.draw(st.integers(1, 40))
+    n_buckets = data.draw(st.integers(1, n))
+    # Unique ids in drawn (shuffled) order; timestamps with ties, negatives and int64 extremes.
+    ids = data.draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n, unique=True))
+    stamp = st.one_of(st.integers(-3, 3), st.sampled_from([-2**63, 2**63 - 1]))
+    timestamps = data.draw(st.lists(stamp, min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    x = np.random.default_rng(n).standard_normal((n, data.draw(st.integers(1, 4))))
+    samples = [Sample(i, t, row, c) for i, t, row, c in zip(ids, timestamps, x, labels)]
+    ref_x, ref_y, ref_ids, ref_ts, ref_offsets, ref_dropped = _bucketize_samples(samples, n_buckets)
+    stream = bucketize(np.array(ids), np.array(timestamps), x, np.array(labels), n_buckets, C=3)
+    assert stream.x.tobytes() == ref_x.tobytes() and stream.x.shape == ref_x.shape
+    for got, want in [(stream.y, ref_y), (stream.ids, ref_ids), (stream.timestamps, ref_ts),
+                      (stream.offsets, ref_offsets)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert stream.dropped == ref_dropped

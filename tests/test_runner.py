@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import driftbench.learner as learner_module
+import driftbench.runner as runner_module
 from driftbench.cli import main
 from driftbench.corpus import DriftConfig, Sample, generate_drift_stream, write_feature_file
 from driftbench.protocol import (
@@ -14,6 +15,7 @@ from driftbench.protocol import (
     matrix_from_text,
     parse_event_log,
 )
+from driftbench.curate import EmbeddingRecord
 from driftbench.runner import (
     ConfigError,
     config_reference,
@@ -93,13 +95,10 @@ lr = 0.5
 """
 
 
-def drift_samples(cfg):
-    """A synthetic stream as samples, ready for :func:`write_feature_file`."""
+def write_drift_file(path, cfg, C):
+    """A synthetic stream written as a feature file whose header declares ``C`` classes."""
     stream = generate_drift_stream(cfg)
-    return [
-        Sample(id=int(i), timestamp=int(ts), features=f, label=int(c))
-        for i, ts, f, c in zip(stream.ids, stream.timestamps, stream.x, stream.y)
-    ]
+    write_feature_file(path, stream.ids, stream.timestamps, stream.y, stream.x, C)
 
 
 class TestValidateConfig:
@@ -220,9 +219,8 @@ class TestLoadStream:
 
     def test_from_file_uses_header_class_count(self, tmp_path):
         cfg = DriftConfig(C=2, d=3, N=2, n_per_class=10, radius=1.0, drift_rate=0.0, noise=0.2, seed=1)
-        samples = drift_samples(cfg)
         path = tmp_path / "feats.tsv"
-        write_feature_file(path, samples, d=3, C=5)
+        write_drift_file(path, cfg, C=5)
         text = GOOD_CONFIG.replace(
             "source = synthetic\nclasses = 3\ndim = 4\nbuckets = 3\nper_class = 30\n"
             "noise = 0.3\ndrift_rate = 0.2\nstream_seed = 7",
@@ -328,9 +326,8 @@ class TestRunExperiment:
     def test_file_stream_end_to_end(self, tmp_path):
         cfg = DriftConfig(C=3, d=4, N=3, n_per_class=30, radius=1.0,
                           drift_rate=0.2, noise=0.3, seed=7)
-        samples = drift_samples(cfg)
         path = tmp_path / "feats.tsv"
-        write_feature_file(path, samples, d=4, C=3)
+        write_drift_file(path, cfg, C=3)
         text = GOOD_CONFIG.replace(
             "source = synthetic\nclasses = 3\ndim = 4\nbuckets = 3\nper_class = 30\n"
             "noise = 0.3\ndrift_rate = 0.2\nstream_seed = 7",
@@ -420,6 +417,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="DRIFTBENCH_SEED"):
             run_experiment(grid)
 
+    def test_bad_seed_env_rejected_before_the_stream_loads(self, tmp_path, monkeypatch, capsys):
+        def no_load(spec):
+            raise AssertionError("the stream was loaded before DRIFTBENCH_SEED was checked")
+
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        monkeypatch.setenv("DRIFTBENCH_SEED", "abc")
+        monkeypatch.setattr(runner_module, "load_stream", no_load)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "DRIFTBENCH_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestCli:
     def test_run_and_metrics(self, tmp_path, capsys):
@@ -499,6 +508,64 @@ class TestCli:
 
         samples = load_feature_file(tmp_path / "curated" / "features.tsv")
         assert not any(s.id in (0, 1) for s in samples)
+
+    def test_run_rejects_file_integers_beyond_int64(self, tmp_path, capsys):
+        # Unchecked, such an id gives an object-dtype id vector and the run goes on.
+        path = tmp_path / "feats.tsv"
+        path.write_text(f"#d=2 C=1\n0\t0\t0\t1.0,2.0\n{2**70}\t1\t0\t2.0,1.0\n")
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"[stream]\nsource = file\npath = {path}\nbuckets = 2\n"
+                       "[cell:c]\nprotocol = streaming\nstrategy = finetuning\nalpha = fixed:1.0\n"
+                       "buffer_capacity = 2\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"feats.tsv:3: integer {2**70} outside the int64 range" in err
+        assert "Traceback" not in err
+
+    def test_curate_then_run_build_no_per_row_objects(self, tmp_path, monkeypatch):
+        # Per-row objects here would be one EmbeddingRecord per embedding (600)
+        # and one Sample per curated row, once written and once read (2 x 120).
+        built = {Sample: 0, EmbeddingRecord: 0}
+
+        def counting(cls):
+            real = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built[cls] += 1
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+
+        rng = np.random.default_rng(5)
+        emb = tmp_path / "emb.tsv"
+        with open(emb, "w") as fh:
+            fh.write("#m=8\n")
+            for i, v in enumerate(rng.standard_normal((600, 8))):
+                fh.write(f"{1000 - i}\t" + ",".join(str(x) for x in v) + "\n")
+        queries = tmp_path / "q.tsv"
+        queries.write_text("".join(f"q{k}\t" + ",".join(["1.0" if j == k else "0.0" for j in range(8)])
+                                   + "\n" for k in range(3)))
+        spec = tmp_path / "cur.cfg"
+        spec.write_text("per_class_top = 40\nbackground_low = 40\nfinal_per_class = 30\n")
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            f"[stream]\nsource = file\npath = {tmp_path / 'curated' / 'features.tsv'}\n"
+            "normalize = true\nbuckets = 4\n"
+            "[cell:s]\nprotocol = streaming\nstrategy = finetuning\nalpha = fixed:1.0\n"
+            "buffer_capacity = 20\n"
+            "[cell:i]\nprotocol = iid\nstrategy = napping\nalpha = dynamic:1.0\n"
+            "buffer_capacity = 20\ntrain_fraction = 0.7\n"
+        )
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        counting(Sample)
+        counting(EmbeddingRecord)
+        assert main([
+            "curate", "--embeddings", str(emb), "--queries", str(queries),
+            "--spec", str(spec), "--out", str(tmp_path / "curated"),
+        ]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "i" / "report.txt").exists()
+        assert built == {Sample: 0, EmbeddingRecord: 0}
 
     def test_curate_names_bad_count(self, tmp_path, capsys):
         spec = tmp_path / "cur.cfg"
