@@ -65,16 +65,21 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     values = _parse_curation_spec(args.spec)
     ids, x = cur.load_embedding_file(args.embeddings)
     queries = cur.load_query_file(args.queries)
+    if queries[0][1].shape != x.shape[1:]:
+        raise cur.EmbeddingFileError(
+            f"{args.queries}: query dimension {queries[0][1].shape[0]} != "
+            f"embedding dimension {x.shape[1]} of {args.embeddings}"
+        )
     spec = cur.CurationSpec(
         queries=tuple(queries),
         per_class_top=values["per_class_top"],
         background_low_per_class=values["background_low"],
         final_per_class=values["final_per_class"],
     )
-    id_list = ids.tolist()
-    rankings = {name: cur.rank_rows(id_list, x, q) for name, q in spec.queries}
+    rankings = {name: cur.rank_rows(ids, x, q) for name, q in spec.queries}
     labeled = cur.select_labeled(rankings, spec)
     background = cur.assemble_background(rankings, spec, labeled)
+    del rankings  # two vectors per class as long as the file: not held through the write below
     if "reject_file" in values:
         rejected = cur.load_rejection_list(values["reject_file"])
         labeled = {name: chosen - rejected for name, chosen in labeled.items()}

@@ -3,7 +3,6 @@ cross-class duplicate rejection, background-class assembly, and balanced finaliz
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -54,15 +53,18 @@ class CurationSpec:
         return tuple(name for name, _ in self.queries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosineRanking:
-    """Ids in descending-score order (ties broken by ascending id) with score lookup."""
+    """Int64 ids in descending-score order (ties by ascending id) and their float64 scores."""
 
-    ids: tuple[int, ...]
-    scores: dict[int, float]
+    ids: np.ndarray
+    scores: np.ndarray
 
     def score(self, record_id: int) -> float:
-        return self.scores[record_id]
+        at = np.flatnonzero(self.ids == record_id)
+        if not len(at):
+            raise KeyError(record_id)
+        return float(self.scores[at[0]])
 
 
 def _unit(vector: np.ndarray, context: str) -> np.ndarray:
@@ -157,7 +159,7 @@ def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
 
 
 def load_rejection_list(path: str | Path) -> set[int]:
-    """One id per line; ids to drop before finalization."""
+    """One id per line; ids to drop before finalization.  An id outside int64 names its line."""
     rejected: set[int] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -165,32 +167,32 @@ def load_rejection_list(path: str | Path) -> set[int]:
             if not line:
                 continue
             try:
-                rejected.add(int(line))
+                rejected.add(parse_int64(line))
             except ValueError as exc:
-                raise EmbeddingFileError(f"{path}:{lineno}: bad id {line!r}") from exc
+                raise EmbeddingFileError(f"{path}:{lineno}: bad id {line!r}: {exc}") from exc
     return rejected
 
 
-def _stack(embeddings: Sequence[EmbeddingRecord]) -> tuple[list[int], np.ndarray]:
+def _stack(embeddings: Sequence[EmbeddingRecord]) -> tuple[np.ndarray, np.ndarray]:
     if not embeddings:
         raise ValueError("no embeddings to rank")
-    return [e.id for e in embeddings], np.stack([e.vector for e in embeddings])
+    ids = np.array([e.id for e in embeddings], dtype=np.int64)
+    return ids, np.stack([e.vector for e in embeddings])
 
 
-def rank_rows(ids: Sequence[int], matrix: np.ndarray, query: np.ndarray) -> CosineRanking:
+def rank_rows(ids: np.ndarray, matrix: np.ndarray, query: np.ndarray) -> CosineRanking:
     """Rank the rows of a stacked ``(U, m)`` embedding matrix, row ``i`` having id ``ids[i]``.
 
     Rows are ordered by descending dot product with the query (the cosine
     score, for unit vectors); ties break by ascending id, making the order
-    total and deterministic.  ``ids`` is shared by the returned ranking.
+    total and deterministic.  ``ids`` is taken as an int64 vector.
     """
     if query.shape != matrix.shape[1:]:
         raise ValueError(f"query dimension {query.shape} != embedding dimension {matrix.shape[1:]}")
+    ids = np.asarray(ids, dtype=np.int64)
     raw = matrix @ query
-    order = np.lexsort((np.asarray(ids), -raw))
-    return CosineRanking(
-        ids=tuple(map(ids.__getitem__, order.tolist())), scores=dict(zip(ids, raw.tolist()))
-    )
+    order = np.lexsort((ids, -raw))
+    return CosineRanking(ids=ids[order], scores=raw[order])
 
 
 def cosine_rank(embeddings: Sequence[EmbeddingRecord], query: np.ndarray) -> CosineRanking:
@@ -204,6 +206,23 @@ def rank_all(embeddings: Sequence[EmbeddingRecord], spec: CurationSpec) -> dict[
     return {name: rank_rows(ids, matrix, q) for name, q in spec.queries}
 
 
+def _ranked_positions(
+    rankings: Mapping[str, CosineRanking], names: Sequence[str]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted id universe, and each ranking as positions into it; each holds every id once."""
+    universe = None
+    for name in names:
+        ids = np.sort(rankings[name].ids)
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if len(repeated):
+            raise ValueError(f"ranking {name!r} repeats id {repeated[0]}")
+        if universe is None:
+            universe = ids
+        elif not np.array_equal(ids, universe):
+            raise ValueError("rankings must cover the same embedding universe")
+    return universe, [np.searchsorted(universe, rankings[name].ids) for name in names]
+
+
 def select_labeled(
     rankings: Mapping[str, CosineRanking], spec: CurationSpec
 ) -> dict[str, set[int]]:
@@ -212,39 +231,34 @@ def select_labeled(
     Any id appearing in two or more selections is removed from all of them and
     each affected class refills from its next-ranked candidates, repeating until
     no conflicts remain.  Classes are processed in spec order within each round,
-    and the loop is bounded at the universe size.
+    and the loop is bounded at the universe size.  A ranking that repeats an id
+    is rejected.
     """
-    universes = {frozenset(rankings[name].ids) for name in spec.class_names}
-    if len(universes) != 1:
-        raise ValueError("rankings must cover the same embedding universe")
-    universe_size = len(next(iter(universes)))
+    names = spec.class_names
+    universe, ranked = _ranked_positions(rankings, names)
+    banned = np.zeros(len(universe), dtype=bool)
+    selected = [np.zeros(0, dtype=np.intp) for _ in names]
+    cursor = [0] * len(names)
 
-    banned: set[int] = set()
-    selected: dict[str, list[int]] = {name: [] for name in spec.class_names}
-    cursor: dict[str, int] = {name: 0 for name in spec.class_names}
-
-    for _ in range(universe_size + 1):
-        for name in spec.class_names:
-            ids = rankings[name].ids
-            sel = selected[name]
-            pos = cursor[name]
-            while len(sel) < spec.per_class_top and pos < len(ids):
-                candidate = ids[pos]
-                pos += 1
-                if candidate not in banned:
-                    sel.append(candidate)
-            cursor[name] = pos
-            if len(sel) < spec.per_class_top:
+    for _ in range(len(universe) + 1):
+        for k, name in enumerate(names):
+            need = spec.per_class_top - len(selected[k])
+            if not need:
+                continue
+            tail = ranked[k][cursor[k] :]
+            # The next `need` unbanned candidates; the cursor moves past the last one taken.
+            take = np.flatnonzero(~banned[tail])[:need]
+            if len(take) < need:
                 raise ShortageError(
                     f"class {name!r} cannot reach {spec.per_class_top} ids"
                 )
-        counts = Counter(i for sel in selected.values() for i in sel)
-        conflicted = {i for i, c in counts.items() if c >= 2}
-        if not conflicted:
-            return {name: set(sel) for name, sel in selected.items()}
+            selected[k] = np.concatenate([selected[k], tail[take]])
+            cursor[k] += int(take[-1]) + 1
+        conflicted = np.bincount(np.concatenate(selected), minlength=len(universe)) >= 2
+        if not conflicted.any():
+            return {name: set(universe[sel].tolist()) for name, sel in zip(names, selected)}
         banned |= conflicted
-        for name in spec.class_names:
-            selected[name] = [i for i in selected[name] if i not in conflicted]
+        selected = [sel[~conflicted[sel]] for sel in selected]
     raise RuntimeError("duplicate resolution did not reach a fixpoint")
 
 
@@ -263,7 +277,7 @@ def assemble_background(
                 f"class {name!r} has only {len(ids)} ids, "
                 f"needs {spec.background_low_per_class} for background"
             )
-        background.update(ids[-spec.background_low_per_class :])
+        background.update(ids[-spec.background_low_per_class :].tolist())
     return background - taken
 
 

@@ -1,5 +1,10 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftbench.curate as curate_module
 from driftbench.curate import (
@@ -115,21 +120,48 @@ class TestCosineRank:
         for name, query in queries:
             raw = np.stack(vectors) @ query
             order = sorted(range(len(ids)), key=lambda i: (-raw[i], ids[i]))
-            assert rankings[name].ids == tuple(ids[i] for i in order)
-            assert [(k, v.hex()) for k, v in rankings[name].scores.items()] == [
-                (i, float(r).hex()) for i, r in zip(ids, raw)
-            ]
-            assert rankings[name] == cosine_rank(embeddings, query)
+            ranking = rankings[name]
+            # Bytes, so that dtypes and the sign of a zero score count too.
+            assert ranking.ids.tobytes() == np.array([ids[i] for i in order], dtype=np.int64).tobytes()
+            assert [float(v).hex() for v in ranking.scores] == [float(raw[i]).hex() for i in order]
+            assert [ranking.score(i).hex() for i in ids] == [float(r).hex() for r in raw]
+            again = cosine_rank(embeddings, query)
+            assert (again.ids.tobytes(), again.scores.tobytes()) == (
+                ranking.ids.tobytes(), ranking.scores.tobytes()
+            )
         # Zero scores tie, and ties list the lower id first.
         zero_ids = [i for i, v in zip(ids, vectors) if v[0] == 0.0]
-        first = rankings["q0"].ids
+        first = rankings["q0"].ids.tolist()
         assert [i for i in first if i in set(zero_ids)] == sorted(zero_ids)
 
-    def test_rank_rows_shares_ids(self):
-        ids = [7, 3, 5]
-        ranking = rank_rows(ids, np.eye(3), np.array([0.0, 1.0, 0.0]))
-        assert ranking.ids == (3, 5, 7)
-        assert all(a is b for a, b in zip(ranking.scores, ids))
+    def test_rank_rows_returns_id_and_score_vectors(self):
+        # Ids 7 and 5 tie at score 0, so the lower id comes first.
+        ranking = rank_rows(np.array([7, 3, 5]), np.eye(3), np.array([0.0, 1.0, 0.0]))
+        assert ranking.ids.tobytes() == np.array([3, 5, 7], dtype=np.int64).tobytes()
+        assert ranking.scores.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
+        assert ranking.score(7) == 0.0
+        with pytest.raises(KeyError):
+            ranking.score(4)
+
+    def test_rank_rows_allocates_a_few_words_per_id(self):
+        # Beyond the (U,) product, the negated scores, the order and the two
+        # ranked vectors: no per-id Python object.
+        n = 50_000
+        rng = np.random.default_rng(12)
+        ids = rng.permutation(n).astype(np.int64) * 7919 + 10**12
+        x = rng.standard_normal((n, 8))
+        query = unit(np.arange(8.0))
+        tracemalloc.start()
+        try:
+            ranking = rank_rows(ids, x, query)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        word = 8 * n
+        assert peak <= word + 4 * word, f"peak {peak / n:.1f} bytes per id"
+        assert held <= 2 * word + 4096, f"held {held / n:.1f} bytes per id"
+        assert isinstance(ranking.ids, np.ndarray) and ranking.ids.dtype == np.int64
+        assert isinstance(ranking.scores, np.ndarray) and ranking.scores.dtype == np.float64
 
 
 class TestSelectLabeled:
@@ -201,6 +233,19 @@ class TestSelectLabeled:
             "b": cosine_rank(embeddings[:-1], queries[1][1]),
         }
         with pytest.raises(ValueError, match="universe"):
+            select_labeled(rankings, spec)
+
+    def test_repeated_id_rejected(self):
+        # Positions into one id universe need each id once per ranking.
+        spec = CurationSpec(
+            queries=(("a", unit([1, 0])), ("b", unit([0, 1]))),
+            per_class_top=1, background_low_per_class=1, final_per_class=1,
+        )
+        rankings = {
+            "a": rank_rows(np.array([1, 2, 3]), np.eye(3)[:, :2], unit([1, 0])),
+            "b": rank_rows(np.array([1, 3, 3, 2]), np.eye(4)[:, :2], unit([0, 1])),
+        }
+        with pytest.raises(ValueError, match="ranking 'b' repeats id 3"):
             select_labeled(rankings, spec)
 
 
@@ -352,6 +397,15 @@ class TestFiles:
         p = tmp_path / "reject.txt"
         p.write_text("3\n17\n\n5\n")
         assert load_rejection_list(p) == {3, 17, 5}
+        # An id beyond int64 could never match an embedding id.
+        p.write_text(f"3\n{2**63 - 1}\n{-(2**63)}\n99999999999999999999999\n")
+        with pytest.raises(
+            EmbeddingFileError, match=r"reject\.txt:4: .*99999999999999999999999 outside the int64 range"
+        ):
+            load_rejection_list(p)
+        p.write_text("3\nseven\n")
+        with pytest.raises(EmbeddingFileError, match=r"reject\.txt:2: bad id 'seven'"):
+            load_rejection_list(p)
 
     def test_class_table(self, tmp_path):
         p = tmp_path / "classes.txt"
@@ -388,3 +442,115 @@ def test_curation_spec_validation():
         CurationSpec(queries=q, per_class_top=2, background_low_per_class=1, final_per_class=3)
     with pytest.raises(ValueError):
         CurationSpec(queries=q + q, per_class_top=1, background_low_per_class=1, final_per_class=1)
+
+
+# The tuple/dict/set curation core that rank_rows, select_labeled and
+# assemble_background replaced; they must give the same rankings, sets and errors.
+
+
+def reference_rank(ids, matrix, query):
+    """(ids tuple, id -> score dict) in the order of ``rank_rows``."""
+    if query.shape != matrix.shape[1:]:
+        raise ValueError(f"query dimension {query.shape} != embedding dimension {matrix.shape[1:]}")
+    raw = matrix @ query
+    order = np.lexsort((np.asarray(ids), -raw))
+    return tuple(map(ids.__getitem__, order.tolist())), dict(zip(ids, raw.tolist()))
+
+
+def reference_select(rankings, spec):
+    universes = {frozenset(rankings[name]) for name in spec.class_names}
+    if len(universes) != 1:
+        raise ValueError("rankings must cover the same embedding universe")
+    universe_size = len(next(iter(universes)))
+    banned = set()
+    selected = {name: [] for name in spec.class_names}
+    cursor = {name: 0 for name in spec.class_names}
+    for _ in range(universe_size + 1):
+        for name in spec.class_names:
+            ids = rankings[name]
+            sel = selected[name]
+            pos = cursor[name]
+            while len(sel) < spec.per_class_top and pos < len(ids):
+                candidate = ids[pos]
+                pos += 1
+                if candidate not in banned:
+                    sel.append(candidate)
+            cursor[name] = pos
+            if len(sel) < spec.per_class_top:
+                raise ShortageError(f"class {name!r} cannot reach {spec.per_class_top} ids")
+        counts = Counter(i for sel in selected.values() for i in sel)
+        conflicted = {i for i, c in counts.items() if c >= 2}
+        if not conflicted:
+            return {name: set(sel) for name, sel in selected.items()}
+        banned |= conflicted
+        for name in spec.class_names:
+            selected[name] = [i for i in selected[name] if i not in conflicted]
+    raise RuntimeError("duplicate resolution did not reach a fixpoint")
+
+
+def reference_background(rankings, spec, labeled):
+    taken = set().union(*labeled.values()) if labeled else set()
+    background = set()
+    for name in spec.class_names:
+        ids = rankings[name]
+        if len(ids) < spec.background_low_per_class:
+            raise ShortageError(
+                f"class {name!r} has only {len(ids)} ids, "
+                f"needs {spec.background_low_per_class} for background"
+            )
+        background.update(ids[-spec.background_low_per_class :])
+    return background - taken
+
+
+def outcome(call):
+    try:
+        return "ok", call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def curation_cases(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n, unique=True))
+    # Small integer components (signed zeros included): exact score ties are common.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(-3, 4, (n, m)) * rng.choice([-1.0, 1.0], (n, m))
+    queries = tuple(
+        (f"c{k}", rng.integers(-3, 4, m) * 1.0) for k in range(draw(st.integers(1, 4)))
+    )
+    spec = CurationSpec(
+        queries=queries,
+        # Small heads let shared ids be refilled; large ones run short.
+        per_class_top=draw(st.integers(1, max(1, n // (2 * len(queries)))) | st.integers(1, n + 1)),
+        background_low_per_class=draw(st.integers(1, n + 1)),
+        final_per_class=1,
+    )
+    # Sometimes rank the last class over other rows: a dropped row or a changed id.
+    mismatch = draw(st.sampled_from([None, None, None, "drop", "change"]))
+    class_rows = [(ids, matrix)] * len(queries)
+    if mismatch == "drop" and n > 1:
+        class_rows[-1] = (ids[:-1], matrix[:-1])
+    elif mismatch == "change" and ids[-1] < 2**63 - 1 and ids[-1] + 1 not in ids:
+        class_rows[-1] = (ids[:-1] + [ids[-1] + 1], matrix)
+    return spec, class_rows
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(curation_cases())
+def test_curation_core_matches_tuple_reference(case):
+    spec, class_rows = case
+    rankings, reference = {}, {}
+    for (name, query), (ids, matrix) in zip(spec.queries, class_rows):
+        ranking = rank_rows(np.array(ids, dtype=np.int64), matrix, query)
+        ref_ids, ref_scores = reference_rank(ids, matrix, query)
+        assert ranking.ids.tolist() == list(ref_ids)
+        assert [float(v).hex() for v in ranking.scores] == [ref_scores[i].hex() for i in ref_ids]
+        rankings[name], reference[name] = ranking, ref_ids
+    labeled = outcome(lambda: select_labeled(rankings, spec))
+    assert labeled == outcome(lambda: reference_select(reference, spec))
+    taken = labeled[1] if labeled[0] == "ok" else {name: set() for name in spec.class_names}
+    assert outcome(lambda: assemble_background(rankings, spec, taken)) == outcome(
+        lambda: reference_background(reference, spec, taken)
+    )

@@ -578,6 +578,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{spec}:2: key 'per_class_top': expected int, got 'ten'" in err
 
+    def test_curate_names_both_files_on_dimension_mismatch(self, tmp_path, capsys):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("#m=3\n0\t1.0,0.0,0.0\n1\t0.0,1.0,0.0\n")
+        queries = tmp_path / "q.tsv"
+        queries.write_text("a\t1.0,0.0\n")
+        spec = tmp_path / "cur.cfg"
+        spec.write_text("per_class_top = 1\nbackground_low = 1\nfinal_per_class = 1\n")
+        code = main([
+            "curate", "--embeddings", str(emb), "--queries", str(queries),
+            "--spec", str(spec), "--out", str(tmp_path / "curated"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{queries}: query dimension 2 != embedding dimension 3 of {emb}" in err
+        assert not (tmp_path / "curated").exists()
+
     def test_help_lists_config_keys(self):
         assert "buffer_capacity" in config_reference()
         assert "drift_rate" in config_reference()
