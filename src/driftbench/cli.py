@@ -10,10 +10,11 @@ from typing import Any
 import numpy as np
 
 from . import curate as cur
-from .corpus import write_feature_file
+from .corpus import FieldValueError, write_feature_file
 from .metrics import METRIC_NAMES, compute_metrics
 from .protocol import matrix_from_text
-from .runner import ConfigError, config_reference, run_experiment, validate_config
+from .runner import (ConfigError, _check_keys, _entry_line, _field_diagnostic, _parse_sections,
+                     _Section, config_reference, run_experiment, validate_config)
 
 _CURATE_KEYS: dict[str, tuple[type, str]] = {
     "per_class_top": (int, "head ids retrieved per class"),
@@ -24,29 +25,22 @@ _CURATE_KEYS: dict[str, tuple[type, str]] = {
 }
 
 
-def _parse_curation_spec(path: str) -> dict[str, Any]:
-    values: dict[str, Any] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CURATE_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        target = _CURATE_KEYS[key][0]
-        try:
-            values[key] = target(value)
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: key {key!r}: expected {target.__name__}, got {value!r}"
-            ) from None
+def _parse_curation_spec(path: str) -> tuple[_Section, dict[str, Any]]:
+    """The spec's keys and typed values, read as a run config's are; errors name the file."""
+    try:
+        spec, *sections = _parse_sections(Path(path).read_text(encoding="utf-8"))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    diags = [f"line {s.lineno}: unexpected section [{s.name}]" for s in sections]
+    values = _check_keys(spec, _CURATE_KEYS, diags)
     for required in ("per_class_top", "background_low", "final_per_class"):
-        if required not in values:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-    return values
+        if required not in spec.entries:
+            diags.append(f"missing required key {required!r}")
+    if values.get("seed", 0) < 0:
+        diags.append(f"{_entry_line(spec, 'seed')}: key 'seed' must be >= 0")
+    if diags:
+        raise ConfigError("\n".join(f"{path}: {diag}" for diag in diags))
+    return spec, values
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -62,20 +56,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_curate(args: argparse.Namespace) -> int:
-    values = _parse_curation_spec(args.spec)
-    ids, x = cur.load_embedding_file(args.embeddings)
+    section, values = _parse_curation_spec(args.spec)
     queries = cur.load_query_file(args.queries)
+    try:
+        spec = cur.CurationSpec(
+            queries=tuple(queries),
+            per_class_top=values["per_class_top"],
+            background_low_per_class=values["background_low"],
+            final_per_class=values["final_per_class"],
+        )
+    except FieldValueError as exc:
+        raise ConfigError(f"{args.spec}: {_field_diagnostic(section, exc)}") from None
+    ids, x = cur.load_embedding_file(args.embeddings)
     if queries[0][1].shape != x.shape[1:]:
         raise cur.EmbeddingFileError(
             f"{args.queries}: query dimension {queries[0][1].shape[0]} != "
             f"embedding dimension {x.shape[1]} of {args.embeddings}"
         )
-    spec = cur.CurationSpec(
-        queries=tuple(queries),
-        per_class_top=values["per_class_top"],
-        background_low_per_class=values["background_low"],
-        final_per_class=values["final_per_class"],
-    )
     rankings = {name: cur.rank_rows(ids, x, q) for name, q in spec.queries}
     labeled = cur.select_labeled(rankings, spec)
     background = cur.assemble_background(rankings, spec, labeled)

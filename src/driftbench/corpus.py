@@ -84,6 +84,8 @@ class DriftConfig:
                 raise FieldValueError(field, "must be >= 1")
         if self.d < 2:
             raise FieldValueError("d", "must be >= 2")
+        if self.seed < 0:
+            raise FieldValueError("seed", "must be >= 0")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise FieldValueError("radius", "must be finite and > 0")
         if not (math.isfinite(self.noise) and self.noise > 0):

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import atomic_write, checked_norm, parse_int64, parse_records
+from .corpus import FieldValueError, atomic_write, checked_norm, parse_int64, parse_records
 
 
 class ShortageError(ValueError):
@@ -43,10 +43,11 @@ class CurationSpec:
         names = [name for name, _ in self.queries]
         if len(set(names)) != len(names):
             raise ValueError("query class names must be unique")
-        if min(self.per_class_top, self.background_low_per_class, self.final_per_class) < 1:
-            raise ValueError("all curation counts must be >= 1")
+        for field in ("per_class_top", "background_low_per_class", "final_per_class"):
+            if getattr(self, field) < 1:
+                raise FieldValueError(field, "must be >= 1")
         if self.final_per_class > self.per_class_top:
-            raise ValueError("final_per_class must be <= per_class_top")
+            raise FieldValueError("final_per_class", "must be <= per_class_top")
 
     @property
     def class_names(self) -> tuple[str, ...]:
@@ -104,8 +105,8 @@ def _load_embedding_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, encoding="utf-8") as fh:
         m = _embedding_dimension(fh.readline(), path)
         (ids,), x = parse_records(fh, 1, m, normalize=True)
-    if len(np.unique(ids)) != len(ids):
-        raise ValueError("duplicate id")
+    if len(np.unique(ids)) != len(ids) or (len(ids) and ids.min() < 0):
+        raise ValueError("duplicate or negative id")
     return ids, x
 
 
@@ -127,6 +128,8 @@ def _load_embedding_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
                 raise EmbeddingFileError(f"{path}:{lineno}: {exc}") from exc
             if vec.shape != (m,):
                 raise EmbeddingFileError(f"{path}:{lineno}: expected {m} components")
+            if rid < 0:
+                raise EmbeddingFileError(f"{path}:{lineno}: id must be non-negative")
             if rid in rows:
                 raise EmbeddingFileError(f"{path}:{lineno}: duplicate id {rid}")
             rows[rid] = _unit(vec, f"{path}:{lineno}")

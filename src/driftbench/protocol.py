@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -31,7 +30,7 @@ class ProtocolKind(Enum):
 
 
 class ProtocolOrderError(RuntimeError):
-    """A bucket was trained on before all evaluations targeting it completed."""
+    """A bucket was trained on before all evaluations of it ran, or a run got a non-empty log."""
 
 
 @dataclass(frozen=True)
@@ -179,16 +178,14 @@ def _run_protocol(
     ``first = 0`` for iid and ``i + 1`` for streaming.  A step with no target
     left, streaming's last, only ingests: no model is fit, since none would be
     scored.  The loop builds no per-evaluation object; ``event_log``, if
-    given, receives the step's :class:`Event` objects as the step runs.  Only
-    streaming targets are trained on, so only streaming checks the order.
+    given, starts empty and receives the step's :class:`Event` objects as the
+    step runs.  Only streaming targets are trained on, so only they are checked.
     """
+    if event_log:
+        raise ProtocolOrderError(f"event_log must be empty, got {len(event_log)} events")
     n = len(train_rows)
     streaming = kind is ProtocolKind.STREAMING
-    prior = Counter(e.bucket for e in event_log or () if e.kind == "evaluate")
-    evaluated = np.array([prior[b] for b in range(n)], dtype=np.int64)
-    prior_trained = {e.bucket for e in event_log or () if e.kind == "train"}
-    if streaming and event_log:
-        audit_streaming_order(event_log)
+    evaluated = np.zeros(n, dtype=np.int64)
     buffer = ReplayBuffer.empty(cfg.buffer_capacity)
     sampler_rng = np.random.default_rng(seed + SAMPLER_SEED_OFFSET)
     cells = np.full((n, n), np.nan)
@@ -199,8 +196,6 @@ def _run_protocol(
             raise ProtocolOrderError(
                 f"bucket {i} has {evaluated[i]} of {i} required evaluations before training"
             )
-        if streaming and i > 0 and i in prior_trained:
-            raise ProtocolOrderError(f"bucket {i} was evaluated after a prior train event on it")
         buffer = update_buffer(buffer, train_rows[i], cfg.alpha_policy, sampler_rng)
         if event_log is not None:
             event_log.append(Event(kind="train", step=i, bucket=i))
@@ -260,18 +255,17 @@ def run_streaming_protocol(
 
     No held-out splits: bucket j is evaluated by every earlier predictor before
     it is ever ingested for training.  The ordering is checked at each step,
-    not merely followed by convention: a per-bucket count of evaluations,
-    seeded from the evaluate events already in ``event_log``, must equal the
-    bucket's index before the bucket is trained on, and must not grow after.
-    Events already in ``event_log`` must pass :func:`audit_streaming_order`,
-    and must not train on a bucket this run evaluates.  The last bucket is
-    ingested but no model is fit for it: it has no future bucket to score, so
-    ``N - 1`` models are fit.
+    not merely followed by convention: a per-bucket count of evaluations must
+    equal the bucket's index before the bucket is trained on, and must not
+    grow after.  The last bucket is ingested but no model is fit for it: it
+    has no future bucket to score, so ``N - 1`` models are fit.
 
-    ``event_log``, if given, receives each step's events as the step runs, so
-    a run that raises keeps the events of the steps it began.  Without it no
-    :class:`Event` is built; a run that returns has followed the order above,
-    which is what the runner writes as its event log.
+    ``event_log``, if given, must be empty; a non-empty list raises
+    :class:`ProtocolOrderError` before any step runs and is left as it was.
+    It receives each step's events as the step runs, so a run that raises
+    keeps the events of the steps it began.  Without it no :class:`Event` is
+    built; a run that returns has followed the order above, which is what the
+    runner writes as its event log.
     """
     if stream.n_buckets < 2:
         raise ValueError("streaming protocol needs at least 2 buckets")

@@ -128,8 +128,9 @@ class _Section:
 
 
 def _parse_sections(text: str) -> list[_Section]:
-    sections: list[_Section] = []
-    current: _Section | None = None
+    """The sections of a ``key = value`` text; the first, named ``""``, holds keys before any header."""
+    current = _Section(name="", lineno=0, entries={})
+    sections = [current]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -142,8 +143,6 @@ def _parse_sections(text: str) -> list[_Section]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside any section")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key in current.entries:
@@ -187,9 +186,10 @@ def _entry_line(section: _Section, key: str) -> str:
     return f"section [{section.name}] (line {section.lineno})"
 
 
-# Config key of each DriftConfig and Hyperparams field whose name differs from it.
+# Config key of each DriftConfig, Hyperparams and CurationSpec field whose name differs from it.
 _FIELD_KEYS = {"C": "classes", "d": "dim", "N": "buckets", "n_per_class": "per_class",
-               "learning_rate": "lr", "batch_size": "batch"}
+               "seed": "stream_seed", "learning_rate": "lr", "batch_size": "batch",
+               "background_low_per_class": "background_low"}
 
 
 def _field_diagnostic(section: _Section, exc: FieldValueError) -> str:
@@ -316,6 +316,8 @@ def _build_cell(section: _Section, diags: list[str]) -> CellConfig | None:
     base_seed = int(values.get("base_seed", 0))  # type: ignore[arg-type]
     if n_seeds < 1:
         diags.append(f"{_entry_line(section, 'n_seeds')}: n_seeds must be >= 1")
+    if base_seed < 0:
+        diags.append(f"{_entry_line(section, 'base_seed')}: base_seed must be >= 0")
     capacity = int(values.get("buffer_capacity", 1))  # type: ignore[arg-type]
     if "buffer_capacity" in values and capacity < 1:
         diags.append(f"{_entry_line(section, 'buffer_capacity')}: buffer_capacity must be >= 1")
@@ -338,8 +340,9 @@ def _build_cell(section: _Section, diags: list[str]) -> CellConfig | None:
 
 def validate_config(text: str, out_dir: str | Path) -> ExperimentGrid:
     """Parse and type-check a config; raises :class:`ConfigError` listing every diagnostic."""
-    sections = _parse_sections(text)
-    diags: list[str] = []
+    top, *sections = _parse_sections(text)
+    diags = [f"line {lineno}: key {key!r} outside any section"
+             for key, (_, lineno) in top.entries.items()]
     stream_sections = [s for s in sections if s.name == "stream"]
     cell_sections = [s for s in sections if s.name.startswith("cell:")]
     for s in sections:
@@ -416,6 +419,8 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
         env_base = None if env_seed is None else int(env_seed)
     except ValueError as exc:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
+    if env_base is not None and env_base < 0:
+        raise ConfigError(f"{SEED_ENV_VAR} must be >= 0, got {env_seed!r}")
     grid.out_dir.mkdir(parents=True, exist_ok=True)
     stream = load_stream(grid.stream)
     _write_artifact(grid.out_dir / "stream_manifest.tsv", stream_manifest(stream))

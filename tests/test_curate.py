@@ -351,6 +351,11 @@ class TestFiles:
         p.write_text(f"#m=2\n0\t1.0,2.0\n{2**70}\t2.0,1.0\n")
         with pytest.raises(EmbeddingFileError, match=r"emb\.tsv:3: integer \d+ outside the int64 range"):
             load_embedding_file(p)
+        p.write_text("#m=2\n0\t1.0,2.0\n-3\t2.0,1.0\n")
+        with pytest.raises(ValueError):
+            curate_module._load_embedding_rows(str(p))
+        with pytest.raises(EmbeddingFileError, match=r"emb\.tsv:3: id must be non-negative"):
+            load_embedding_file(p)
 
     def test_well_formed_embedding_file_is_read_as_arrays(self, tmp_path, monkeypatch):
         # A silent fallback to the line-by-line reader would keep results and lose the speed.

@@ -170,6 +170,8 @@ class TestValidateConfig:
             ("per_class = 30", "per_class = 0", "line 6: key 'per_class' must be >= 1"),
             ("lr = 0.5", "momentum = 1.5", r"line 18: key 'momentum' must be in \[0, 1\)"),
             ("decay_epoch = 2", "decay_epoch = 4", "line 21: key 'decay_epoch' must be <= epochs"),
+            ("stream_seed = 7", "stream_seed = -1", "line 9: key 'stream_seed' must be >= 0"),
+            ("base_seed = 0", "base_seed = -1", "line 17: base_seed must be >= 0"),
         ],
     )
     def test_range_error_names_key_line(self, tmp_path, old, new, expected):
@@ -191,6 +193,14 @@ class TestValidateConfig:
         )
         with pytest.raises(ConfigError, match="unique"):
             validate_config(text, tmp_path)
+
+    def test_key_outside_any_section_reported_with_the_rest(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            validate_config("epochs = 3\n" + GOOD_CONFIG.replace("alpha", "aplha"), tmp_path)
+        assert str(err.value).splitlines() == [
+            "line 1: key 'epochs' outside any section",
+            "line 15: unknown key 'aplha' (did you mean 'alpha'?)",
+        ]
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -423,11 +433,13 @@ class TestRunExperiment:
 
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(GOOD_CONFIG)
-        monkeypatch.setenv("DRIFTBENCH_SEED", "abc")
         monkeypatch.setattr(runner_module, "load_stream", no_load)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "DRIFTBENCH_SEED must be an integer, got 'abc'" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [cfg]
+        for value, message in [("abc", "must be an integer, got 'abc'"),
+                               ("-1", "must be >= 0, got '-1'")]:
+            monkeypatch.setenv("DRIFTBENCH_SEED", value)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert f"DRIFTBENCH_SEED {message}" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestCli:
@@ -576,7 +588,64 @@ class TestCli:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{spec}:2: key 'per_class_top': expected int, got 'ten'" in err
+        assert f"{spec}: line 2: key 'per_class_top': expected int, got 'ten'" in err
+
+    @pytest.mark.parametrize("body, expected", [
+        ("per_class_top = 10\nbackground_low = 2\nper_class_top = 20\nfinal_per_class = 2\n",
+         ["line 3: duplicate key 'per_class_top' (first on line 1)"]),
+        ("# counts\nper_clas_top = 10\nseed = x\nbackground_low = 2\n[extra]\n", [
+            "line 5: unexpected section [extra]",
+            "line 2: unknown key 'per_clas_top' (did you mean 'per_class_top'?)",
+            "line 3: key 'seed': expected int, got 'x'",
+            "missing required key 'per_class_top'",
+            "missing required key 'final_per_class'",
+        ]),
+        ("per_class_top = 4\nbackground_low = 2\nfinal_per_class = 2\nseed = -1\n",
+         ["line 4: key 'seed' must be >= 0"]),
+        ("per_class_top = 0\nbackground_low = 2\nfinal_per_class = 2\n",
+         ["line 1: key 'per_class_top' must be >= 1"]),
+        ("per_class_top = 4\nbackground_low = 0\nfinal_per_class = 2\n",
+         ["line 2: key 'background_low' must be >= 1"]),
+        ("per_class_top = 1\nbackground_low = 2\nfinal_per_class = 2\n",
+         ["line 3: key 'final_per_class' must be <= per_class_top"]),
+    ], ids=["duplicate", "together", "seed", "per_class_top", "background_low", "final_per_class"])
+    def test_curate_spec_errors_name_file_key_and_line(self, tmp_path, capsys, body, expected):
+        # Every spec is rejected before the embedding file, which does not exist, is opened.
+        spec = tmp_path / "cur.cfg"
+        spec.write_text(body)
+        queries = tmp_path / "q.tsv"
+        queries.write_text("a\t1.0,0.0\n")
+        code = main([
+            "curate", "--embeddings", str(tmp_path / "emb.tsv"), "--queries", str(queries),
+            "--spec", str(spec), "--out", str(tmp_path / "curated"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "driftbench: error: " + "\n".join(f"{spec}: {line}" for line in expected) + "\n"
+
+    def test_curate_rejects_negative_ids_by_line(self, tmp_path, capsys):
+        # Written out, such ids make a features.tsv that the run's reader rejects.
+        emb = tmp_path / "emb.tsv"
+        vecs = np.random.default_rng(2).standard_normal((40, 2)).tolist()
+        emb.write_text("#m=2\n" + "".join(f"{i - 20}\t{a!r},{b!r}\n" for i, (a, b) in enumerate(vecs)))
+        queries = tmp_path / "q.tsv"
+        queries.write_text("a\t1.0,0.0\n")
+        spec = tmp_path / "cur.cfg"
+        spec.write_text("per_class_top = 5\nbackground_low = 5\nfinal_per_class = 5\n")
+        code = main([
+            "curate", "--embeddings", str(emb), "--queries", str(queries),
+            "--spec", str(spec), "--out", str(tmp_path / "curated"),
+        ])
+        assert code == 2
+        assert f"{emb}:2: id must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "curated").exists()
+
+    def test_negative_stream_seed_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("stream_seed = 7", "stream_seed = -1"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "line 9: key 'stream_seed' must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_curate_names_both_files_on_dimension_mismatch(self, tmp_path, capsys):
         emb = tmp_path / "emb.tsv"
