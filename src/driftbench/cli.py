@@ -86,7 +86,7 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows, labels = cur.curated_rows(dataset, ids)
     C = len(dataset.class_names)
-    write_feature_file(out / "features.tsv", ids[rows], np.zeros_like(rows), labels, x[rows], C)
+    write_feature_file(out / "features.tsv", ids[rows], np.zeros_like(rows), labels, x, rows, C)
     cur.write_class_table(out / "classes.txt", dataset.class_names)
     print(f"wrote {len(rows)} samples across {C} classes to {out}")
     return 0

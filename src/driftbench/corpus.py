@@ -168,12 +168,18 @@ def generate_drift_stream(cfg: DriftConfig) -> TemporalStream:
     x = np.empty((cfg.N * size, cfg.d))
     y = np.empty(cfg.N * size, dtype=np.int64)
     labels = np.repeat(np.arange(cfg.C), cfg.n_per_class)
+    # The one bucket-sized temporary, refilled for each bucket with the
+    # roundings of ``means + noise * sigma``.
+    points = np.empty((cfg.C, cfg.n_per_class, cfg.d))
     for t in range(cfg.N):
-        noise = rng.standard_normal((cfg.C, cfg.n_per_class, cfg.d)) * cfg.noise
-        points = (class_means(cfg, t)[:, None, :] + noise).reshape(size, cfg.d)
+        rng.standard_normal(out=points)
+        points *= cfg.noise
+        points += class_means(cfg, t)[:, None, :]
         order = rng.permutation(size)
-        x[t * size : (t + 1) * size] = points[order]
-        y[t * size : (t + 1) * size] = labels[order]
+        bucket = slice(t * size, (t + 1) * size)
+        # A permutation is never clipped; mode="raise" would buffer the output.
+        np.take(points.reshape(size, cfg.d), order, axis=0, out=x[bucket], mode="clip")
+        y[bucket] = labels[order]
     ids, timestamps = np.arange(cfg.N * size), np.repeat(np.arange(cfg.N), size)
     return TemporalStream(x, y, ids, timestamps, np.arange(cfg.N + 1) * size, cfg.C)
 
@@ -353,13 +359,19 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_feature_file(
-    path: str | Path, ids: np.ndarray, timestamps: np.ndarray, labels: np.ndarray, x: np.ndarray, C: int
+    path: str | Path, ids: np.ndarray, timestamps: np.ndarray, labels: np.ndarray,
+    x: np.ndarray, rows: np.ndarray, C: int,
 ) -> None:
-    """Write rows in the feature-file format read by :func:`read_feature_file`, atomically."""
+    """Write records in the feature-file format read by :func:`read_feature_file`, atomically.
+
+    Record ``i`` is ``ids[i]``, ``timestamps[i]``, ``labels[i]`` and the
+    features ``x[rows[i]]``, read from ``x`` one row at a time: no
+    ``x[rows]`` matrix is built.
+    """
     with atomic_write(path) as fh:
         fh.write(f"#d={x.shape[1]} C={C}\n")
-        for sid, ts, label, row in zip(ids.tolist(), timestamps.tolist(), labels.tolist(), x):
-            feats = ",".join(repr(float(v)) for v in row.tolist())
+        for sid, ts, label, row in zip(ids.tolist(), timestamps.tolist(), labels.tolist(), rows):
+            feats = ",".join(repr(float(v)) for v in x[row].tolist())
             fh.write(f"{sid}\t{ts}\t{label}\t{feats}\n")
 
 

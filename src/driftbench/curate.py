@@ -137,9 +137,13 @@ def _load_embedding_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
-    """Load ``class_name<TAB>v1,...,vm`` query lines, unit-normalizing each vector."""
+    """Load ``class_name<TAB>v1,...,vm`` query lines, unit-normalizing each vector.
+
+    A repeated class name is rejected at its line.
+    """
     path = str(path)
     queries: list[tuple[str, np.ndarray]] = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -148,11 +152,17 @@ def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise EmbeddingFileError(f"{path}:{lineno}: expected 'name<TAB>vector'")
+            name = parts[0]
+            if name in first_line:
+                raise EmbeddingFileError(
+                    f"{path}:{lineno}: duplicate class name {name!r} (first on line {first_line[name]})"
+                )
+            first_line[name] = lineno
             try:
                 vec = np.array([float(v) for v in parts[1].split(",")])
             except ValueError as exc:
                 raise EmbeddingFileError(f"{path}:{lineno}: {exc}") from exc
-            queries.append((parts[0], _unit(vec, f"{path}:{lineno}")))
+            queries.append((name, _unit(vec, f"{path}:{lineno}")))
     if not queries:
         raise EmbeddingFileError(f"{path}: no queries found")
     dims = {q.shape[0] for _, q in queries}

@@ -18,9 +18,9 @@ SPLIT_SEED_OFFSET = 0
 SAMPLER_SEED_OFFSET = 1000
 LEARNER_SEED_OFFSET = 2000
 
-# Consecutive evaluation targets are scored in one predict_batch call while
-# their rows fit this budget; a larger target is scored alone.  It bounds the
-# activations made per call, so memory does not grow with the stream.
+# Scoring reads at most this many target rows per predict_batch call; a call
+# may span targets and a large target spans calls.  It bounds the rows gathered
+# and the activations made per call, so that memory does not grow with the stream.
 SCORE_BATCH_ROWS = 1024
 
 
@@ -138,34 +138,31 @@ def evaluate(state: LearnerState, test: Sequence[Sample]) -> float:
     return float(np.mean(predict_batch(state, x) == y))
 
 
-def _score(state: LearnerState, x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> list[float]:
-    """Accuracy of ``state`` on each target ``t``, the rows ``offsets[t]:offsets[t + 1]``.
+def _score(
+    state: LearnerState, stream: TemporalStream, rows: np.ndarray | None, offsets: np.ndarray
+) -> list[float]:
+    """Accuracy of ``state`` on each target ``t``, the positions ``offsets[t]:offsets[t + 1]``.
 
-    Each cell equals :func:`evaluate` on its target alone.  Runs of
-    consecutive targets within ``SCORE_BATCH_ROWS`` rows share one
-    ``predict_batch`` call on a contiguous view; per-row hits are summed back
-    per target.
+    Position ``p`` is the stream row ``rows[p]``, or row ``p`` itself when
+    ``rows`` is None; then each chunk is a contiguous view of ``stream.x``,
+    and otherwise a gather of at most ``SCORE_BATCH_ROWS`` rows.  Each cell
+    equals :func:`evaluate` on its target alone: the per-row hits of the
+    chunks are summed back per target.
     """
-    bounds = offsets.tolist()
-    scores: list[float] = []
-    start, n = 0, len(bounds) - 1
-    while start < n:
-        stop = start + 1
-        while stop < n and bounds[stop + 1] - bounds[start] <= SCORE_BATCH_ROWS:
-            stop += 1
-        lo, hi = bounds[start], bounds[stop]
-        hits = predict_batch(state, x[lo:hi]) == y[lo:hi]
-        sizes = np.diff(offsets[start : stop + 1])
-        scores.extend((np.add.reduceat(hits, offsets[start:stop] - lo) / sizes).tolist())
-        start = stop
-    return scores
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    hits = np.empty(hi - lo, dtype=bool)
+    for start in range(lo, hi, SCORE_BATCH_ROWS):
+        stop = min(start + SCORE_BATCH_ROWS, hi)
+        chunk = slice(start, stop) if rows is None else rows[start:stop]
+        hits[start - lo : stop - lo] = predict_batch(state, stream.x[chunk]) == stream.y[chunk]
+    return (np.add.reduceat(hits, offsets[:-1] - lo) / np.diff(offsets)).tolist()
 
 
 def _run_protocol(
     kind: ProtocolKind,
     stream: TemporalStream,
     train_rows: Sequence[Sequence[int]],
-    targets: tuple[np.ndarray, np.ndarray, np.ndarray],
+    targets: tuple[np.ndarray | None, np.ndarray],
     cfg: RunConfig,
     seed: int,
     event_log: list[Event] | None,
@@ -174,10 +171,10 @@ def _run_protocol(
 
     Step ``i`` folds the stream rows ``train_rows[i]`` into the replay buffer,
     trains on the buffer's rows (Napping: on ``train_rows[0]``) and scores the
-    targets ``first:`` of the ``(x, y, offsets)`` target table, with
-    ``first = 0`` for iid and ``i + 1`` for streaming.  A step with no target
-    left, streaming's last, only ingests: no model is fit, since none would be
-    scored.  The loop builds no per-evaluation object; ``event_log``, if
+    targets ``first:`` of the ``(rows, offsets)`` target table, which holds
+    no features (see :func:`_score`), with ``first = 0`` for iid and
+    ``i + 1`` for streaming.  A step with no target left, streaming's last,
+    only ingests: no model is fit, since none would be scored.  The loop builds no per-evaluation object; ``event_log``, if
     given, starts empty and receives the step's :class:`Event` objects as the
     step runs.  Only streaming targets are trained on, so only they are checked.
     """
@@ -190,7 +187,7 @@ def _run_protocol(
     sampler_rng = np.random.default_rng(seed + SAMPLER_SEED_OFFSET)
     cells = np.full((n, n), np.nan)
     state: LearnerState | None = None
-    target_x, target_y, target_offsets = targets
+    target_rows, target_offsets = targets
     for i in range(n):
         if streaming and evaluated[i] != i:
             raise ProtocolOrderError(
@@ -206,7 +203,7 @@ def _run_protocol(
             state = strategy_step(
                 cfg.strategy, state, i, stream.x[rows], stream.y[rows], hp, cfg.architecture
             )
-            cells[i, first:] = _score(state, target_x, target_y, target_offsets[first:])
+            cells[i, first:] = _score(state, stream, target_rows, target_offsets[first:])
             if event_log is not None:
                 event_log.extend(Event(kind="evaluate", step=i, bucket=j) for j in range(first, n))
             evaluated[first:] += 1
@@ -223,10 +220,11 @@ def run_iid_protocol(
 ) -> AccuracyMatrix:
     """Per-bucket 70/30-style splits; every predictor is evaluated on all held-out test sets.
 
-    Test sets are fixed once per seed and never trained on; their rows are
-    gathered once into the target table.  Training data for each step is the
-    replay buffer after ingesting the bucket's train split (Napping trains
-    once, on the first bucket's train split).  ``event_log`` is as for
+    Test sets are fixed once per seed and never trained on.  The target table
+    is their row index vector plus per-bucket offsets, so their features are
+    scored in place and never copied as a whole.  Training data for each step
+    is the replay buffer after ingesting the bucket's train split (Napping
+    trains once, on the first bucket's train split).  ``event_log`` is as for
     :func:`run_streaming_protocol`.
     """
     if stream.n_buckets < 2:
@@ -240,7 +238,7 @@ def run_iid_protocol(
     ]
     test_rows = np.concatenate([test for _, test in splits])
     test_offsets = np.cumsum([0] + [len(test) for _, test in splits])
-    targets = (stream.x[test_rows], stream.y[test_rows], test_offsets)
+    targets = (test_rows, test_offsets)
     train_rows = [train.tolist() for train, _ in splits]
     return _run_protocol(ProtocolKind.IID, stream, train_rows, targets, cfg, seed, event_log)
 
@@ -271,7 +269,7 @@ def run_streaming_protocol(
         raise ValueError("streaming protocol needs at least 2 buckets")
     bounds = stream.offsets.tolist()
     train_rows = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    targets = (stream.x, stream.y, stream.offsets)
+    targets = (None, stream.offsets)
     return _run_protocol(ProtocolKind.STREAMING, stream, train_rows, targets, cfg, seed, event_log)
 
 

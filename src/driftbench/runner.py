@@ -252,9 +252,11 @@ def _build_cell(section: _Section, diags: list[str]) -> CellConfig | None:
         return None
     values = _check_keys(section, _CELL_KEYS, diags)
     start = len(diags)
+    # Presence is checked on the raw entries: a key whose value failed to
+    # convert has been reported once already.
 
     protocol: ProtocolKind | None = None
-    if "protocol" not in values:
+    if "protocol" not in section.entries:
         diags.append(f"{_entry_line(section, 'protocol')}: missing required key 'protocol'")
     else:
         try:
@@ -263,7 +265,7 @@ def _build_cell(section: _Section, diags: list[str]) -> CellConfig | None:
             diags.append(f"{_entry_line(section, 'protocol')}: protocol must be 'iid' or 'streaming'")
 
     strategy: Strategy | None = None
-    if "strategy" not in values:
+    if "strategy" not in section.entries:
         diags.append(f"{_entry_line(section, 'strategy')}: missing required key 'strategy'")
     else:
         try:
@@ -283,7 +285,7 @@ def _build_cell(section: _Section, diags: list[str]) -> CellConfig | None:
     except ValueError as exc:
         diags.append(f"{_entry_line(section, 'alpha')}: {exc}")
 
-    if "buffer_capacity" not in values:
+    if "buffer_capacity" not in section.entries:
         diags.append(f"{_entry_line(section, 'buffer_capacity')}: missing required key 'buffer_capacity'")
 
     train_fraction = values.get("train_fraction")

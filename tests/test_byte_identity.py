@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import driftbench.protocol as protocol_module
 from driftbench.cli import main
 from driftbench.runner import run_experiment, validate_config
 
@@ -134,6 +135,14 @@ def test_pinned_grid_artifacts_match_recorded_digests(source, tmp_path, monkeypa
     assert sorted(got) == sorted(want)
     changed = sorted(name for name in want if got[name] != want[name])
     assert not changed, f"artifacts differ from the recorded digests: {changed}"
+
+
+@pytest.mark.parametrize("source", ["synthetic", "file"])
+def test_chunked_scoring_matches_recorded_digests(source, tmp_path, monkeypatch):
+    # Below every bucket (16 rows at least) and iid test split (4 rows at
+    # least), so each target is scored over several predict_batch calls.
+    monkeypatch.setattr(protocol_module, "SCORE_BATCH_ROWS", 3)
+    test_pinned_grid_artifacts_match_recorded_digests(source, tmp_path, monkeypatch)
 
 
 def write_curation_inputs(root: Path) -> list[str]:

@@ -249,7 +249,7 @@ class TestFeatureFile:
     def test_roundtrip(self, tmp_path):
         ids, ts, x, y = make_rows(3, d=4, labels=[0, 1, 2])
         path = tmp_path / "f.tsv"
-        write_feature_file(path, ids, ts, y, x, C=3)
+        write_feature_file(path, ids, ts, y, x, np.arange(len(x)), C=3)
         assert path.read_text().startswith("#d=4 C=3\n")
         *arrays, c = read_feature_file(path)
         assert c == 3
@@ -310,7 +310,7 @@ class TestFeatureFile:
         # A silent fallback to the line-by-line reader would keep results and lose the speed.
         path = tmp_path / "f.tsv"
         ids, ts, x, y = make_rows(40, d=5, labels=[i % 3 for i in range(40)])
-        write_feature_file(path, ids, ts, y, x, C=3)
+        write_feature_file(path, ids, ts, y, x, np.arange(len(x)), C=3)
         expected = corpus_module._load_feature_lines(str(path), normalize)
 
         def no_fallback(path, normalize):
@@ -337,7 +337,7 @@ class TestAtomicWrite:
         x = x.astype(object)
         x[2, 1] = "x"
         with pytest.raises(ValueError):
-            write_feature_file(path, ids, ts, y, x, C=1)
+            write_feature_file(path, ids, ts, y, x, np.arange(len(x)), C=1)
         assert list(tmp_path.iterdir()) == ([path] if existing else [])
         if existing:
             assert path.read_text() == "old\n"

@@ -98,7 +98,8 @@ lr = 0.5
 def write_drift_file(path, cfg, C):
     """A synthetic stream written as a feature file whose header declares ``C`` classes."""
     stream = generate_drift_stream(cfg)
-    write_feature_file(path, stream.ids, stream.timestamps, stream.y, stream.x, C)
+    rows = np.arange(len(stream.ids))
+    write_feature_file(path, stream.ids, stream.timestamps, stream.y, stream.x, rows, C)
 
 
 class TestValidateConfig:
@@ -155,6 +156,11 @@ class TestValidateConfig:
     def test_missing_required_keys(self, tmp_path):
         bad = GOOD_CONFIG.replace("buffer_capacity = 90\n", "")
         with pytest.raises(ConfigError, match="buffer_capacity"):
+            validate_config(bad, tmp_path)
+
+    def test_unconvertible_required_key_reported_once(self, tmp_path):
+        bad = GOOD_CONFIG.replace("buffer_capacity = 90", "buffer_capacity = lots")
+        with pytest.raises(ConfigError, match="^line 15: key 'buffer_capacity': expected int, got 'lots'$"):
             validate_config(bad, tmp_path)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -622,6 +628,19 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "driftbench: error: " + "\n".join(f"{spec}: {line}" for line in expected) + "\n"
+
+    def test_curate_names_repeated_query_class_by_line(self, tmp_path, capsys):
+        queries = tmp_path / "q.tsv"
+        queries.write_text("a\t1.0,0.0\nb\t0.0,1.0\n# note\na\t0.6,0.8\n")
+        spec = tmp_path / "cur.cfg"
+        spec.write_text("per_class_top = 2\nbackground_low = 2\nfinal_per_class = 1\n")
+        code = main([
+            "curate", "--embeddings", str(tmp_path / "emb.tsv"), "--queries", str(queries),
+            "--spec", str(spec), "--out", str(tmp_path / "curated"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"driftbench: error: {queries}:4: duplicate class name 'a' (first on line 1)\n"
 
     def test_curate_rejects_negative_ids_by_line(self, tmp_path, capsys):
         # Written out, such ids make a features.tsv that the run's reader rejects.
