@@ -5,42 +5,16 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from . import curate as cur
-from .corpus import FieldValueError, write_feature_file
+from .corpus import write_feature_file
 from .metrics import METRIC_NAMES, compute_metrics
 from .protocol import matrix_from_text
-from .runner import (ConfigError, _check_keys, _entry_line, _field_diagnostic, _parse_sections,
-                     _Section, config_reference, run_experiment, validate_config)
-
-_CURATE_KEYS: dict[str, tuple[type, str]] = {
-    "per_class_top": (int, "head ids retrieved per class"),
-    "background_low": (int, "lowest-scoring ids per class feeding the background pool"),
-    "final_per_class": (int, "final balanced count per class (background included)"),
-    "seed": (int, "subsample seed (default 0)"),
-    "reject_file": (str, "optional path with one id per line to drop before finalizing"),
-}
-
-
-def _parse_curation_spec(path: str) -> tuple[_Section, dict[str, Any]]:
-    """The spec's keys and typed values, read as a run config's are; errors name the file."""
-    try:
-        spec, *sections = _parse_sections(Path(path).read_text(encoding="utf-8"))
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    diags = [f"line {s.lineno}: unexpected section [{s.name}]" for s in sections]
-    values = _check_keys(spec, _CURATE_KEYS, diags)
-    for required in ("per_class_top", "background_low", "final_per_class"):
-        if required not in spec.entries:
-            diags.append(f"missing required key {required!r}")
-    if values.get("seed", 0) < 0:
-        diags.append(f"{_entry_line(spec, 'seed')}: key 'seed' must be >= 0")
-    if diags:
-        raise ConfigError("\n".join(f"{path}: {diag}" for diag in diags))
-    return spec, values
+from .runner import (ConfigError, config_reference, curation_reference, run_experiment,
+                     validate_config)
+from .runner import read_curation_spec as _parse_curation_spec  # the name bench/child.py calls
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -56,17 +30,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_curate(args: argparse.Namespace) -> int:
-    section, values = _parse_curation_spec(args.spec)
+    config = _parse_curation_spec(args.spec)
     queries = cur.load_query_file(args.queries)
-    try:
-        spec = cur.CurationSpec(
-            queries=tuple(queries),
-            per_class_top=values["per_class_top"],
-            background_low_per_class=values["background_low"],
-            final_per_class=values["final_per_class"],
-        )
-    except FieldValueError as exc:
-        raise ConfigError(f"{args.spec}: {_field_diagnostic(section, exc)}") from None
+    spec = config.spec(queries)
     ids, x = cur.load_embedding_file(args.embeddings)
     if queries[0][1].shape != x.shape[1:]:
         raise cur.EmbeddingFileError(
@@ -77,11 +43,11 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     labeled = cur.select_labeled(rankings, spec)
     background = cur.assemble_background(rankings, spec, labeled)
     del rankings  # two vectors per class as long as the file: not held through the write below
-    if "reject_file" in values:
-        rejected = cur.load_rejection_list(values["reject_file"])
+    if "reject_file" in config.values:
+        rejected = cur.load_rejection_list(config.values["reject_file"])
         labeled = {name: chosen - rejected for name, chosen in labeled.items()}
         background -= rejected
-    dataset = cur.finalize_bucket(labeled, background, spec, seed=values.get("seed", 0))
+    dataset = cur.finalize_bucket(labeled, background, spec, seed=config.values["seed"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows, labels = cur.curated_rows(dataset, ids)
@@ -128,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="curate a labeled dataset from precomputed embeddings",
         description="Rank embeddings against each query class, resolve cross-class "
         "duplicates, assemble a background class, and write a balanced feature file.\n\n"
-        "curation spec keys:\n"
-        + "\n".join(f"  {k:<16} {v}" for k, (_, v) in _CURATE_KEYS.items()),
+        + curation_reference(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     curate_p.add_argument("--embeddings", required=True, help="embedding file (#m=<m> header)")

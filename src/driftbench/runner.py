@@ -1,11 +1,12 @@
-"""Experiment driver: config parsing, grid expansion, execution, and artifact emission."""
+"""Run config and curation spec parsing, grid expansion, execution, and artifact emission."""
 
 from __future__ import annotations
 
 import difflib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any, Callable, Mapping, Sequence
 
 from .corpus import (
     DriftConfig,
@@ -17,6 +18,7 @@ from .corpus import (
     read_feature_file,
     stream_manifest,
 )
+from .curate import CurationSpec
 from .learner import Hyperparams, Strategy, parse_architecture, parse_strategy
 from .metrics import AggregateReport, aggregate, compute_metrics, csv_rows, report_text
 from .protocol import (
@@ -82,42 +84,85 @@ class ExperimentResult:
         return not self.failures
 
 
-# One (type, help text) entry per accepted key.  Presence checks that depend
-# on other keys are handled in the build step below.
-_STREAM_KEYS: dict[str, tuple[type, str]] = {
-    "source": (str, "synthetic | file"),
-    "buckets": (int, "number of buckets N"),
-    "classes": (int, "synthetic: class count"),
-    "dim": (int, "synthetic: feature dimension"),
-    "per_class": (int, "synthetic: samples per class per bucket"),
-    "radius": (float, "synthetic: class-circle radius (default 1.0)"),
-    "drift_rate": (float, "synthetic: radians of rotation per bucket (default 0.0)"),
-    "noise": (float, "synthetic: Gaussian noise sigma"),
-    "stream_seed": (int, "synthetic: generator seed (default 0)"),
-    "path": (str, "file: feature file path"),
-    "normalize": (bool, "file: L2-normalize features (default false)"),
+_REQUIRED = object()
+
+# key -> (converter, default, help text).  A default is config text, converted
+# as a value read from the file would be; a dataclass's own defaults are read
+# from its fields.  _REQUIRED keys have none, and an optional key whose default
+# is None stays unset when absent.  A converter is a type (its error names the
+# key and type) or a parser (its error is the message).
+_Key = tuple[Callable[[str], Any], Any, str]
+
+
+def _protocol(text: str) -> ProtocolKind:
+    if text not in ("iid", "streaming"):
+        raise ValueError("protocol must be 'iid' or 'streaming'")
+    return ProtocolKind(text)
+
+
+def _architecture(text: str) -> str:
+    """``text`` once it parses; the stream's d and C are known only when the cell runs."""
+    parse_architecture(text, d=1, C=1)
+    return text
+
+
+_STREAM_KEYS: dict[str, _Key] = {
+    "source": (str, _REQUIRED, "synthetic | file"),
+    "buckets": (int, _REQUIRED, "number of buckets N"),
 }
 
-_CELL_KEYS: dict[str, tuple[type, str]] = {
-    "protocol": (str, "iid | streaming"),
-    "strategy": (str, "napping | from_scratch | finetuning"),
-    "architecture": (str, "linear | mlp:<hidden> (default linear)"),
-    "alpha": (str, "fixed:<value> | dynamic:<coefficient> (default fixed:1.0)"),
-    "buffer_capacity": (int, "replay buffer size k"),
-    "train_fraction": (float, "iid only: train split fraction in (0,1)"),
-    "n_seeds": (int, "runs per cell (default 5)"),
-    "base_seed": (int, "first run seed (default 0)"),
-    "lr": (float, "learning rate (default 1.0 linear, 0.1 mlp)"),
-    "momentum": (float, "SGD momentum (default 0.9)"),
-    "weight_decay": (float, "L2 penalty (default 0.0)"),
-    "batch": (int, "minibatch size (default 256)"),
-    "epochs": (int, "training epochs (default 100)"),
-    "decay_epoch": (int, "decay lr after this many epochs (default 60)"),
-    "decay_factor": (float, "lr decay multiplier (default 0.1)"),
+# The keys each source takes besides the two above; the other source's keys are out of place.
+_SOURCE_KEYS: dict[str, dict[str, _Key]] = {
+    "synthetic": {
+        "classes": (int, _REQUIRED, "synthetic: class count"),
+        "dim": (int, _REQUIRED, "synthetic: feature dimension"),
+        "per_class": (int, _REQUIRED, "synthetic: samples per class per bucket"),
+        "radius": (float, "1.0", "synthetic: class-circle radius"),
+        "drift_rate": (float, "0.0", "synthetic: radians of rotation per bucket"),
+        "noise": (float, _REQUIRED, "synthetic: Gaussian noise sigma"),
+        "stream_seed": (int, "0", "synthetic: generator seed"),
+    },
+    "file": {
+        "path": (str, _REQUIRED, "file: feature file path"),
+        "normalize": (bool, str(StreamSpec.normalize).lower(), "file: L2-normalize features"),
+    },
 }
 
-_SYNTHETIC_ONLY = {"classes", "dim", "per_class", "radius", "drift_rate", "noise", "stream_seed"}
-_FILE_ONLY = {"path", "normalize"}
+# Without a valid source every stream key is type-checked, and none is required.
+_ANY_STREAM_KEYS = {key: (convert, None, text) for table in (_STREAM_KEYS, *_SOURCE_KEYS.values())
+                    for key, (convert, _, text) in table.items()}
+
+_CELL_KEYS: dict[str, _Key] = {
+    "protocol": (_protocol, _REQUIRED, "iid | streaming"),
+    "strategy": (parse_strategy, _REQUIRED, "napping | from_scratch | finetuning"),
+    "architecture": (_architecture, "linear", "linear | mlp:<hidden>"),
+    "alpha": (parse_policy, "fixed:1.0", "fixed:<value> | dynamic:<coefficient>"),
+    "buffer_capacity": (int, _REQUIRED, "replay buffer size k"),
+    "train_fraction": (float, None, "iid only: train split fraction in (0,1)"),
+    "n_seeds": (int, "5", "runs per cell"),
+    "base_seed": (int, "0", "first run seed"),
+    "lr": (float, None, "learning rate (default 1.0 linear, 0.1 mlp)"),
+    "momentum": (float, str(Hyperparams.momentum), "SGD momentum"),
+    "weight_decay": (float, str(Hyperparams.weight_decay), "L2 penalty"),
+    "batch": (int, str(Hyperparams.batch_size), "minibatch size"),
+    "epochs": (int, str(Hyperparams.epochs), "training epochs"),
+    "decay_epoch": (int, str(Hyperparams.decay_epoch), "decay lr after this many epochs"),
+    "decay_factor": (float, str(Hyperparams.decay_factor), "lr decay multiplier"),
+}
+
+_CURATE_KEYS: dict[str, _Key] = {
+    "per_class_top": (int, _REQUIRED, "head ids retrieved per class"),
+    "background_low": (int, _REQUIRED, "lowest-scoring ids per class feeding the background pool"),
+    "final_per_class": (int, _REQUIRED, "final balanced count per class (background included)"),
+    "seed": (int, "0", "subsample seed"),
+    "reject_file": (str, None, "optional path with one id per line to drop before finalizing"),
+}
+
+# Config key of each dataclass field whose name differs from it.
+_FIELD_KEYS = {"C": "classes", "d": "dim", "N": "buckets", "n_buckets": "buckets",
+               "n_per_class": "per_class", "seed": "stream_seed", "learning_rate": "lr",
+               "batch_size": "batch", "arch_text": "architecture", "policy": "alpha",
+               "background_low_per_class": "background_low"}
 
 
 @dataclass
@@ -152,94 +197,88 @@ def _parse_sections(text: str) -> list[_Section]:
     return sections
 
 
-def _convert(raw: str, target: type, key: str, lineno: int, diags: list[str]):
-    try:
-        if target is bool:
-            if raw.lower() not in ("true", "false"):
-                raise ValueError("expected true or false")
-            return raw.lower() == "true"
-        return target(raw)
-    except ValueError:
-        diags.append(f"line {lineno}: key {key!r}: expected {target.__name__}, got {raw!r}")
-        return None
+def _at(section: _Section, key: str) -> str:
+    """Where a diagnostic on ``key`` points: its line, else its section header (the spec has none)."""
+    if key in section.entries:
+        return f"line {section.entries[key][1]}: "
+    return f"section [{section.name}] (line {section.lineno}): " if section.lineno else ""
 
 
-def _check_keys(
-    section: _Section, known: dict[str, tuple[type, str]], diags: list[str]
-) -> dict[str, object]:
-    values: dict[str, object] = {}
+def _convert(convert: Callable[[str], Any], text: str) -> Any:
+    if convert is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(text)
+        return text.lower() == "true"
+    return convert(text)
+
+
+def _read_keys(
+    section: _Section, keys: dict[str, _Key], diags: list[str], foreign: Mapping[str, str] = {}
+) -> dict[str, Any]:
+    """The section's values converted by ``keys``, with defaults filled in.
+
+    Each bad entry gets one diagnostic at its line: an unknown key (with a
+    did-you-mean hint), a key of ``foreign`` (with why it is out of place) or
+    a value its converter rejects.  A required key is reported missing only
+    when it has no entry.  A rejected optional value is replaced by its
+    default, so the checks that follow see the rest of the section.
+    """
+    values: dict[str, Any] = {}
     for key, (raw, lineno) in section.entries.items():
-        if key not in known:
-            hint = difflib.get_close_matches(key, known, n=1)
+        if key in foreign:
+            diags.append(f"line {lineno}: key {key!r} {foreign[key]}")
+        elif key not in keys:
+            hint = difflib.get_close_matches(key, [*keys, *foreign], n=1)
             suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
             diags.append(f"line {lineno}: unknown key {key!r}{suffix}")
+        else:
+            convert = keys[key][0]
+            try:
+                values[key] = _convert(convert, raw)
+            except ValueError as exc:
+                typed = f"key {key!r}: expected {convert.__name__}, got {raw!r}"
+                diags.append(f"line {lineno}: {typed if isinstance(convert, type) else exc}")
+    for key, (convert, default, _) in keys.items():
+        if key in values:
             continue
-        converted = _convert(raw, known[key][0], key, lineno, diags)
-        if converted is not None:
-            values[key] = converted
+        if default is _REQUIRED:
+            if key not in section.entries:
+                diags.append(f"{_at(section, key)}missing required key {key!r}")
+        elif default is not None:
+            values[key] = _convert(convert, default)
     return values
 
 
-def _entry_line(section: _Section, key: str) -> str:
-    if key in section.entries:
-        return f"line {section.entries[key][1]}"
-    return f"section [{section.name}] (line {section.lineno})"
-
-
-# Config key of each DriftConfig, Hyperparams and CurationSpec field whose name differs from it.
-_FIELD_KEYS = {"C": "classes", "d": "dim", "N": "buckets", "n_per_class": "per_class",
-               "seed": "stream_seed", "learning_rate": "lr", "batch_size": "batch",
-               "background_low_per_class": "background_low"}
-
-
-def _field_diagnostic(section: _Section, exc: FieldValueError) -> str:
-    key = _FIELD_KEYS.get(exc.field, exc.field)
-    return f"{_entry_line(section, key)}: key {key!r} {exc.requirement}"
+def _build(section: _Section, cls: type, values: dict[str, Any], diags: list[str], **given: Any) -> Any:
+    """``cls`` from ``given`` and the values of its fields' keys; a range error is reported at the key's line."""
+    kwargs = {f.name: values[key] for f in fields(cls) if (key := _FIELD_KEYS.get(f.name, f.name)) in values}
+    try:
+        return cls(**(kwargs | given))
+    except FieldValueError as exc:
+        key = _FIELD_KEYS.get(exc.field, exc.field)
+        diags.append(f"{_at(section, key)}key {key!r} {exc.requirement}")
+        return None
 
 
 def _build_stream_spec(section: _Section, diags: list[str]) -> StreamSpec | None:
-    values = _check_keys(section, _STREAM_KEYS, diags)
-    source = values.get("source")
-    if source not in ("synthetic", "file"):
-        diags.append(f"{_entry_line(section, 'source')}: source must be 'synthetic' or 'file'")
+    source = section.entries.get("source", ("",))[0]
+    if source not in _SOURCE_KEYS:
+        _read_keys(section, _ANY_STREAM_KEYS, diags)
+        diags.append(f"{_at(section, 'source')}source must be 'synthetic' or 'file'")
         return None
-    wrong = _FILE_ONLY if source == "synthetic" else _SYNTHETIC_ONLY
-    for key in sorted(wrong & set(values)):
-        diags.append(f"{_entry_line(section, key)}: key {key!r} is not valid for source={source}")
-    if "buckets" not in values:
-        diags.append(f"{_entry_line(section, 'buckets')}: missing required key 'buckets'")
+    keys = {**_STREAM_KEYS, **_SOURCE_KEYS[source]}
+    foreign = {key: f"is not valid for source={source}"
+               for other, table in _SOURCE_KEYS.items() if other != source for key in table}
+    values = _read_keys(section, keys, diags, foreign)
+    if values.keys() != keys.keys():  # a required key is missing or bad: the rest have defaults
         return None
-    n_buckets = int(values["buckets"])  # type: ignore[arg-type]
-    if source == "synthetic":
-        missing = [k for k in ("classes", "dim", "per_class", "noise") if k not in values]
-        for k in missing:
-            diags.append(f"{_entry_line(section, k)}: missing required key {k!r}")
-        if missing:
-            return None
-        try:
-            drift = DriftConfig(
-                C=values["classes"],
-                d=values["dim"],
-                N=n_buckets,
-                n_per_class=values["per_class"],
-                radius=values.get("radius", 1.0),
-                drift_rate=values.get("drift_rate", 0.0),
-                noise=values["noise"],
-                seed=values.get("stream_seed", 0),
-            )
-        except FieldValueError as exc:
-            diags.append(_field_diagnostic(section, exc))
-            return None
-        return StreamSpec(source="synthetic", drift=drift, n_buckets=n_buckets)
-    if "path" not in values:
-        diags.append(f"{_entry_line(section, 'path')}: missing required key 'path'")
+    if values["buckets"] < 1:
+        diags.append(f"{_at(section, 'buckets')}key 'buckets' must be >= 1")
         return None
-    return StreamSpec(
-        source="file",
-        path=str(values["path"]),
-        normalize=bool(values.get("normalize", False)),
-        n_buckets=n_buckets,
-    )
+    if source == "file":
+        return _build(section, StreamSpec, values, diags)
+    drift = _build(section, DriftConfig, values, diags)
+    return None if drift is None else _build(section, StreamSpec, values, diags, drift=drift)
 
 
 def _build_cell(section: _Section, diags: list[str]) -> CellConfig | None:
@@ -250,94 +289,29 @@ def _build_cell(section: _Section, diags: list[str]) -> CellConfig | None:
             "use only letters, digits, '.', '_' or '-'"
         )
         return None
-    values = _check_keys(section, _CELL_KEYS, diags)
     start = len(diags)
-    # Presence is checked on the raw entries: a key whose value failed to
-    # convert has been reported once already.
-
-    protocol: ProtocolKind | None = None
-    if "protocol" not in section.entries:
-        diags.append(f"{_entry_line(section, 'protocol')}: missing required key 'protocol'")
-    else:
-        try:
-            protocol = ProtocolKind(str(values["protocol"]))
-        except ValueError:
-            diags.append(f"{_entry_line(section, 'protocol')}: protocol must be 'iid' or 'streaming'")
-
-    strategy: Strategy | None = None
-    if "strategy" not in section.entries:
-        diags.append(f"{_entry_line(section, 'strategy')}: missing required key 'strategy'")
-    else:
-        try:
-            strategy = parse_strategy(str(values["strategy"]))
-        except ValueError as exc:
-            diags.append(f"{_entry_line(section, 'strategy')}: {exc}")
-
-    arch_text = str(values.get("architecture", "linear"))
-    try:
-        parse_architecture(arch_text, d=1, C=1)
-    except ValueError as exc:
-        diags.append(f"{_entry_line(section, 'architecture')}: {exc}")
-
-    policy: AlphaPolicy | None = None
-    try:
-        policy = parse_policy(str(values.get("alpha", "fixed:1.0")))
-    except ValueError as exc:
-        diags.append(f"{_entry_line(section, 'alpha')}: {exc}")
-
-    if "buffer_capacity" not in section.entries:
-        diags.append(f"{_entry_line(section, 'buffer_capacity')}: missing required key 'buffer_capacity'")
-
-    train_fraction = values.get("train_fraction")
+    values = _read_keys(section, _CELL_KEYS, diags)
+    protocol, train_fraction = values.get("protocol"), values.get("train_fraction")
     if protocol is ProtocolKind.IID:
         if train_fraction is None:
-            diags.append(f"{_entry_line(section, 'train_fraction')}: iid cells require train_fraction")
-        elif not 0.0 < float(train_fraction) < 1.0:  # type: ignore[arg-type]
-            diags.append(f"{_entry_line(section, 'train_fraction')}: train_fraction must be in (0, 1)")
+            diags.append(f"{_at(section, 'train_fraction')}iid cells require train_fraction")
+        elif not 0.0 < train_fraction < 1.0:
+            diags.append(f"{_at(section, 'train_fraction')}train_fraction must be in (0, 1)")
     elif protocol is ProtocolKind.STREAMING and train_fraction is not None:
-        diags.append(
-            f"{_entry_line(section, 'train_fraction')}: train_fraction applies to iid cells only"
-        )
+        diags.append(f"{_at(section, 'train_fraction')}train_fraction applies to iid cells only")
 
-    default_lr = 0.1 if arch_text.startswith("mlp") else 1.0
-    try:
-        hp = Hyperparams(
-            learning_rate=float(values.get("lr", default_lr)),  # type: ignore[arg-type]
-            momentum=float(values.get("momentum", 0.9)),  # type: ignore[arg-type]
-            weight_decay=float(values.get("weight_decay", 0.0)),  # type: ignore[arg-type]
-            batch_size=int(values.get("batch", 256)),  # type: ignore[arg-type]
-            epochs=int(values.get("epochs", 100)),  # type: ignore[arg-type]
-            decay_epoch=int(values.get("decay_epoch", 60)),  # type: ignore[arg-type]
-            decay_factor=float(values.get("decay_factor", 0.1)),  # type: ignore[arg-type]
-        )
-    except FieldValueError as exc:
-        diags.append(_field_diagnostic(section, exc))
-        hp = None  # type: ignore[assignment]
-
-    n_seeds = int(values.get("n_seeds", 5))  # type: ignore[arg-type]
-    base_seed = int(values.get("base_seed", 0))  # type: ignore[arg-type]
-    if n_seeds < 1:
-        diags.append(f"{_entry_line(section, 'n_seeds')}: n_seeds must be >= 1")
-    if base_seed < 0:
-        diags.append(f"{_entry_line(section, 'base_seed')}: base_seed must be >= 0")
-    capacity = int(values.get("buffer_capacity", 1))  # type: ignore[arg-type]
-    if "buffer_capacity" in values and capacity < 1:
-        diags.append(f"{_entry_line(section, 'buffer_capacity')}: buffer_capacity must be >= 1")
-
-    if len(diags) > start or protocol is None or strategy is None or policy is None or hp is None:
+    values.setdefault("lr", 0.1 if values["architecture"].startswith("mlp") else 1.0)
+    hyperparams = _build(section, Hyperparams, values, diags)
+    if values["n_seeds"] < 1:
+        diags.append(f"{_at(section, 'n_seeds')}n_seeds must be >= 1")
+    if values["base_seed"] < 0:
+        diags.append(f"{_at(section, 'base_seed')}base_seed must be >= 0")
+    if values.get("buffer_capacity", 1) < 1:
+        diags.append(f"{_at(section, 'buffer_capacity')}buffer_capacity must be >= 1")
+    if len(diags) > start:
         return None
-    return CellConfig(
-        name=name,
-        protocol=protocol,
-        strategy=strategy,
-        arch_text=arch_text,
-        policy=policy,
-        buffer_capacity=capacity,
-        hyperparams=hp,
-        train_fraction=float(train_fraction) if train_fraction is not None else None,  # type: ignore[arg-type]
-        n_seeds=n_seeds,
-        base_seed=base_seed,
-    )
+    return _build(section, CellConfig, values, diags,
+                  name=name, hyperparams=hyperparams, train_fraction=train_fraction)
 
 
 def validate_config(text: str, out_dir: str | Path) -> ExperimentGrid:
@@ -368,6 +342,54 @@ def validate_config(text: str, out_dir: str | Path) -> ExperimentGrid:
         raise ConfigError("\n".join(diags))
     assert stream_spec is not None
     return ExperimentGrid(stream=stream_spec, cells=tuple(cells), out_dir=Path(out_dir))
+
+
+def _key_lines(*tables: dict[str, _Key]) -> list[str]:
+    return [f"  {key:<16} {text}" + (f" (default {default})" if isinstance(default, str) else "")
+            for table in tables for key, (_, default, text) in table.items()]
+
+
+def config_reference() -> str:
+    """Human-readable listing of every config key, used by the CLI help text."""
+    return "\n".join(["[stream] keys:", *_key_lines(_STREAM_KEYS, *_SOURCE_KEYS.values()),
+                      "[cell:<name>] keys:", *_key_lines(_CELL_KEYS)])
+
+
+def curation_reference() -> str:
+    """Human-readable listing of every curation spec key, used by the CLI help text."""
+    return "\n".join(["curation spec keys:", *_key_lines(_CURATE_KEYS)])
+
+
+@dataclass(frozen=True)
+class CurationConfig:
+    """A type-checked curation spec: its values, and the file and lines they were read from."""
+
+    path: str
+    section: _Section
+    values: dict[str, Any]
+
+    def spec(self, queries: Sequence[tuple[str, Any]]) -> CurationSpec:
+        """The spec's counts with ``queries``; a count out of range is named at its line."""
+        diags: list[str] = []
+        spec = _build(self.section, CurationSpec, self.values, diags, queries=tuple(queries))
+        if spec is None:
+            raise ConfigError(f"{self.path}: {diags[0]}")
+        return spec
+
+
+def read_curation_spec(path: str) -> CurationConfig:
+    """Read and type-check a curation spec, a run config without sections; errors name the file."""
+    try:
+        section, *extra = _parse_sections(Path(path).read_text(encoding="utf-8"))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    diags = [f"line {s.lineno}: unexpected section [{s.name}]" for s in extra]
+    values = _read_keys(section, _CURATE_KEYS, diags)
+    if values["seed"] < 0:
+        diags.append(f"{_at(section, 'seed')}key 'seed' must be >= 0")
+    if diags:
+        raise ConfigError("\n".join(f"{path}: {diag}" for diag in diags))
+    return CurationConfig(path, section, values)
 
 
 def load_stream(spec: StreamSpec) -> TemporalStream:
@@ -445,12 +467,3 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
             lines.extend(csv_rows(cell.name, reports[cell.name]))
     _write_artifact(grid.out_dir / "summary.csv", "\n".join(lines) + "\n")
     return ExperimentResult(reports=reports, failures=failures)
-
-
-def config_reference() -> str:
-    """Human-readable listing of every config key, used by the CLI help text."""
-    lines = ["[stream] keys:"]
-    lines.extend(f"  {key:<16} {desc}" for key, (_, desc) in _STREAM_KEYS.items())
-    lines.append("[cell:<name>] keys:")
-    lines.extend(f"  {key:<16} {desc}" for key, (_, desc) in _CELL_KEYS.items())
-    return "\n".join(lines)

@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from driftbench.protocol import (
     parse_event_log,
 )
 from driftbench.curate import EmbeddingRecord
+from driftbench.sampler import parse_policy
 from driftbench.runner import (
     ConfigError,
     config_reference,
@@ -95,6 +97,39 @@ lr = 0.5
 """
 
 
+FILE_CONFIG = "[stream]\nsource = file\npath = feats.tsv\nbuckets = 2\nnormalize = true\n" + (
+    GOOD_CONFIG.split("[cell:ft-fast]")[1].join(["[cell:ft-fast]", ""])
+)
+
+# Only the keys that have no default, plus an mlp cell for lr's second default.
+MINIMAL_CELLS = """\
+[cell:plain]
+protocol = streaming
+strategy = finetuning
+buffer_capacity = 90
+[cell:wide]
+protocol = streaming
+strategy = finetuning
+buffer_capacity = 90
+architecture = mlp:4
+"""
+MINIMAL_SYNTHETIC = """\
+[stream]
+source = synthetic
+classes = 3
+dim = 4
+buckets = 3
+per_class = 30
+noise = 0.3
+"""
+MINIMAL_FILE = "[stream]\nsource = file\npath = feats.tsv\nbuckets = 2\n"
+
+
+def without(text, key):
+    """``text`` with the line that sets ``key`` removed."""
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith(f"{key} ="))
+
+
 def write_drift_file(path, cfg, C):
     """A synthetic stream written as a feature file whose header declares ``C`` classes."""
     stream = generate_drift_stream(cfg)
@@ -163,6 +198,134 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="^line 15: key 'buffer_capacity': expected int, got 'lots'$"):
             validate_config(bad, tmp_path)
 
+    @pytest.mark.parametrize("old, new, expected", [
+        ("buckets = 3", "buckets = three", "line 5: key 'buckets': expected int, got 'three'"),
+        ("dim = 4", "dim = four", "line 4: key 'dim': expected int, got 'four'"),
+    ], ids=["buckets", "dim"])
+    def test_unconvertible_stream_key_reported_once(self, tmp_path, old, new, expected):
+        with pytest.raises(ConfigError) as err:
+            validate_config(GOOD_CONFIG.replace(old, new), tmp_path)
+        assert str(err.value).splitlines() == [expected]
+
+    # One corruption per case, with the full diagnostic list it gives.
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param(GOOD_CONFIG.replace("source = synthetic", "source = bogus"),
+                     ["line 2: source must be 'synthetic' or 'file'"], id="source-bogus"),
+        pytest.param(without(GOOD_CONFIG, "source"),
+                     ["section [stream] (line 1): source must be 'synthetic' or 'file'"],
+                     id="source-missing"),
+        pytest.param(GOOD_CONFIG.replace("protocol = streaming", "protocol = bogus"),
+                     ["line 12: protocol must be 'iid' or 'streaming'"], id="protocol"),
+        pytest.param(GOOD_CONFIG + "architecture = mlp:x\n",
+                     ["line 22: bad hidden width in 'mlp:x'"], id="architecture"),
+        pytest.param(GOOD_CONFIG.replace("alpha = fixed:1.0", "alpha = bogus"),
+                     ["line 14: expected 'fixed:<value>' or 'dynamic:<coefficient>', got 'bogus'"],
+                     id="alpha-kind"),
+        pytest.param(GOOD_CONFIG.replace("alpha = fixed:1.0", "alpha = fixed:x"),
+                     ["line 14: bad alpha value in 'fixed:x'"], id="alpha-value"),
+        pytest.param(FILE_CONFIG.replace("normalize = true", "normalize = maybe"),
+                     ["line 5: key 'normalize': expected bool, got 'maybe'"], id="normalize"),
+        pytest.param(FILE_CONFIG.replace("normalize = true", "noise = 0.3"),
+                     ["line 5: key 'noise' is not valid for source=file"], id="synthetic-key-in-file"),
+        pytest.param(GOOD_CONFIG.replace("stream_seed = 7", "stream_seed = 7\npath = x.tsv"),
+                     ["line 10: key 'path' is not valid for source=synthetic"],
+                     id="file-key-in-synthetic"),
+        *[pytest.param(without(GOOD_CONFIG, key),
+                       [f"section [stream] (line 1): missing required key {key!r}"],
+                       id=f"synthetic-missing-{key}")
+          for key in ("buckets", "classes", "dim", "per_class", "noise")],
+        *[pytest.param(without(FILE_CONFIG, key),
+                       [f"section [stream] (line 1): missing required key {key!r}"],
+                       id=f"file-missing-{key}")
+          for key in ("path", "buckets")],
+        *[pytest.param(without(GOOD_CONFIG, key),
+                       [f"section [cell:ft-fast] (line 11): missing required key {key!r}"],
+                       id=f"cell-missing-{key}")
+          for key in ("protocol", "strategy", "buffer_capacity")],
+        pytest.param(GOOD_CONFIG.replace("n_seeds = 1", "n_seeds = 0"),
+                     ["line 16: n_seeds must be >= 1"], id="n_seeds"),
+        pytest.param(GOOD_CONFIG.replace("buffer_capacity = 90", "buffer_capacity = 0"),
+                     ["line 15: buffer_capacity must be >= 1"], id="buffer_capacity"),
+        pytest.param(GOOD_CONFIG.replace("[cell:ft-fast]", "[cell:ft fast]"),
+                     ["line 11: cell name 'ft fast' must be non-empty and use only letters, "
+                      "digits, '.', '_' or '-'"], id="cell-name"),
+    ])
+    def test_pinned_diagnostics(self, tmp_path, text, expected):
+        with pytest.raises(ConfigError) as err:
+            validate_config(text, tmp_path)
+        assert str(err.value).splitlines() == expected
+
+    def test_help_defaults_reach_the_parsed_values(self, tmp_path, capsys, monkeypatch):
+        """Each "(default X)" in the run and curate help is the value a config without the key gets."""
+        help_text = {}
+        for command in ("run", "curate"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            help_text[command] = capsys.readouterr().out
+        synthetic = validate_config(MINIMAL_SYNTHETIC + MINIMAL_CELLS, tmp_path)
+        file_stream = validate_config(MINIMAL_FILE + MINIMAL_CELLS, tmp_path).stream
+        plain, wide = synthetic.cells
+        cells = {"linear": plain, "mlp": wide}
+        parsed = {
+            "radius": synthetic.stream.drift.radius,
+            "drift_rate": synthetic.stream.drift.drift_rate,
+            "stream_seed": synthetic.stream.drift.seed,
+            "normalize": file_stream.normalize,
+            "architecture": plain.arch_text,
+            "alpha": plain.policy,
+            "n_seeds": plain.n_seeds,
+            "base_seed": plain.base_seed,
+            "momentum": plain.hyperparams.momentum,
+            "weight_decay": plain.hyperparams.weight_decay,
+            "batch": plain.hyperparams.batch_size,
+            "epochs": plain.hyperparams.epochs,
+            "decay_epoch": plain.hyperparams.decay_epoch,
+            "decay_factor": plain.hyperparams.decay_factor,
+        }
+
+        seeds = []
+
+        def recording(labeled, background, spec, seed):
+            seeds.append(seed)
+            raise ConfigError("stop after the seed is known")
+
+        monkeypatch.setattr("driftbench.curate.finalize_bucket", recording)
+        (tmp_path / "emb.tsv").write_text("#m=2\n" + "".join(f"{i}\t1.0,{i}.0\n" for i in range(8)))
+        (tmp_path / "q.tsv").write_text("a\t1.0,0.0\n")
+        (tmp_path / "cur.cfg").write_text("per_class_top = 2\nbackground_low = 2\nfinal_per_class = 1\n")
+        assert main(["curate", "--embeddings", str(tmp_path / "emb.tsv"), "--queries",
+                     str(tmp_path / "q.tsv"), "--spec", str(tmp_path / "cur.cfg"),
+                     "--out", str(tmp_path / "curated")]) == 2
+        curate_parsed = {"seed": seeds[0]}
+
+        def as_value(text):
+            if text in ("true", "false"):
+                return text == "true"
+            for kind in (int, float):
+                try:
+                    return kind(text)
+                except ValueError:
+                    pass
+            return text
+
+        checked = 0
+        for command, values in (("run", parsed), ("curate", curate_parsed)):
+            for line in help_text[command].splitlines():
+                match = re.fullmatch(r"  (\w+) +.*\(default (.+)\)", line)
+                if match is None:
+                    continue
+                key, default = match.groups()
+                checked += 1
+                if key == "lr":  # "1.0 linear, 0.1 mlp": one default per architecture
+                    for part in default.split(", "):
+                        value, arch = part.split(" ")
+                        assert cells[arch].hyperparams.learning_rate == float(value), part
+                elif key == "alpha":
+                    assert values[key] == parse_policy(default)
+                else:
+                    assert values[key] == as_value(default), key
+        assert checked == len(parsed) + len(curate_parsed) + 1
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_weight_decay_rejected(self, tmp_path, value):
         text = GOOD_CONFIG + f"weight_decay = {value}\n"
@@ -225,6 +388,13 @@ class TestValidateConfig:
         bad = GOOD_CONFIG.replace("stream_seed = 7", "stream_seed = 7\npath = x.tsv")
         with pytest.raises(ConfigError, match="not valid for source=synthetic"):
             validate_config(bad, tmp_path)
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        assert blocks
+        for block in blocks:
+            assert validate_config(block, tmp_path).cells
 
 
 class TestLoadStream:
@@ -664,6 +834,13 @@ class TestCli:
         cfg.write_text(GOOD_CONFIG.replace("stream_seed = 7", "stream_seed = -1"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "line 9: key 'stream_seed' must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_file_stream_bucket_count_named_by_line(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(FILE_CONFIG.replace("buckets = 2", "buckets = 0"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "driftbench: error: line 4: key 'buckets' must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
     def test_curate_names_both_files_on_dimension_mismatch(self, tmp_path, capsys):
