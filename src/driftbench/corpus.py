@@ -18,12 +18,16 @@ class FeatureFileError(ValueError):
 
 
 class FieldValueError(ValueError):
-    """A config dataclass rejected the value of one field: ``field`` fails ``requirement``."""
+    """A config dataclass rejected the value of one field: ``field`` fails ``requirement``.
 
-    def __init__(self, field: str, requirement: str) -> None:
+    ``others`` names the other fields a cross-field requirement reads.
+    """
+
+    def __init__(self, field: str, requirement: str, others: tuple[str, ...] = ()) -> None:
         super().__init__(f"{field} {requirement}")
         self.field = field
         self.requirement = requirement
+        self.others = others
 
 
 @dataclass(frozen=True, eq=False)

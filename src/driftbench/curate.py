@@ -47,7 +47,7 @@ class CurationSpec:
             if getattr(self, field) < 1:
                 raise FieldValueError(field, "must be >= 1")
         if self.final_per_class > self.per_class_top:
-            raise FieldValueError("final_per_class", "must be <= per_class_top")
+            raise FieldValueError("final_per_class", "must be <= per_class_top", ("per_class_top",))
 
     @property
     def class_names(self) -> tuple[str, ...]:

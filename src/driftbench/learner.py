@@ -93,7 +93,7 @@ class Hyperparams:
             if getattr(self, field) < 1:
                 raise FieldValueError(field, "must be >= 1")
         if self.decay_epoch > self.epochs:
-            raise FieldValueError("decay_epoch", "must be <= epochs")
+            raise FieldValueError("decay_epoch", "must be <= epochs", ("epochs",))
         if not 0.0 < self.decay_factor <= 1.0:
             raise FieldValueError("decay_factor", "must be in (0, 1]")
 

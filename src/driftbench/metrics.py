@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,14 +42,18 @@ class AggregateReport:
     stds: dict[str, float]
 
 
+# math.fsum reads a region this many cells at a time, so no list of every cell is built.
+_FSUM_SLICE = 1024
+
+
 def _mean_over(cells: np.ndarray, mask: np.ndarray) -> float | None:
     # Any absent (NaN) cell in the region makes the metric absent, never zero-filled.
     region = cells[mask]
     if np.any(np.isnan(region)):
         return None
-    # Row-major accumulation in extended precision keeps the oracle tolerance tight.
-    total = math.fsum(region.tolist())
-    return total / region.size
+    # fsum is correctly rounded, so the mean does not depend on how the cells are fed to it.
+    slices = (region[i : i + _FSUM_SLICE].tolist() for i in range(0, region.size, _FSUM_SLICE))
+    return math.fsum(itertools.chain.from_iterable(slices)) / region.size
 
 
 def compute_metrics(matrix: AccuracyMatrix) -> MetricReport:
@@ -60,7 +65,7 @@ def compute_metrics(matrix: AccuracyMatrix) -> MetricReport:
     """
     n = matrix.n
     cells = matrix.cells
-    rows, cols = np.indices((n, n))
+    rows, cols = np.arange(n)[:, None], np.arange(n)
     return MetricReport(
         protocol=matrix.protocol,
         accuracy=_mean_over(cells, rows >= cols),

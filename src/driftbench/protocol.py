@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,17 +57,19 @@ class AccuracyMatrix:
         cells = self.cells
         if cells.ndim != 2 or cells.shape[0] != cells.shape[1] or cells.shape[0] < 2:
             raise ValueError(f"cells must be square with N >= 2, got shape {cells.shape}")
-        present = ~np.isnan(cells)
-        values = cells[present]
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        # The NaN-skipping reductions are NaN only when every cell is absent.
+        if np.fmin.reduce(cells, axis=None) < 0.0 or np.fmax.reduce(cells, axis=None) > 1.0:
             raise ValueError("accuracy cells must lie in [0, 1]")
+        # Row i's absent cells must be a prefix of i + 1 cells when streaming, of none
+        # for iid: exactly that many, and the first present cell right after them.
         n = cells.shape[0]
-        expected = (
-            np.ones((n, n), dtype=bool)
-            if self.protocol is ProtocolKind.IID
-            else np.triu(np.ones((n, n), dtype=bool), k=1)
-        )
-        if not np.array_equal(present, expected):
+        absent = np.isnan(cells)
+        want = np.arange(1, n + 1) if self.protocol is ProtocolKind.STREAMING else np.zeros(n, int)
+        first_present = np.argmin(absent, axis=1)
+        if not (
+            np.array_equal(absent.sum(axis=1), want)
+            and np.array_equal(first_present[want < n], want[want < n])
+        ):
             raise ValueError(f"cell presence does not match {self.protocol.value} protocol")
 
     @property
@@ -77,14 +79,21 @@ class AccuracyMatrix:
 
 def matrix_to_text(matrix: AccuracyMatrix) -> str:
     """Plain-text grid: header line, then N comma-separated rows with NA for absent cells."""
+    return "".join(_matrix_lines(matrix))
+
+
+# Private, as is _step_log_chunks, so that bench/spans.py leaves it unwrapped
+# and a traced run counts its time in runner.self_s, with the writes.
+def _matrix_lines(matrix: AccuracyMatrix) -> Iterator[str]:
+    """The lines of :func:`matrix_to_text`, each with its newline, formatted one row at a time."""
     n = matrix.n
     streaming = matrix.protocol is ProtocolKind.STREAMING
-    lines = [f"N={n} protocol={matrix.protocol.value}"]
-    for i, row in enumerate(matrix.cells.tolist()):
+    yield f"N={n} protocol={matrix.protocol.value}\n"
+    for i in range(n):
         # Validation makes the absent cells a row prefix: i + 1 of them when streaming.
         absent = i + 1 if streaming else 0
-        lines.append(",".join(["NA"] * absent + ["%.6f"] * (n - absent)) % tuple(row[absent:]))
-    return "\n".join(lines) + "\n"
+        row = ",".join(["NA"] * absent + ["%.6f"] * (n - absent)) + "\n"
+        yield row % tuple(matrix.cells[i, absent:].tolist())
 
 
 def matrix_from_text(text: str) -> AccuracyMatrix:
@@ -295,26 +304,25 @@ def event_log_text(protocol: ProtocolKind, events: Sequence[Event]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Private, so that bench/spans.py leaves it unwrapped, as it leaves the other
-# artifact formatters, and a traced run counts its time in runner.self_s.
-def _step_log_text(protocol: ProtocolKind, n: int) -> str:
+def _step_log_chunks(protocol: ProtocolKind, n: int) -> Iterator[str]:
     """The text :func:`event_log_text` writes for the events of a finished ``n``-bucket run.
 
-    Step ``i`` is a ``train`` event on bucket ``i``, then an ``evaluate`` event
-    on each bucket ``first`` to ``n - 1`` (``first`` is 0 for iid, ``i + 1``
-    for streaming), written with one join over the bucket numbers' strings.
+    The header comes first, then one chunk per step: step ``i`` is a ``train``
+    event on bucket ``i``, then an ``evaluate`` event on each bucket ``first``
+    to ``n - 1`` (``first`` is 0 for iid, ``i + 1`` for streaming), written
+    with one join over the bucket numbers' strings.
     """
     streaming = protocol is ProtocolKind.STREAMING
     buckets = [str(b) for b in range(n)]
-    lines = [f"protocol={protocol.value}"]
+    yield f"protocol={protocol.value}\n"
     for step in range(n):
         first = step + 1 if streaming else 0
         label = buckets[step]
-        lines.append(f"train\t{label}\t{label}")
+        chunk = f"train\t{label}\t{label}\n"
         if first < n:
             prefix = f"evaluate\t{label}\t"
-            lines.append(prefix + ("\n" + prefix).join(buckets[first:]))
-    return "\n".join(lines) + "\n"
+            chunk += prefix + ("\n" + prefix).join(buckets[first:]) + "\n"
+        yield chunk
 
 
 def parse_event_log(text: str) -> tuple[ProtocolKind, list[Event]]:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import difflib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import (
     DriftConfig,
@@ -24,8 +24,8 @@ from .metrics import AggregateReport, aggregate, compute_metrics, csv_rows, repo
 from .protocol import (
     ProtocolKind,
     RunConfig,
-    _step_log_text,
-    matrix_to_text,
+    _matrix_lines,
+    _step_log_chunks,
     run_iid_protocol,
     run_streaming_protocol,
 )
@@ -170,6 +170,7 @@ class _Section:
     name: str
     lineno: int
     entries: dict[str, tuple[str, int]]
+    rejected: set[str] = field(default_factory=set)  # keys whose values _read_keys rejected
 
 
 def _parse_sections(text: str) -> list[_Section]:
@@ -219,9 +220,10 @@ def _read_keys(
 
     Each bad entry gets one diagnostic at its line: an unknown key (with a
     did-you-mean hint), a key of ``foreign`` (with why it is out of place) or
-    a value its converter rejects.  A required key is reported missing only
-    when it has no entry.  A rejected optional value is replaced by its
-    default, so the checks that follow see the rest of the section.
+    a value its converter rejects, which is added to ``section.rejected``.
+    A required key is reported missing only when it has no entry.  A rejected
+    optional value is replaced by its default, so the checks that follow see
+    the rest of the section; a check across keys skips a rejected one.
     """
     values: dict[str, Any] = {}
     for key, (raw, lineno) in section.entries.items():
@@ -236,6 +238,7 @@ def _read_keys(
             try:
                 values[key] = _convert(convert, raw)
             except ValueError as exc:
+                section.rejected.add(key)
                 typed = f"key {key!r}: expected {convert.__name__}, got {raw!r}"
                 diags.append(f"line {lineno}: {typed if isinstance(convert, type) else exc}")
     for key, (convert, default, _) in keys.items():
@@ -250,13 +253,17 @@ def _read_keys(
 
 
 def _build(section: _Section, cls: type, values: dict[str, Any], diags: list[str], **given: Any) -> Any:
-    """``cls`` from ``given`` and the values of its fields' keys; a range error is reported at the key's line."""
+    """``cls`` from ``given`` and the values of its fields' keys; a range error is reported at the key's line.
+
+    An error that reads a rejected key's stand-in default is left out: that key has its diagnostic.
+    """
     kwargs = {f.name: values[key] for f in fields(cls) if (key := _FIELD_KEYS.get(f.name, f.name)) in values}
     try:
         return cls(**(kwargs | given))
     except FieldValueError as exc:
-        key = _FIELD_KEYS.get(exc.field, exc.field)
-        diags.append(f"{_at(section, key)}key {key!r} {exc.requirement}")
+        keys = [_FIELD_KEYS.get(name, name) for name in (exc.field, *exc.others)]
+        if section.rejected.isdisjoint(keys):
+            diags.append(f"{_at(section, keys[0])}key {keys[0]!r} {exc.requirement}")
         return None
 
 
@@ -292,7 +299,7 @@ def _build_cell(section: _Section, diags: list[str]) -> CellConfig | None:
     start = len(diags)
     values = _read_keys(section, _CELL_KEYS, diags)
     protocol, train_fraction = values.get("protocol"), values.get("train_fraction")
-    if protocol is ProtocolKind.IID:
+    if protocol is ProtocolKind.IID and "train_fraction" not in section.rejected:
         if train_fraction is None:
             diags.append(f"{_at(section, 'train_fraction')}iid cells require train_fraction")
         elif not 0.0 < train_fraction < 1.0:
@@ -402,9 +409,10 @@ def load_stream(spec: StreamSpec) -> TemporalStream:
     return bucketize(ids, timestamps, x, labels, spec.n_buckets, class_count)
 
 
-def _write_artifact(path: Path, text: str) -> None:
+def _write_artifact(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` atomically, each as it comes, so none is joined first."""
     with atomic_write(path) as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _run_cell(stream: TemporalStream, cell: CellConfig, cell_dir: Path, base_seed: int) -> AggregateReport:
@@ -421,13 +429,12 @@ def _run_cell(stream: TemporalStream, cell: CellConfig, cell_dir: Path, base_see
     reports = []
     for seed in range(base_seed, base_seed + cell.n_seeds):
         matrix = runner(stream, cfg, seed)
-        _write_artifact(cell_dir / f"matrix_seed{seed}.txt", matrix_to_text(matrix))
-        _write_artifact(
-            cell_dir / f"events_seed{seed}.log", _step_log_text(matrix.protocol, matrix.n)
-        )
+        _write_artifact(cell_dir / f"matrix_seed{seed}.txt", _matrix_lines(matrix))
+        _write_artifact(cell_dir / f"events_seed{seed}.log", _step_log_chunks(matrix.protocol, matrix.n))
         reports.append(compute_metrics(matrix))
+        del matrix  # so that the next seed's run does not hold two N x N matrices
     agg = aggregate(reports)
-    _write_artifact(cell_dir / "report.txt", report_text(agg))
+    _write_artifact(cell_dir / "report.txt", [report_text(agg)])
     return agg
 
 
@@ -447,7 +454,7 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
         raise ConfigError(f"{SEED_ENV_VAR} must be >= 0, got {env_seed!r}")
     grid.out_dir.mkdir(parents=True, exist_ok=True)
     stream = load_stream(grid.stream)
-    _write_artifact(grid.out_dir / "stream_manifest.tsv", stream_manifest(stream))
+    _write_artifact(grid.out_dir / "stream_manifest.tsv", [stream_manifest(stream)])
 
     reports: dict[str, AggregateReport] = {}
     failures: dict[str, str] = {}
@@ -459,11 +466,11 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures[cell.name] = f"{type(exc).__name__}: {exc}"
             cell_dir.mkdir(parents=True, exist_ok=True)
-            _write_artifact(cell_dir / "error.txt", failures[cell.name] + "\n")
+            _write_artifact(cell_dir / "error.txt", [failures[cell.name], "\n"])
 
     lines = ["cell,metric,mean,std"]
     for cell in grid.cells:
         if cell.name in reports:
             lines.extend(csv_rows(cell.name, reports[cell.name]))
-    _write_artifact(grid.out_dir / "summary.csv", "\n".join(lines) + "\n")
+    _write_artifact(grid.out_dir / "summary.csv", [line + "\n" for line in lines])
     return ExperimentResult(reports=reports, failures=failures)

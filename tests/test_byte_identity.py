@@ -137,6 +137,55 @@ def test_pinned_grid_artifacts_match_recorded_digests(source, tmp_path, monkeypa
     assert not changed, f"artifacts differ from the recorded digests: {changed}"
 
 
+# A long stream, 100 buckets of 4 rows: its matrices and event logs are
+# written a row or a step at a time, and its metrics sum regions larger
+# than one summation slice.
+LONG_GRID = """\
+[stream]
+source = synthetic
+classes = 2
+dim = 4
+buckets = 100
+per_class = 2
+noise = 0.5
+drift_rate = 0.05
+stream_seed = 11
+
+[cell:str-ft-linear]
+protocol = streaming
+strategy = finetuning
+alpha = dynamic:1.0
+buffer_capacity = 16
+n_seeds = 2
+base_seed = 3
+epochs = 1
+decay_epoch = 1
+
+[cell:iid-ft-linear]
+protocol = iid
+strategy = finetuning
+alpha = fixed:1.0
+buffer_capacity = 16
+train_fraction = 0.5
+n_seeds = 1
+epochs = 1
+decay_epoch = 1
+"""
+
+
+def test_long_stream_artifacts_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+    out = tmp_path / "out"
+    result = run_experiment(validate_config(LONG_GRID, out))
+    assert result.ok, result.failures
+    got = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+    assert got == json.loads(DIGESTS.read_text(encoding="utf-8"))["long"]
+
+
 @pytest.mark.parametrize("source", ["synthetic", "file"])
 def test_chunked_scoring_matches_recorded_digests(source, tmp_path, monkeypatch):
     # Below every bucket (16 rows at least) and iid test split (4 rows at

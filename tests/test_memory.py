@@ -1,9 +1,10 @@
-"""Memory guards: the run path, stream generation and the feature-file writer hold bounded copies.
+"""Memory guards: runs, their artifacts, stream generation and the feature-file writer hold bounded copies.
 
 Each test measures with ``tracemalloc``, which numpy reports its array data
-to, after a warm-up call has done the first-call imports.  The runs use a
-stream of 6 buckets of 2,000 rows at d = 64, so every bucket and every iid
-test split is larger than a score chunk.
+to, after a warm-up call has done the first-call imports.  The protocol runs
+use a stream of 6 buckets of 2,000 rows at d = 64, so every bucket and every
+iid test split is larger than a score chunk; the whole-run guard uses a long
+stream of small buckets, where the N x N matrix is the largest array.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 from driftbench.corpus import DriftConfig, generate_drift_stream, read_feature_file, write_feature_file
 from driftbench.learner import Hyperparams, Strategy, parse_architecture
 from driftbench.protocol import SCORE_BATCH_ROWS, RunConfig, run_iid_protocol, run_streaming_protocol
+from driftbench.runner import run_experiment, validate_config
 from driftbench.sampler import parse_policy
 
 STREAM = DriftConfig(C=4, d=64, N=6, n_per_class=500, radius=1.0, drift_rate=0.2, noise=0.5, seed=3)
@@ -92,3 +94,36 @@ def test_writer_reads_selected_rows_in_place(tmp_path):
     got_ids, _, got_labels, got_x, _ = read_feature_file(path)
     assert np.array_equal(got_ids, ids) and np.array_equal(got_labels, labels)
     assert got_x.tobytes() == x[rows].tobytes()
+
+
+LONG_BUCKETS = 400
+LONG_GRID = f"""\
+[stream]
+source = synthetic
+classes = 4
+dim = 8
+buckets = {LONG_BUCKETS}
+per_class = 1
+noise = 0.3
+drift_rate = 0.157
+
+[cell:long]
+protocol = streaming
+strategy = finetuning
+alpha = dynamic:1.0
+buffer_capacity = 64
+n_seeds = 2
+epochs = 1
+decay_epoch = 1
+"""
+
+
+def test_run_holds_one_matrix_at_a_time(tmp_path):
+    # The run holds one N x N matrix; its presence check adds one N x N
+    # boolean, and the metrics a copy of one triangle plus one boolean mask.
+    # Twice the matrix leaves room for the 100 KB stream, but not for the
+    # previous seed's matrix kept alive, for a matrix text joined from its
+    # lines (0.96 MB, held twice while it is joined) or for a list of every cell.
+    matrix = LONG_BUCKETS * LONG_BUCKETS * 8
+    peak = traced_peak(run_experiment, validate_config(LONG_GRID, tmp_path / "out"))
+    assert peak <= 2 * matrix, (peak, matrix)

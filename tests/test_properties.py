@@ -1,7 +1,10 @@
-"""Property tests for the config parser, the matrix and event-log formats, the replay buffer,
+"""Property tests for the config parser, the matrix and event-log formats, the metrics and
+matrix validation against their whole-array references, the replay buffer,
 the runner's event logs against the protocol's events, the array readers of feature and
 embedding files against their line-by-line references, and ``bucketize`` against the
 sorted-sample version it replaced."""
+
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from driftbench.corpus import (
 )
 from driftbench.curate import _load_embedding_lines, _load_embedding_rows, load_embedding_file
 from driftbench.learner import Strategy
+from driftbench.metrics import METRIC_NAMES, compute_metrics
 from driftbench.protocol import (
     LEARNER_SEED_OFFSET,
     AccuracyMatrix,
@@ -118,6 +122,80 @@ def wide_matrices(draw):
 @given(wide_matrices())
 def test_matrix_text_matches_per_cell_writer(matrix):
     assert matrix_to_text(matrix) == matrix_text_per_cell(matrix)
+
+
+def metrics_by_whole_lists(matrix):
+    """Reference: the N x N index grids as masks, each region summed by fsum over one list."""
+    rows, cols = np.indices((matrix.n, matrix.n))
+    masks = {"accuracy": rows >= cols, "backward_transfer": rows > cols, "forward_transfer": rows < cols,
+             "in_domain": rows == cols, "next_domain": cols == rows + 1}
+    out = {}
+    for name, mask in masks.items():
+        region = matrix.cells[mask]
+        out[name] = None if np.any(np.isnan(region)) else math.fsum(region.tolist()) / region.size
+    return out
+
+
+@st.composite
+def metric_matrices(draw):
+    """Matrices up to 120 x 120, so a triangle spans several fsum slices; values far apart in scale."""
+    n = draw(st.integers(2, 120))
+    protocol = draw(st.sampled_from(list(ProtocolKind)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random((n, n)) ** draw(st.sampled_from([1, 8, 40]))
+    cells[rng.random((n, n)) < 0.05] = 1.0
+    if protocol is ProtocolKind.STREAMING:
+        cells[~np.triu(np.ones((n, n), dtype=bool), k=1)] = np.nan
+    return AccuracyMatrix(cells=cells, protocol=protocol)
+
+
+@SETTINGS
+@given(metric_matrices())
+def test_metrics_equal_whole_list_sums(matrix):
+    report = compute_metrics(matrix)
+    assert {name: getattr(report, name) for name in METRIC_NAMES} == metrics_by_whole_lists(matrix)
+
+
+def presence_error(cells, protocol):
+    """Reference validation: one boolean per cell, the present values copied out, a triangle of ones."""
+    n = cells.shape[0]
+    present = ~np.isnan(cells)
+    values = cells[present]
+    if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        return "accuracy cells must lie in [0, 1]"
+    expected = np.ones((n, n), dtype=bool)
+    if protocol is ProtocolKind.STREAMING:
+        expected = np.triu(expected, k=1)
+    if not np.array_equal(present, expected):
+        return f"cell presence does not match {protocol.value} protocol"
+    return None
+
+
+@SETTINGS
+@given(st.integers(2, 12), st.sampled_from(list(ProtocolKind)), st.data())
+def test_matrix_validation_matches_reference(n, protocol, data):
+    # Start from the other protocol's pattern half the time, flip a few cells,
+    # then perhaps swap two cells of one row, which keeps the row's count of absent cells.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random((n, n))
+    if protocol is ProtocolKind.STREAMING or data.draw(st.booleans()):
+        cells[~np.triu(np.ones((n, n), dtype=bool), k=1)] = np.nan
+    index = st.integers(0, n - 1)
+    for i, j in data.draw(st.lists(st.tuples(index, index), max_size=3)):
+        cells[i, j] = 0.5 if np.isnan(cells[i, j]) else np.nan
+    if data.draw(st.booleans()):
+        i, j, k = data.draw(index), data.draw(index), data.draw(index)
+        cells[i, [j, k]] = cells[i, [k, j]]
+    if data.draw(st.booleans()):
+        cells.flat[data.draw(st.integers(0, n * n - 1))] = data.draw(
+            st.sampled_from([-0.1, 1.5, np.inf, -np.inf, 0.0, 1.0]))
+    want = presence_error(cells, protocol)
+    if want is None:
+        AccuracyMatrix(cells=cells, protocol=protocol)
+    else:
+        with pytest.raises(ValueError) as err:
+            AccuracyMatrix(cells=cells, protocol=protocol)
+        assert str(err.value) == want
 
 
 def one_cell_config(kind, n):

@@ -207,6 +207,23 @@ class TestValidateConfig:
             validate_config(GOOD_CONFIG.replace(old, new), tmp_path)
         assert str(err.value).splitlines() == [expected]
 
+    # A rejected value's stand-in default must not trip a rule across keys:
+    # decay_epoch's default 60 exceeds epochs = 3, epochs' default 100 is below
+    # decay_epoch = 150, and a rejected train_fraction is not a missing one.
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param(GOOD_CONFIG.replace("decay_epoch = 2", "decay_epoch = x"),
+                     "line 21: key 'decay_epoch': expected int, got 'x'", id="decay_epoch"),
+        pytest.param(GOOD_CONFIG.replace("epochs = 3", "epochs = x")
+                     .replace("decay_epoch = 2", "decay_epoch = 150"),
+                     "line 20: key 'epochs': expected int, got 'x'", id="epochs"),
+        pytest.param(GOOD_CONFIG.replace("protocol = streaming", "protocol = iid") + "train_fraction = x\n",
+                     "line 22: key 'train_fraction': expected float, got 'x'", id="train_fraction"),
+    ])
+    def test_rejected_value_skips_cross_key_rules(self, tmp_path, text, expected):
+        with pytest.raises(ConfigError) as err:
+            validate_config(text, tmp_path)
+        assert str(err.value).splitlines() == [expected]
+
     # One corruption per case, with the full diagnostic list it gives.
     @pytest.mark.parametrize("text, expected", [
         pytest.param(GOOD_CONFIG.replace("source = synthetic", "source = bogus"),
