@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,18 +42,15 @@ class AggregateReport:
     stds: dict[str, float]
 
 
-# math.fsum reads a region this many cells at a time, so no list of every cell is built.
-_FSUM_SLICE = 1024
-
-
-def _mean_over(cells: np.ndarray, mask: np.ndarray) -> float | None:
-    # Any absent (NaN) cell in the region makes the metric absent, never zero-filled.
-    region = cells[mask]
-    if np.any(np.isnan(region)):
+def _mean_over(cells: np.ndarray, spans: Iterable[tuple[int, int]]) -> float | None:
+    """Mean of the cells ``cells[i, lo:hi]`` over each row ``i``'s span ``(lo, hi)``, read as row views."""
+    rows = [cells[i, lo:hi] for i, (lo, hi) in enumerate(spans)]
+    # Any absent (NaN) cell in the region makes the metric absent, never zero-filled;
+    # it makes its row's sum NaN, since present cells are finite.
+    if any(math.isnan(row.sum()) for row in rows):
         return None
     # fsum is correctly rounded, so the mean does not depend on how the cells are fed to it.
-    slices = (region[i : i + _FSUM_SLICE].tolist() for i in range(0, region.size, _FSUM_SLICE))
-    return math.fsum(itertools.chain.from_iterable(slices)) / region.size
+    return math.fsum(itertools.chain.from_iterable(row.tolist() for row in rows)) / sum(row.size for row in rows)
 
 
 def compute_metrics(matrix: AccuracyMatrix) -> MetricReport:
@@ -63,16 +60,14 @@ def compute_metrics(matrix: AccuracyMatrix) -> MetricReport:
     forward transfer average the strict lower and upper triangles; in-domain is
     the diagonal mean and next-domain the superdiagonal mean.
     """
-    n = matrix.n
-    cells = matrix.cells
-    rows, cols = np.arange(n)[:, None], np.arange(n)
+    n, cells = matrix.n, matrix.cells
     return MetricReport(
         protocol=matrix.protocol,
-        accuracy=_mean_over(cells, rows >= cols),
-        backward_transfer=_mean_over(cells, rows > cols),
-        forward_transfer=_mean_over(cells, rows < cols),
-        in_domain=_mean_over(cells, rows == cols),
-        next_domain=_mean_over(cells, cols == rows + 1),
+        accuracy=_mean_over(cells, ((0, i + 1) for i in range(n))),
+        backward_transfer=_mean_over(cells, ((0, i) for i in range(n))),
+        forward_transfer=_mean_over(cells, ((i + 1, n) for i in range(n))),
+        in_domain=_mean_over(cells, ((i, i + 1) for i in range(n))),
+        next_domain=_mean_over(cells, ((i + 1, i + 2) for i in range(n))),
     )
 
 

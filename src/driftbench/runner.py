@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import difflib
 import os
+import pickle
+import select
+import sys
+import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -20,7 +24,7 @@ from .corpus import (
 )
 from .curate import CurationSpec
 from .learner import Hyperparams, Strategy, parse_architecture, parse_strategy
-from .metrics import AggregateReport, aggregate, compute_metrics, csv_rows, report_text
+from .metrics import AggregateReport, MetricReport, aggregate, compute_metrics, csv_rows, report_text
 from .protocol import (
     ProtocolKind,
     RunConfig,
@@ -415,7 +419,37 @@ def _write_artifact(path: Path, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def _run_cell(stream: TemporalStream, cell: CellConfig, cell_dir: Path, base_seed: int) -> AggregateReport:
+# A unit is one seed of one cell: the cell, its output directory and the seed.
+_Unit = tuple[CellConfig, Path, int]
+# A unit's outcome: its metrics, or the error text of its failure.
+_Outcome = MetricReport | str
+
+# Worker processes are forked only when every one of these that is set reads 1.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _process_count(units: int) -> int:
+    """How many processes run ``units`` units: one per usable CPU, at most one per unit.
+
+    That needs BLAS pinned to one thread per process (at least one of the
+    BLAS thread variables set, and each one set reading 1), or the processes
+    would oversubscribe the CPUs.  Otherwise, where processes cannot fork, or
+    when this process runs other threads (a fork copies no thread, but may
+    copy a lock one of them holds), the count is 1: the units run here.
+    """
+    threads = {os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
+    if (threads != {"1"} or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(units, len(os.sched_getaffinity(0)))
+
+
+def _run_unit(stream: TemporalStream, cell: CellConfig, cell_dir: Path, seed: int) -> MetricReport:
+    """Run ``cell`` at ``seed``, write that seed's matrix and event log to ``cell_dir`` and return its metrics.
+
+    A unit only reads the stream and writes only its own seed's files, so
+    units may run in any order and in any process.
+    """
     cfg = RunConfig(
         strategy=cell.strategy,
         architecture=parse_architecture(cell.arch_text, d=stream.d, C=stream.C),
@@ -425,25 +459,150 @@ def _run_cell(stream: TemporalStream, cell: CellConfig, cell_dir: Path, base_see
         train_fraction=cell.train_fraction,
     )
     runner = run_iid_protocol if cell.protocol is ProtocolKind.IID else run_streaming_protocol
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for seed in range(base_seed, base_seed + cell.n_seeds):
-        matrix = runner(stream, cfg, seed)
-        _write_artifact(cell_dir / f"matrix_seed{seed}.txt", _matrix_lines(matrix))
-        _write_artifact(cell_dir / f"events_seed{seed}.log", _step_log_chunks(matrix.protocol, matrix.n))
-        reports.append(compute_metrics(matrix))
-        del matrix  # so that the next seed's run does not hold two N x N matrices
-    agg = aggregate(reports)
-    _write_artifact(cell_dir / "report.txt", [report_text(agg)])
-    return agg
+    matrix = runner(stream, cfg, seed)
+    _write_artifact(cell_dir / f"matrix_seed{seed}.txt", _matrix_lines(matrix))
+    _write_artifact(cell_dir / f"events_seed{seed}.log", _step_log_chunks(matrix.protocol, matrix.n))
+    return compute_metrics(matrix)
+
+
+def _unlink_unit(unit: _Unit) -> None:
+    """Remove the matrix and event log that :func:`_run_unit` writes."""
+    _, cell_dir, seed = unit
+    (cell_dir / f"matrix_seed{seed}.txt").unlink(missing_ok=True)
+    (cell_dir / f"events_seed{seed}.log").unlink(missing_ok=True)
+
+
+def _run_share(
+    stream: TemporalStream, units: list[_Unit], first: int, step: int, emit: Callable[[int, _Outcome], None]
+) -> None:
+    """Run ``units[first::step]`` in order and ``emit`` each one's index and outcome.
+
+    A cell stops at its first failing seed: its later units in this share are skipped.
+    """
+    failed: set[str] = set()
+    for k in range(first, len(units), step):
+        cell, cell_dir, seed = units[k]
+        if cell.name in failed:
+            continue
+        try:
+            outcome: _Outcome = _run_unit(stream, cell, cell_dir, seed)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            failed.add(cell.name)
+            outcome = f"{type(exc).__name__}: {exc}"
+        emit(k, outcome)
+
+
+@dataclass
+class _Worker:
+    """A forked process, the read end of its pipe, its units not yet reported and a partly received record."""
+
+    pid: int
+    fd: int
+    pending: set[int]
+    received: bytes = b""
+
+
+def _send(fd: int, record: Any) -> None:
+    data = pickle.dumps(record)
+    data = len(data).to_bytes(8, "little") + data
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _fork_worker(stream: TemporalStream, units: list[_Unit], first: int, step: int) -> _Worker:
+    """Fork a process that runs ``units[first::step]``, sends ``(index, outcome)`` per unit and exits."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker ends in os._exit, whatever happens: it must not return into the caller's code
+        code = 1
+        try:
+            os.close(read_fd)
+            _run_share(stream, units, first, step, lambda k, outcome: _send(write_fd, (k, outcome)))
+            code = 0
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return _Worker(pid, read_fd, set(range(first, len(units), step)))
+
+
+def _receive(workers: list[_Worker], settle: Callable[[int, _Outcome], None], timeout_ms: int | None) -> None:
+    """``settle`` what the workers sent within ``timeout_ms`` (None: until one sends or ends); reap each that ended.
+
+    A worker that died fails every unit it did not report, naming its exit status or signal.
+    """
+    poll = select.poll()
+    for worker in workers:
+        poll.register(worker.fd, select.POLLIN)
+    for fd, _ in poll.poll(timeout_ms):
+        worker = next(w for w in workers if w.fd == fd)
+        chunk = os.read(fd, 1 << 16)
+        worker.received += chunk
+        while len(worker.received) >= 8 + (size := int.from_bytes(worker.received[:8], "little")):
+            k, outcome = pickle.loads(worker.received[8 : 8 + size])
+            worker.received = worker.received[8 + size :]
+            worker.pending.discard(k)
+            settle(k, outcome)
+        if not chunk:
+            workers.remove(worker)
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
+            if code:
+                why = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                for k in sorted(worker.pending):
+                    settle(k, f"ChildProcessError: the worker process running this seed {why}")
+
+
+def _run_units(stream: TemporalStream, units: list[_Unit], settle: Callable[[int, _Outcome], None]) -> None:
+    """Run every unit and ``settle`` each one's index and outcome as it comes in.
+
+    With P = :func:`_process_count` processes, unit k runs in process k mod P.
+    This process is process 0; the others are forked from it, so they share
+    the stream copy-on-write, write their units' files themselves and send
+    back only each unit's outcome.  Every worker is reaped before this
+    returns or raises.
+    """
+    step = _process_count(len(units))
+    workers: list[_Worker] = []
+    try:
+        for first in range(1, step):
+            workers.append(_fork_worker(stream, units, first, step))
+
+        def settle_and_receive(k: int, outcome: _Outcome) -> None:
+            settle(k, outcome)
+            _receive(workers, settle, 0)  # so that no worker waits on a full pipe
+
+        _run_share(stream, units, 0, step, settle_and_receive)
+        while workers:
+            _receive(workers, settle, None)
+    finally:
+        if workers:  # this process raised: stop the workers
+            import signal  # here, since its import costs a millisecond that no run without an error needs
+
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGKILL)
+                os.waitpid(worker.pid, 0)
+                os.close(worker.fd)
 
 
 def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
-    """Execute every cell in turn, writing matrices, event logs, per-cell reports, and a summary CSV.
+    """Execute every (cell, seed) unit, writing matrices, event logs, per-cell reports, and a summary CSV.
 
     Cells share nothing; a failure in one cell is recorded in its own
-    directory and does not disturb the others.  ``DRIFTBENCH_SEED`` overrides
-    every cell's base seed when set.
+    directory and does not disturb the others.  A cell stops at its first
+    failing seed: the seeds before it keep their files.  ``DRIFTBENCH_SEED``
+    overrides every cell's base seed when set.
+
+    The units run in :func:`_process_count` processes, each writing its own
+    units' matrices and event logs; the files are the same for any count.
+    Each cell's ``report.txt`` (or ``error.txt``) is written here once its
+    seeds are in, and ``summary.csv`` at the end.  When a seed fails, the
+    files of its cell's later seeds that another process has already written
+    are removed.
     """
     env_seed = os.environ.get(SEED_ENV_VAR)
     try:
@@ -456,17 +615,48 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
     stream = load_stream(grid.stream)
     _write_artifact(grid.out_dir / "stream_manifest.tsv", [stream_manifest(stream)])
 
-    reports: dict[str, AggregateReport] = {}
-    failures: dict[str, str] = {}
+    units: list[_Unit] = []
+    first_unit: dict[str, int] = {}
     for cell in grid.cells:
         cell_dir = grid.out_dir / cell.name
+        cell_dir.mkdir(parents=True, exist_ok=True)
         base = cell.base_seed if env_base is None else env_base
+        first_unit[cell.name] = len(units)
+        units.extend((cell, cell_dir, seed) for seed in range(base, base + cell.n_seeds))
+    outcomes: list[_Outcome | None] = [None] * len(units)
+    reports: dict[str, AggregateReport] = {}
+    failures: dict[str, str] = {}
+
+    def fail(k: int, error: str) -> None:
+        cell, cell_dir, _ = units[k]
+        failures[cell.name] = error
+        _write_artifact(cell_dir / "error.txt", [error, "\n"])
+        for later in range(k + 1, first_unit[cell.name] + cell.n_seeds):
+            if outcomes[later] is not None:
+                _unlink_unit(units[later])
+
+    def settle(k: int, outcome: _Outcome) -> None:
+        """Record unit ``k``'s outcome; write its cell's error at its first failed seed, or report when all are in."""
+        outcomes[k] = outcome
+        cell, cell_dir, _ = units[k]
+        if cell.name in failures:  # a later seed than the failed one, run by another process
+            _unlink_unit(units[k])
+            return
+        seeds = range(first_unit[cell.name], first_unit[cell.name] + cell.n_seeds)
+        for j in seeds:
+            if outcomes[j] is None:
+                return
+            if isinstance(outcomes[j], str):
+                fail(j, outcomes[j])
+                return
         try:
-            reports[cell.name] = _run_cell(stream, cell, cell_dir, base)
+            agg = aggregate([outcomes[j] for j in seeds])
+            _write_artifact(cell_dir / "report.txt", [report_text(agg)])
+            reports[cell.name] = agg
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            failures[cell.name] = f"{type(exc).__name__}: {exc}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            _write_artifact(cell_dir / "error.txt", [failures[cell.name], "\n"])
+            fail(seeds[-1], f"{type(exc).__name__}: {exc}")
+
+    _run_units(stream, units, settle)
 
     lines = ["cell,metric,mean,std"]
     for cell in grid.cells:

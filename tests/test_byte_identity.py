@@ -9,6 +9,9 @@ with shared query heads and a rejection list, pins the curated feature file
 and class table the same way.  Re-record the digests only for a
 change that is meant to alter outputs, and say so where the change is
 described.
+
+Each run-grid test runs in one process and in two (a forked worker), the
+count forced through ``runner._process_count``: both give the recorded bytes.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 import driftbench.protocol as protocol_module
+import driftbench.runner as runner_module
 from driftbench.cli import main
 from driftbench.runner import run_experiment, validate_config
 
@@ -111,6 +115,15 @@ def write_file_stream(path: Path) -> None:
             fh.write(f"{sid}\t{ts}\t{label}\t" + ",".join(repr(float(v)) for v in row) + "\n")
 
 
+# (source, processes); a one-process id is the source alone.
+SOURCES_AND_PROCESSES = [pytest.param(source, processes, id=source if processes == 1 else f"{source}-{processes}")
+                         for processes in (1, 2) for source in ("synthetic", "file")]
+
+
+def use_processes(monkeypatch, processes):
+    monkeypatch.setattr(runner_module, "_process_count", lambda units: min(units, processes))
+
+
 def run_digests(stream_text: str, out_dir: Path) -> dict[str, str]:
     cells = "".join(f"\n{cell}{CELL_HP}" for cell in CELLS)
     result = run_experiment(validate_config(stream_text + cells, out_dir))
@@ -122,9 +135,10 @@ def run_digests(stream_text: str, out_dir: Path) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("source", ["synthetic", "file"])
-def test_pinned_grid_artifacts_match_recorded_digests(source, tmp_path, monkeypatch):
+@pytest.mark.parametrize("source, processes", SOURCES_AND_PROCESSES)
+def test_pinned_grid_artifacts_match_recorded_digests(source, processes, tmp_path, monkeypatch):
     monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+    use_processes(monkeypatch, processes)
     if source == "synthetic":
         stream_text = SYNTHETIC_STREAM
     else:
@@ -138,8 +152,8 @@ def test_pinned_grid_artifacts_match_recorded_digests(source, tmp_path, monkeypa
 
 
 # A long stream, 100 buckets of 4 rows: its matrices and event logs are
-# written a row or a step at a time, and its metrics sum regions larger
-# than one summation slice.
+# written a row or a step at a time, and its metrics sum regions of up to
+# 4,950 cells, a row view at a time.
 LONG_GRID = """\
 [stream]
 source = synthetic
@@ -173,8 +187,11 @@ decay_epoch = 1
 """
 
 
-def test_long_stream_artifacts_match_recorded_digests(tmp_path, monkeypatch):
+# Three processes on a two-CPU machine is more processes than CPUs.
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_long_stream_artifacts_match_recorded_digests(processes, tmp_path, monkeypatch):
     monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+    use_processes(monkeypatch, processes)
     out = tmp_path / "out"
     result = run_experiment(validate_config(LONG_GRID, out))
     assert result.ok, result.failures
@@ -186,12 +203,12 @@ def test_long_stream_artifacts_match_recorded_digests(tmp_path, monkeypatch):
     assert got == json.loads(DIGESTS.read_text(encoding="utf-8"))["long"]
 
 
-@pytest.mark.parametrize("source", ["synthetic", "file"])
-def test_chunked_scoring_matches_recorded_digests(source, tmp_path, monkeypatch):
+@pytest.mark.parametrize("source, processes", SOURCES_AND_PROCESSES)
+def test_chunked_scoring_matches_recorded_digests(source, processes, tmp_path, monkeypatch):
     # Below every bucket (16 rows at least) and iid test split (4 rows at
     # least), so each target is scored over several predict_batch calls.
     monkeypatch.setattr(protocol_module, "SCORE_BATCH_ROWS", 3)
-    test_pinned_grid_artifacts_match_recorded_digests(source, tmp_path, monkeypatch)
+    test_pinned_grid_artifacts_match_recorded_digests(source, processes, tmp_path, monkeypatch)
 
 
 def write_curation_inputs(root: Path) -> list[str]:

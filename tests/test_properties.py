@@ -5,6 +5,7 @@ embedding files against their line-by-line references, and ``bucketize`` against
 sorted-sample version it replaced."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftbench.protocol as protocol_module
+import driftbench.runner as runner_module
 
 from driftbench.corpus import (
     Sample,
@@ -37,7 +39,7 @@ from driftbench.protocol import (
     run_iid_protocol,
     run_streaming_protocol,
 )
-from driftbench.runner import ConfigError, run_experiment, validate_config
+from driftbench.runner import ConfigError, load_stream, run_experiment, validate_config
 from driftbench.sampler import AlphaPolicy, PolicyKind, ReplayBuffer, update_buffer
 
 # Derandomized so the suite replays the same examples on every run.
@@ -198,6 +200,15 @@ def test_matrix_validation_matches_reference(n, protocol, data):
         assert str(err.value) == want
 
 
+def pickle_records(path):
+    """Every object pickled one after another into the file at ``path``."""
+    records = []
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            records.append(pickle.load(fh))
+    return records
+
+
 def one_cell_config(kind, n):
     """A two-seed grid of one tiny ``kind`` cell over ``n`` buckets of 6 samples."""
     extra = "train_fraction = 0.5\n" if kind is ProtocolKind.IID else ""
@@ -218,7 +229,8 @@ def test_runner_event_log_matches_public_event_log(tmp_path_factory, kind, n, da
     fits = n if kind is ProtocolKind.IID else n - 1
     diverge_at = data.draw(st.integers(0, fits - 1))
     real_step = protocol_module.strategy_step
-    calls = []
+    # The runner forks a worker for seed 1, so each call is recorded in a file both processes append to.
+    recorded = tmp_path_factory.mktemp("calls") / "calls.pkl"
 
     def diverging_step(strategy, prev, i, x, y, hp, arch):
         if hp.seed - LEARNER_SEED_OFFSET - i == 1 and i == diverge_at:
@@ -228,17 +240,22 @@ def test_runner_event_log_matches_public_event_log(tmp_path_factory, kind, n, da
     public = run_iid_protocol if kind is ProtocolKind.IID else run_streaming_protocol
 
     def recording(stream, cfg, seed, **kwargs):
-        calls.append((stream, cfg, seed))
+        with open(recorded, "ab") as fh:
+            fh.write(pickle.dumps((cfg, seed)))
         return public(stream, cfg, seed, **kwargs)
 
     out = tmp_path_factory.mktemp("run")
+    grid = validate_config(one_cell_config(kind, n), out)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol_module, "strategy_step", diverging_step)
         mp.setattr(f"driftbench.runner.{public.__name__}", recording)
-        result = run_experiment(validate_config(one_cell_config(kind, n), out))
+        mp.setattr(runner_module, "_process_count", lambda units: min(units, 2))
+        result = run_experiment(grid)
         cell_dir = out / "c"
         assert set(result.failures) == {"c"} and "diverged" in result.failures["c"]
         assert not (cell_dir / "events_seed1.log").exists()
+        stream = load_stream(grid.stream)  # the run's stream, generated again from its spec
+        calls = [(stream, cfg, seed) for cfg, seed in pickle_records(recorded)]
         (stream, cfg, _), _ = calls
         full: list[Event] = []
         public(stream, cfg, 0, event_log=full)

@@ -1,15 +1,19 @@
+import multiprocessing
 import os
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import driftbench.learner as learner_module
+import driftbench.protocol as protocol_module
 import driftbench.runner as runner_module
 from driftbench.cli import main
 from driftbench.corpus import DriftConfig, Sample, generate_drift_stream, write_feature_file
 from driftbench.protocol import (
+    LEARNER_SEED_OFFSET,
     Event,
     ProtocolKind,
     audit_streaming_order,
@@ -71,6 +75,29 @@ stream_seed = 0
         ("streaming-mlp64-from_scratch", "streaming", "from_scratch", "mlp:64", "", 0.1),
     ]
 )
+
+
+def use_processes(monkeypatch, processes):
+    """Run each grid in ``processes`` processes (fewer for fewer units), whatever the BLAS thread settings."""
+    monkeypatch.setattr(runner_module, "_process_count", lambda units: min(units, processes))
+
+
+def tree(root):
+    """Every file under ``root``, by its path relative to ``root``, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+DIVERGED_CELL = (
+    "\n[cell:diverged]\nprotocol = streaming\nstrategy = finetuning\n"
+    "architecture = mlp:16\nalpha = fixed:1.0\nbuffer_capacity = 90\nn_seeds = 1\n"
+    "lr = 1e300\nbatch = 32\nepochs = 3\ndecay_epoch = 2\n"
+)
+# GOOD_CONFIG's cell with two seeds, then a one-seed cell at seed 5.
+TWO_SEED_CONFIG = GOOD_CONFIG.replace("n_seeds = 1", "n_seeds = 2") + (
+    "\n[cell:other]\nprotocol = streaming\nstrategy = from_scratch\nalpha = dynamic:1.0\n"
+    "buffer_capacity = 60\nn_seeds = 1\nbase_seed = 5\nlr = 0.5\nbatch = 32\nepochs = 2\ndecay_epoch = 1\n"
+)
+
 
 # The long-stream bench workload at seed 0: N=400 buckets of 4 samples, one
 # streaming finetuning cell with a 64-sample FIFO buffer and 1 epoch, 2 seeds.
@@ -505,11 +532,7 @@ class TestRunExperiment:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_cell_fails_loudly(self, tmp_path):
-        text = GOOD_CONFIG + (
-            "\n[cell:diverged]\nprotocol = streaming\nstrategy = finetuning\n"
-            "architecture = mlp:16\nalpha = fixed:1.0\nbuffer_capacity = 90\nn_seeds = 1\n"
-            "lr = 1e300\nbatch = 32\nepochs = 3\ndecay_epoch = 2\n"
-        )
+        text = GOOD_CONFIG + DIVERGED_CELL
         grid = validate_config(text, tmp_path / "out")
         result = run_experiment(grid)
         assert set(result.failures) == {"diverged"}
@@ -575,38 +598,41 @@ class TestRunExperiment:
         # Per seed: iid trains 10 + 9 x 13 batches of 256 per epoch (a 2,310-row
         # train split, then a full 3,300-row buffer); streaming trains 13 at
         # each of its 9 scored steps and none for the last bucket.  20 epochs.
-        steps = 0
+        # The count is shared, so it sees the steps of every process the run
+        # forks; with BLAS pinned to one thread, as in the bench, it forks.
+        steps = multiprocessing.Value("q", 0)
         real = learner_module._loss_grad_arrays
 
         def counting(*args, **kwargs):
-            nonlocal steps
-            steps += 1
+            with steps.get_lock():
+                steps.value += 1
             return real(*args, **kwargs)
 
         monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         monkeypatch.setattr(learner_module, "_loss_grad_arrays", counting)
         result = run_experiment(validate_config(PAPER_GRID_CONFIG, tmp_path / "out"))
         assert result.ok
-        assert steps == 2 * 20 * ((10 + 9 * 13) + 9 * 13) == 9_760
+        assert steps.value == 2 * 20 * ((10 + 9 * 13) + 9 * 13) == 9_760
 
     def test_long_stream_builds_no_events(self, tmp_path, monkeypatch):
         # The runner writes each event log from the protocol and N; building
         # one Event per action would be 2 x (400 train + 79,800 evaluate) =
-        # 160,400 objects here.
-        built = 0
+        # 160,400 objects here.  The count is shared by both processes, one per seed.
+        built = multiprocessing.Value("q", 0)
         real = Event.__init__
 
         def counting(self, *args, **kwargs):
-            nonlocal built
-            built += 1
+            with built.get_lock():
+                built.value += 1
             real(self, *args, **kwargs)
 
         monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         monkeypatch.setattr(Event, "__init__", counting)
+        use_processes(monkeypatch, 2)
         result = run_experiment(validate_config(LONG_STREAM_CONFIG, tmp_path / "out"))
         assert result.ok
         assert (tmp_path / "out" / "streaming-finetuning-fifo" / "events_seed1.log").exists()
-        assert built == 0
+        assert built.value == 0
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         grid = validate_config(GOOD_CONFIG, tmp_path / "out")
@@ -633,6 +659,85 @@ class TestRunExperiment:
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
             assert f"DRIFTBENCH_SEED {message}" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("failing_seed", [None, 0, 1])
+    def test_failures_write_the_same_files_in_one_process_and_two(self, tmp_path, monkeypatch, failing_seed):
+        # None: the diverged grid.  0 or 1: that seed of ft-fast fails; with
+        # two processes seed 0 runs here and seed 1 in the forked worker, so
+        # a failing seed 0 has seed 1's files written and then removed.
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        text = GOOD_CONFIG + DIVERGED_CELL
+        if failing_seed is not None:
+            text = TWO_SEED_CONFIG
+            real_step = protocol_module.strategy_step
+
+            def failing_step(strategy, prev, i, x, y, hp, arch):
+                if hp.seed - LEARNER_SEED_OFFSET - i == failing_seed:
+                    raise FloatingPointError("training diverged")
+                return real_step(strategy, prev, i, x, y, hp, arch)
+
+            monkeypatch.setattr(protocol_module, "strategy_step", failing_step)
+        trees, failures = {}, {}
+        for processes in (1, 2):
+            use_processes(monkeypatch, processes)
+            result = run_experiment(validate_config(text, tmp_path / str(processes)))
+            trees[processes], failures[processes] = tree(tmp_path / str(processes)), result.failures
+        assert set(failures[1]) == {"diverged" if failing_seed is None else "ft-fast"}
+        assert failures[2] == failures[1]
+        assert trees[2] == trees[1]
+        if failing_seed is not None:  # only the seeds before the failing one keep their files
+            kept = [name for name in trees[1] if name.startswith("ft-fast/matrix")]
+            assert kept == [f"ft-fast/matrix_seed{seed}.txt" for seed in range(failing_seed)]
+            assert "other/report.txt" in trees[1]
+
+    def test_killed_worker_fails_its_cell_and_the_others_finish(self, tmp_path, monkeypatch):
+        # Units: ft-fast seeds 0 and 1, then other at seed 5.  This process
+        # runs the first and the last; the worker runs seed 1 and kills itself.
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        caller, real = os.getpid(), runner_module._run_unit
+
+        def dying(stream, cell, cell_dir, seed):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(stream, cell, cell_dir, seed)
+
+        def hung(signum, frame):
+            raise TimeoutError("the run waited on its killed worker")
+
+        monkeypatch.setattr(runner_module, "_run_unit", dying)
+        use_processes(monkeypatch, 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            result = run_experiment(validate_config(TWO_SEED_CONFIG, tmp_path / "out"))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert set(result.failures) == {"ft-fast"}
+        error = (tmp_path / "out" / "ft-fast" / "error.txt").read_text()
+        assert f"killed by signal {int(signal.SIGKILL)}" in error, error
+        assert (tmp_path / "out" / "ft-fast" / "matrix_seed0.txt").exists()
+        assert not (tmp_path / "out" / "ft-fast" / "report.txt").exists()
+        assert (tmp_path / "out" / "other" / "report.txt").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("env, expected", [
+        ({}, (1, 1)),
+        ({"OPENBLAS_NUM_THREADS": "1"}, (3, 4)),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, (3, 4)),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, (1, 1)),
+        ({"MKL_NUM_THREADS": "4"}, (1, 1)),
+    ])
+    def test_processes_only_with_blas_pinned_to_one_thread(self, monkeypatch, env, expected):
+        # (3 units, 8 units) on 4 usable CPUs: one process per unit, at most one per CPU.
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert (runner_module._process_count(3), runner_module._process_count(8)) == expected
 
 
 class TestCli:
@@ -730,13 +835,15 @@ class TestCli:
     def test_curate_then_run_build_no_per_row_objects(self, tmp_path, monkeypatch):
         # Per-row objects here would be one EmbeddingRecord per embedding (600)
         # and one Sample per curated row, once written and once read (2 x 120).
-        built = {Sample: 0, EmbeddingRecord: 0}
+        # The counts are shared by the run's two processes, one per cell.
+        built = {Sample: multiprocessing.Value("q", 0), EmbeddingRecord: multiprocessing.Value("q", 0)}
 
         def counting(cls):
             real = cls.__init__
 
             def init(self, *args, **kwargs):
-                built[cls] += 1
+                with built[cls].get_lock():
+                    built[cls].value += 1
                 real(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", init)
@@ -762,6 +869,7 @@ class TestCli:
             "buffer_capacity = 20\ntrain_fraction = 0.7\n"
         )
         monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        use_processes(monkeypatch, 2)
         counting(Sample)
         counting(EmbeddingRecord)
         assert main([
@@ -770,7 +878,7 @@ class TestCli:
         ]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "i" / "report.txt").exists()
-        assert built == {Sample: 0, EmbeddingRecord: 0}
+        assert {cls: count.value for cls, count in built.items()} == {Sample: 0, EmbeddingRecord: 0}
 
     def test_curate_names_bad_count(self, tmp_path, capsys):
         spec = tmp_path / "cur.cfg"
