@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import difflib
 import os
 import pickle
-import select
 import sys
+import tempfile
 import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Mapping, Sequence
 
 from .corpus import (
     DriftConfig,
@@ -465,13 +466,6 @@ def _run_unit(stream: TemporalStream, cell: CellConfig, cell_dir: Path, seed: in
     return compute_metrics(matrix)
 
 
-def _unlink_unit(unit: _Unit) -> None:
-    """Remove the matrix and event log that :func:`_run_unit` writes."""
-    _, cell_dir, seed = unit
-    (cell_dir / f"matrix_seed{seed}.txt").unlink(missing_ok=True)
-    (cell_dir / f"events_seed{seed}.log").unlink(missing_ok=True)
-
-
 def _run_share(
     stream: TemporalStream, units: list[_Unit], first: int, step: int, emit: Callable[[int, _Outcome], None]
 ) -> None:
@@ -492,32 +486,24 @@ def _run_share(
         emit(k, outcome)
 
 
-@dataclass
-class _Worker:
-    """A forked process, the read end of its pipe, its units not yet reported and a partly received record."""
+def _fork_worker(stream: TemporalStream, units: list[_Unit], first: int, step: int) -> tuple[int, BinaryIO]:
+    """Fork a process that runs ``units[first::step]`` and exits; return its pid and its outcome file.
 
-    pid: int
-    fd: int
-    pending: set[int]
-    received: bytes = b""
-
-
-def _send(fd: int, record: Any) -> None:
-    data = pickle.dumps(record)
-    data = len(data).to_bytes(8, "little") + data
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _fork_worker(stream: TemporalStream, units: list[_Unit], first: int, step: int) -> _Worker:
-    """Fork a process that runs ``units[first::step]``, sends ``(index, outcome)`` per unit and exits."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    The worker appends one pickled ``(index, outcome)`` per unit to the file,
+    each with a single write, so a kill can cut short only the last record.
+    """
+    file = tempfile.TemporaryFile()
+    fd, pid = file.fileno(), os.fork()
     if pid == 0:  # the worker ends in os._exit, whatever happens: it must not return into the caller's code
         code = 1
+
+        def record(k: int, outcome: _Outcome) -> None:
+            data = pickle.dumps((k, outcome))
+            if os.write(fd, data) < len(data):
+                raise OSError(f"wrote part of unit {k}'s outcome record")
+
         try:
-            os.close(read_fd)
-            _run_share(stream, units, first, step, lambda k, outcome: _send(write_fd, (k, outcome)))
+            _run_share(stream, units, first, step, record)
             code = 0
         except BaseException:
             import traceback
@@ -526,67 +512,50 @@ def _fork_worker(stream: TemporalStream, units: list[_Unit], first: int, step: i
             sys.stderr.flush()
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return _Worker(pid, read_fd, set(range(first, len(units), step)))
+    return pid, file
 
 
-def _receive(workers: list[_Worker], settle: Callable[[int, _Outcome], None], timeout_ms: int | None) -> None:
-    """``settle`` what the workers sent within ``timeout_ms`` (None: until one sends or ends); reap each that ended.
-
-    A worker that died fails every unit it did not report, naming its exit status or signal.
-    """
-    poll = select.poll()
-    for worker in workers:
-        poll.register(worker.fd, select.POLLIN)
-    for fd, _ in poll.poll(timeout_ms):
-        worker = next(w for w in workers if w.fd == fd)
-        chunk = os.read(fd, 1 << 16)
-        worker.received += chunk
-        while len(worker.received) >= 8 + (size := int.from_bytes(worker.received[:8], "little")):
-            k, outcome = pickle.loads(worker.received[8 : 8 + size])
-            worker.received = worker.received[8 + size :]
-            worker.pending.discard(k)
-            settle(k, outcome)
-        if not chunk:
-            workers.remove(worker)
-            os.close(fd)
-            code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
-            if code:
-                why = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                for k in sorted(worker.pending):
-                    settle(k, f"ChildProcessError: the worker process running this seed {why}")
-
-
-def _run_units(stream: TemporalStream, units: list[_Unit], settle: Callable[[int, _Outcome], None]) -> None:
-    """Run every unit and ``settle`` each one's index and outcome as it comes in.
+def _run_units(stream: TemporalStream, units: list[_Unit]) -> list[_Outcome | None]:
+    """Run every unit; return each one's outcome, or None where an earlier seed of its cell failed first.
 
     With P = :func:`_process_count` processes, unit k runs in process k mod P.
     This process is process 0; the others are forked from it, so they share
-    the stream copy-on-write, write their units' files themselves and send
-    back only each unit's outcome.  Every worker is reaped before this
-    returns or raises.
+    the stream copy-on-write and write their units' files themselves.  Once
+    its own units are done, this process reaps each worker and reads the
+    outcomes the worker recorded.  A worker that died fails every unit it did
+    not record, naming its exit status or signal.  Every worker is reaped
+    before this returns or raises.
     """
     step = _process_count(len(units))
-    workers: list[_Worker] = []
+    outcomes: list[_Outcome | None] = [None] * len(units)
+    workers: dict[int, tuple[int, BinaryIO]] = {}  # first unit -> pid and outcome file
     try:
         for first in range(1, step):
-            workers.append(_fork_worker(stream, units, first, step))
-
-        def settle_and_receive(k: int, outcome: _Outcome) -> None:
-            settle(k, outcome)
-            _receive(workers, settle, 0)  # so that no worker waits on a full pipe
-
-        _run_share(stream, units, 0, step, settle_and_receive)
-        while workers:
-            _receive(workers, settle, None)
+            workers[first] = _fork_worker(stream, units, first, step)
+        _run_share(stream, units, 0, step, outcomes.__setitem__)
+        for first in range(1, step):
+            pid, file = workers[first]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[first]
+            with file, contextlib.suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
+                file.seek(0)
+                while True:
+                    k, outcome = pickle.load(file)
+                    outcomes[k] = outcome
+            if code:
+                why = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                for k in range(first, len(units), step):
+                    if outcomes[k] is None:
+                        outcomes[k] = f"ChildProcessError: the worker process running this seed {why}"
     finally:
         if workers:  # this process raised: stop the workers
             import signal  # here, since its import costs a millisecond that no run without an error needs
 
-            for worker in workers:
-                os.kill(worker.pid, signal.SIGKILL)
-                os.waitpid(worker.pid, 0)
-                os.close(worker.fd)
+            for pid, file in workers.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                file.close()
+    return outcomes
 
 
 def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
@@ -599,10 +568,11 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
 
     The units run in :func:`_process_count` processes, each writing its own
     units' matrices and event logs; the files are the same for any count.
-    Each cell's ``report.txt`` (or ``error.txt``) is written here once its
-    seeds are in, and ``summary.csv`` at the end.  When a seed fails, the
-    files of its cell's later seeds that another process has already written
-    are removed.
+    Once every unit is in, this process settles the cells in grid order:
+    each gets ``report.txt``, or ``error.txt`` with its first failure's text,
+    and loses the other of the two; ``summary.csv`` gets the reports' rows.
+    When a seed fails, its files and those of its cell's later seeds are
+    removed, so in a reused directory only the seeds before it keep files.
     """
     env_seed = os.environ.get(SEED_ENV_VAR)
     try:
@@ -616,51 +586,40 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
     _write_artifact(grid.out_dir / "stream_manifest.tsv", [stream_manifest(stream)])
 
     units: list[_Unit] = []
-    first_unit: dict[str, int] = {}
     for cell in grid.cells:
         cell_dir = grid.out_dir / cell.name
         cell_dir.mkdir(parents=True, exist_ok=True)
         base = cell.base_seed if env_base is None else env_base
-        first_unit[cell.name] = len(units)
         units.extend((cell, cell_dir, seed) for seed in range(base, base + cell.n_seeds))
-    outcomes: list[_Outcome | None] = [None] * len(units)
+    outcomes = _run_units(stream, units)
+
     reports: dict[str, AggregateReport] = {}
     failures: dict[str, str] = {}
-
-    def fail(k: int, error: str) -> None:
-        cell, cell_dir, _ = units[k]
+    lines = ["cell,metric,mean,std"]
+    start = 0
+    for cell in grid.cells:
+        cell_units, cell_outcomes = units[start : start + cell.n_seeds], outcomes[start : start + cell.n_seeds]
+        start += cell.n_seeds
+        cell_dir = grid.out_dir / cell.name
+        failed = next((j for j, outcome in enumerate(cell_outcomes) if isinstance(outcome, str)), None)
+        if failed is None:
+            try:
+                agg = aggregate(cell_outcomes)
+                _write_artifact(cell_dir / "report.txt", [report_text(agg)])
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                (cell_dir / "error.txt").unlink(missing_ok=True)
+                reports[cell.name] = agg
+                lines.extend(csv_rows(cell.name, agg))
+                continue
+        else:
+            error = cell_outcomes[failed]
+            for _, _, seed in cell_units[failed:]:  # the failed seed's files and its later seeds' are stale
+                (cell_dir / f"matrix_seed{seed}.txt").unlink(missing_ok=True)
+                (cell_dir / f"events_seed{seed}.log").unlink(missing_ok=True)
         failures[cell.name] = error
         _write_artifact(cell_dir / "error.txt", [error, "\n"])
-        for later in range(k + 1, first_unit[cell.name] + cell.n_seeds):
-            if outcomes[later] is not None:
-                _unlink_unit(units[later])
-
-    def settle(k: int, outcome: _Outcome) -> None:
-        """Record unit ``k``'s outcome; write its cell's error at its first failed seed, or report when all are in."""
-        outcomes[k] = outcome
-        cell, cell_dir, _ = units[k]
-        if cell.name in failures:  # a later seed than the failed one, run by another process
-            _unlink_unit(units[k])
-            return
-        seeds = range(first_unit[cell.name], first_unit[cell.name] + cell.n_seeds)
-        for j in seeds:
-            if outcomes[j] is None:
-                return
-            if isinstance(outcomes[j], str):
-                fail(j, outcomes[j])
-                return
-        try:
-            agg = aggregate([outcomes[j] for j in seeds])
-            _write_artifact(cell_dir / "report.txt", [report_text(agg)])
-            reports[cell.name] = agg
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            fail(seeds[-1], f"{type(exc).__name__}: {exc}")
-
-    _run_units(stream, units, settle)
-
-    lines = ["cell,metric,mean,std"]
-    for cell in grid.cells:
-        if cell.name in reports:
-            lines.extend(csv_rows(cell.name, reports[cell.name]))
+        (cell_dir / "report.txt").unlink(missing_ok=True)
     _write_artifact(grid.out_dir / "summary.csv", [line + "\n" for line in lines])
     return ExperimentResult(reports=reports, failures=failures)

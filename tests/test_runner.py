@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 from pathlib import Path
@@ -97,6 +98,18 @@ TWO_SEED_CONFIG = GOOD_CONFIG.replace("n_seeds = 1", "n_seeds = 2") + (
     "\n[cell:other]\nprotocol = streaming\nstrategy = from_scratch\nalpha = dynamic:1.0\n"
     "buffer_capacity = 60\nn_seeds = 1\nbase_seed = 5\nlr = 0.5\nbatch = 32\nepochs = 2\ndecay_epoch = 1\n"
 )
+
+
+def fail_seed(monkeypatch, failing_seed):
+    """Make every cell's seed ``failing_seed`` raise in its first training step."""
+    real_step = protocol_module.strategy_step
+
+    def failing_step(strategy, prev, i, x, y, hp, arch):
+        if hp.seed - LEARNER_SEED_OFFSET - i == failing_seed:
+            raise FloatingPointError("training diverged")
+        return real_step(strategy, prev, i, x, y, hp, arch)
+
+    monkeypatch.setattr(protocol_module, "strategy_step", failing_step)
 
 
 # The long-stream bench workload at seed 0: N=400 buckets of 4 samples, one
@@ -722,6 +735,85 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "other" / "report.txt").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("death", ["exit", "cut", "short"])
+    def test_a_dead_worker_fails_only_the_units_it_did_not_record(self, tmp_path, monkeypatch, death):
+        # Units: ft-fast seeds 0 and 1, then other seeds 5 and 6.  The worker
+        # runs units 1 and 3: it records ft-fast seed 1, then lets SystemExit
+        # escape other seed 6 ("exit"), or writes half of that seed's record
+        # and kills itself ("cut") or returns the short count ("short").
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        if death == "exit":
+            real = runner_module._run_unit
+
+            def exiting(stream, cell, cell_dir, seed):
+                if seed == 6:
+                    raise SystemExit("the worker exits")
+                return real(stream, cell, cell_dir, seed)
+
+            monkeypatch.setattr(runner_module, "_run_unit", exiting)
+            why = "exited with status 1"
+        else:
+            caller, real_write = os.getpid(), os.write
+
+            def cutting(fd, data):
+                if os.getpid() != caller and pickle.loads(data)[0] == 3:
+                    written = real_write(fd, data[: len(data) // 2])
+                    if death == "cut":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return written
+                return real_write(fd, data)
+
+            monkeypatch.setattr(os, "write", cutting)
+            why = f"was killed by signal {int(signal.SIGKILL)}" if death == "cut" else "exited with status 1"
+
+        def hung(signum, frame):
+            raise TimeoutError("the run waited on its dead worker")
+
+        use_processes(monkeypatch, 2)
+        text = TWO_SEED_CONFIG.replace("n_seeds = 1\nbase_seed = 5", "n_seeds = 2\nbase_seed = 5")
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            result = run_experiment(validate_config(text, tmp_path / "out"))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert set(result.failures) == {"other"}
+        assert (tmp_path / "out" / "ft-fast" / "report.txt").exists()
+        error = (tmp_path / "out" / "other" / "error.txt").read_text()
+        assert error == f"ChildProcessError: the worker process running this seed {why}\n"
+        assert set(os.listdir(tmp_path / "out" / "other")) == {"error.txt", "events_seed5.log", "matrix_seed5.txt"}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_rerun_replaces_the_other_outcome_file(self, tmp_path, monkeypatch):
+        # One --out: the diverged cell fails, then runs at a sane rate, then fails again.
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        sane = DIVERGED_CELL.replace("lr = 1e300", "lr = 0.1")
+        expected = {"error.txt"}, {"report.txt", "matrix_seed0.txt", "events_seed0.log"}, {"error.txt"}
+        for cell, files in zip([DIVERGED_CELL, sane, DIVERGED_CELL], expected):
+            run_experiment(validate_config(GOOD_CONFIG + cell, tmp_path / "out"))
+            assert set(os.listdir(tmp_path / "out" / "diverged")) == files
+
+    @pytest.mark.parametrize("failing_seed", [0, 1])
+    def test_a_failing_rerun_keeps_only_the_seeds_before_the_failure(self, tmp_path, monkeypatch, failing_seed):
+        # A clean run, then a rerun into the same --out in which one seed of ft-fast fails.
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        trees = {}
+        for processes in (1, 2):
+            use_processes(monkeypatch, processes)
+            out = tmp_path / str(processes)
+            assert run_experiment(validate_config(TWO_SEED_CONFIG, out)).ok
+            with monkeypatch.context() as mp:
+                fail_seed(mp, failing_seed)
+                assert set(run_experiment(validate_config(TWO_SEED_CONFIG, out)).failures) == {"ft-fast"}
+            trees[processes] = tree(out)
+        assert trees[2] == trees[1]
+        kept = {f"ft-fast/{name}_seed{seed}.{ext}" for seed in range(failing_seed)
+                for name, ext in [("matrix", "txt"), ("events", "log")]}
+        assert {name for name in trees[1] if name.startswith("ft-fast/")} == {"ft-fast/error.txt", *kept}
 
     @pytest.mark.parametrize("env, expected", [
         ({}, (1, 1)),
