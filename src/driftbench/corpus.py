@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import shutil
+import sys
+import tempfile
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -271,6 +276,63 @@ def parse_records(
     return ints, x
 
 
+# Bytes of records a worker process must have to parse before workers are
+# forked: below about 1 MiB, forking, reaping and placing the rows cost more
+# than they save (measured on a 2-CPU host).
+FORK_MIN_BYTES = 1 << 20
+
+
+def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`parse_records` of the lines from ``fh``'s position on, in forked workers where that pays.
+
+    With P = :func:`_process_count` (a unit per ``FORK_MIN_BYTES`` bytes)
+    above 1, the bytes are cut at line ends into P ranges, each parsed by a
+    forked worker that reads its own range; this process waits, then places
+    the rows into one matrix allocated at its final size.  The result, and
+    the ``ValueError`` of a malformed record, are those of one process.
+    """
+    body, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    processes = _process_count(max(1, (size - body) // FORK_MIN_BYTES))
+    if processes == 1:
+        with io.TextIOWrapper(fh, encoding="utf-8") as text:
+            return parse_records(text, n_ints, k, normalize)
+    cuts = [body]
+    for p in range(1, processes):
+        fh.seek(body + (size - body) * p // processes)
+        fh.readline()
+        cuts.append(fh.tell())
+    cuts.append(size)
+
+    def share(first: int, step: int, file: BinaryIO | None) -> None:
+        if file is None:
+            return
+        data = io.BytesIO(os.pread(fh.fileno(), cuts[first] - cuts[first - 1], cuts[first - 1]))
+        try:
+            with io.TextIOWrapper(data, encoding="utf-8") as text:  # decoded a chunk at a time
+                ints, x = parse_records(text, n_ints, k, normalize)
+        except ValueError:
+            file.write((-1).to_bytes(8, "little", signed=True))
+        else:
+            file.writelines([len(x).to_bytes(8, "little", signed=True), ints, x])
+
+    workers = _fork_shares(processes + 1, share)
+    try:
+        if code := next((code for code, _ in workers if code), 0):
+            raise ChildProcessError(f"a worker process reading {fh.name} {_exit_text(code)}")
+        counts = [int.from_bytes(file.read(8), "little", signed=True) for _, file in workers]
+        if min(counts) < 0:
+            raise ValueError("malformed records")
+        ints, x = np.empty((n_ints, sum(counts)), dtype=np.int64), np.empty((sum(counts), k))
+        for (_, file), start, count in zip(workers, np.cumsum([0, *counts]), counts):
+            for column in ints:
+                file.readinto(column[start : start + count])
+            file.readinto(x[start : start + count])
+    finally:
+        for _, file in workers:
+            file.close()
+    return ints, x
+
+
 FeatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
 
 
@@ -297,9 +359,9 @@ def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]
 
 
 def _load_feature_rows(path: str, normalize: bool) -> FeatureArrays:
-    with open(path, encoding="utf-8") as fh:
-        d, c = _parse_header(fh.readline(), path)
-        (ids, timestamps, labels), x = parse_records(fh, 3, d, normalize)
+    with open(path, "rb") as fh:
+        d, c = _parse_header(fh.readline().decode("utf-8"), path)
+        (ids, timestamps, labels), x = read_records(fh, 3, d, normalize)
     if len(ids) and (ids.min() < 0 or labels.min() < 0 or labels.max() >= c):
         raise ValueError("id or label out of range")
     return ids, timestamps, labels, x, c
@@ -362,6 +424,86 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
+# Worker processes are forked only when every one of these that is set reads 1.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _process_count(units: int) -> int:
+    """How many processes share ``units`` units of work: one per usable CPU, at most one per unit.
+
+    That needs BLAS pinned to one thread per process (at least one of the
+    BLAS thread variables set, and each one set reading 1), or the processes
+    would oversubscribe the CPUs.  Otherwise, where processes cannot fork, or
+    when this process runs other threads (a fork copies no thread, but may
+    copy a lock one of them holds), the count is 1: the work runs here.
+    The run's (cell, seed) units, the feature-file writer's row blocks and
+    the readers' byte ranges all follow this rule.
+    """
+    threads = {os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
+    if (threads != {"1"} or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(units, len(os.sched_getaffinity(0)))
+
+
+def _exit_text(code: int) -> str:
+    """How a worker ended, from its exit code as :func:`os.waitstatus_to_exitcode` gives it."""
+    return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+
+
+def _fork_shares(processes: int, share: Callable[[int, int, BinaryIO | None], None]) -> list[tuple[int, BinaryIO]]:
+    """Run ``share(first, processes, file)`` for every ``first`` below ``processes``; share 0 runs here.
+
+    Shares 1..P-1 run in worker processes forked from this one, so they see
+    its memory copy-on-write.  Each worker gets its own unnamed temporary
+    ``file`` (share 0 gets None) and exits with status 0 once its share
+    returns and the file is flushed, else with status 1.  Returns each
+    worker's exit code (negative: the signal that killed it) and its file,
+    rewound, in index order; the caller closes the files.  Every worker is
+    reaped before this returns or raises: when this process raises, the
+    workers still running are killed first and every file is closed.
+    """
+    workers: list[tuple[BinaryIO, int]] = []
+    codes: list[int] = []
+    try:
+        for first in range(1, processes):
+            workers.append((file := tempfile.TemporaryFile(), os.fork()))
+            if workers[-1][1] == 0:  # the worker ends in os._exit, whatever happens: it must not return into the caller's code
+                code = 1
+                try:
+                    share(first, processes, file)
+                    file.flush()
+                    code = 0
+                except BaseException:
+                    import traceback
+
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+        share(0, processes, None)
+        for _, pid in workers:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    except BaseException:
+        import signal  # here, since its import costs a millisecond that no run without an error needs
+
+        for _, pid in workers[len(codes):]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for file, _ in workers:
+            file.close()
+        raise
+    for file, _ in workers:
+        file.seek(0)
+    return [(code, file) for code, (file, _) in zip(codes, workers)]
+
+
+# Feature values a worker process must have to format before one is forked:
+# below about 1,000 rows of 64 values, a worker's fork, reaping and copy cost
+# more than it saves (measured on a 2-CPU host).
+FORK_MIN_VALUES = 64_000
+
+
 def write_feature_file(
     path: str | Path, ids: np.ndarray, timestamps: np.ndarray, labels: np.ndarray,
     x: np.ndarray, rows: np.ndarray, C: int,
@@ -370,13 +512,37 @@ def write_feature_file(
 
     Record ``i`` is ``ids[i]``, ``timestamps[i]``, ``labels[i]`` and the
     features ``x[rows[i]]``, read from ``x`` one row at a time: no
-    ``x[rows]`` matrix is built.
+    ``x[rows]`` matrix is built.  The records are cut into P contiguous
+    blocks (:func:`_process_count`, a unit per ``FORK_MIN_VALUES`` values);
+    this process writes the header and block 0, then appends the files of
+    the workers that formatted the others, so the bytes are the same for any
+    P.  A worker that fails raises :class:`ChildProcessError`.
     """
+    processes = _process_count(max(1, len(rows) * x.shape[1] // FORK_MIN_VALUES))
+    bounds = [len(rows) * p // processes for p in range(processes + 1)]
     with atomic_write(path) as fh:
         fh.write(f"#d={x.shape[1]} C={C}\n")
-        for sid, ts, label, row in zip(ids.tolist(), timestamps.tolist(), labels.tolist(), rows):
-            feats = ",".join(repr(float(v)) for v in x[row].tolist())
-            fh.write(f"{sid}\t{ts}\t{label}\t{feats}\n")
+
+        def share(first: int, step: int, file: BinaryIO | None) -> None:
+            block = slice(bounds[first], bounds[first + 1])
+            out = fh if file is None else io.TextIOWrapper(file, encoding="utf-8")
+            for sid, ts, label, row in zip(ids[block].tolist(), timestamps[block].tolist(),
+                                           labels[block].tolist(), rows[block]):
+                feats = ",".join(repr(float(v)) for v in x[row].tolist())
+                out.write(f"{sid}\t{ts}\t{label}\t{feats}\n")
+            if file is not None:
+                out.detach()  # flushes the text into ``file`` and leaves it open
+
+        workers = _fork_shares(processes, share)
+        try:
+            if code := next((code for code, _ in workers if code), 0):
+                raise ChildProcessError(f"a worker process writing {path} {_exit_text(code)}")
+            fh.flush()
+            for _, file in workers:
+                shutil.copyfileobj(file, fh.buffer)
+        finally:
+            for _, file in workers:
+                file.close()
 
 
 def stream_manifest(stream: TemporalStream) -> str:

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FieldValueError, atomic_write, checked_norm, parse_int64, parse_records
+from .corpus import FieldValueError, atomic_write, checked_norm, parse_int64, read_records
 
 
 class ShortageError(ValueError):
@@ -102,9 +102,9 @@ def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _load_embedding_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        m = _embedding_dimension(fh.readline(), path)
-        (ids,), x = parse_records(fh, 1, m, normalize=True)
+    with open(path, "rb") as fh:
+        m = _embedding_dimension(fh.readline().decode("utf-8"), path)
+        (ids,), x = read_records(fh, 1, m, normalize=True)
     if len(np.unique(ids)) != len(ids) or (len(ids) and ids.min() < 0):
         raise ValueError("duplicate or negative id")
     return ids, x

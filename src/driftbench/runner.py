@@ -6,9 +6,8 @@ import contextlib
 import difflib
 import os
 import pickle
-import sys
+import shutil
 import tempfile
-import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Mapping, Sequence
@@ -17,6 +16,9 @@ from .corpus import (
     DriftConfig,
     FieldValueError,
     TemporalStream,
+    _exit_text,
+    _fork_shares,
+    _process_count,
     atomic_write,
     bucketize,
     generate_drift_stream,
@@ -425,26 +427,6 @@ _Unit = tuple[CellConfig, Path, int]
 # A unit's outcome: its metrics, or the error text of its failure.
 _Outcome = MetricReport | str
 
-# Worker processes are forked only when every one of these that is set reads 1.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _process_count(units: int) -> int:
-    """How many processes run ``units`` units: one per usable CPU, at most one per unit.
-
-    That needs BLAS pinned to one thread per process (at least one of the
-    BLAS thread variables set, and each one set reading 1), or the processes
-    would oversubscribe the CPUs.  Otherwise, where processes cannot fork, or
-    when this process runs other threads (a fork copies no thread, but may
-    copy a lock one of them holds), the count is 1: the units run here.
-    """
-    threads = {os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
-    if (threads != {"1"} or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return min(units, len(os.sched_getaffinity(0)))
-
-
 def _run_unit(stream: TemporalStream, cell: CellConfig, cell_dir: Path, seed: int) -> MetricReport:
     """Run ``cell`` at ``seed``, write that seed's matrix and event log to ``cell_dir`` and return its metrics.
 
@@ -486,76 +468,56 @@ def _run_share(
         emit(k, outcome)
 
 
-def _fork_worker(stream: TemporalStream, units: list[_Unit], first: int, step: int) -> tuple[int, BinaryIO]:
-    """Fork a process that runs ``units[first::step]`` and exits; return its pid and its outcome file.
-
-    The worker appends one pickled ``(index, outcome)`` per unit to the file,
-    each with a single write, so a kill can cut short only the last record.
-    """
-    file = tempfile.TemporaryFile()
-    fd, pid = file.fileno(), os.fork()
-    if pid == 0:  # the worker ends in os._exit, whatever happens: it must not return into the caller's code
-        code = 1
-
-        def record(k: int, outcome: _Outcome) -> None:
-            data = pickle.dumps((k, outcome))
-            if os.write(fd, data) < len(data):
-                raise OSError(f"wrote part of unit {k}'s outcome record")
-
-        try:
-            _run_share(stream, units, first, step, record)
-            code = 0
-        except BaseException:
-            import traceback
-
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-    return pid, file
-
-
 def _run_units(stream: TemporalStream, units: list[_Unit]) -> list[_Outcome | None]:
     """Run every unit; return each one's outcome, or None where an earlier seed of its cell failed first.
 
-    With P = :func:`_process_count` processes, unit k runs in process k mod P.
-    This process is process 0; the others are forked from it, so they share
-    the stream copy-on-write and write their units' files themselves.  Once
-    its own units are done, this process reaps each worker and reads the
-    outcomes the worker recorded.  A worker that died fails every unit it did
-    not record, naming its exit status or signal.  Every worker is reaped
-    before this returns or raises.
+    With P = :func:`_process_count` processes, unit k runs in process k mod P
+    (see :func:`_fork_shares`): the workers share the stream copy-on-write
+    and write their units' files themselves.  A worker appends one pickled
+    ``(index, outcome)`` per unit to its file, each with a single write, so a
+    kill can cut short only the last record.  Once every worker is reaped,
+    this process reads the outcomes they recorded; a worker that died fails
+    every unit it did not record, naming its exit status or signal.
     """
-    step = _process_count(len(units))
+    processes = _process_count(len(units))
     outcomes: list[_Outcome | None] = [None] * len(units)
-    workers: dict[int, tuple[int, BinaryIO]] = {}  # first unit -> pid and outcome file
-    try:
-        for first in range(1, step):
-            workers[first] = _fork_worker(stream, units, first, step)
-        _run_share(stream, units, 0, step, outcomes.__setitem__)
-        for first in range(1, step):
-            pid, file = workers[first]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[first]
-            with file, contextlib.suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
-                file.seek(0)
-                while True:
-                    k, outcome = pickle.load(file)
-                    outcomes[k] = outcome
-            if code:
-                why = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                for k in range(first, len(units), step):
-                    if outcomes[k] is None:
-                        outcomes[k] = f"ChildProcessError: the worker process running this seed {why}"
-    finally:
-        if workers:  # this process raised: stop the workers
-            import signal  # here, since its import costs a millisecond that no run without an error needs
 
-            for pid, file in workers.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                file.close()
+    def share(first: int, step: int, file: BinaryIO | None) -> None:
+        def record(k: int, outcome: _Outcome) -> None:
+            data = pickle.dumps((k, outcome))
+            if os.write(file.fileno(), data) < len(data):
+                raise OSError(f"wrote part of unit {k}'s outcome record")
+
+        _run_share(stream, units, first, step, outcomes.__setitem__ if file is None else record)
+
+    for first, (code, file) in enumerate(_fork_shares(processes, share), start=1):
+        with file, contextlib.suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
+            while True:
+                k, outcome = pickle.load(file)
+                outcomes[k] = outcome
+        if code:
+            for k in range(first, len(units), processes):
+                if outcomes[k] is None:
+                    outcomes[k] = f"ChildProcessError: the worker process running this seed {_exit_text(code)}"
     return outcomes
+
+
+# What a run writes: these files at the top, and cell directories holding only files named like these.
+_RUN_FILES = ("stream_manifest.tsv", "summary.csv")
+_CELL_FILES = ("matrix_seed*.txt", "events_seed*.log", "report.txt", "error.txt")
+
+
+def _foreign_path(out: Path) -> Path | None:
+    """The first path under ``out`` that no run writes, or None when ``out`` is missing, empty or a run tree."""
+    for entry in sorted(out.iterdir()) if out.is_dir() else [out] if out.exists() else []:
+        if entry.is_dir():
+            inner = [p for p in sorted(entry.iterdir())
+                     if not (p.is_file() and any(p.match(pattern) for pattern in _CELL_FILES))]
+            if inner:
+                return inner[0]
+        elif not entry.is_file() or entry.name not in _RUN_FILES:
+            return entry
+    return None
 
 
 def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
@@ -569,10 +531,15 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
     The units run in :func:`_process_count` processes, each writing its own
     units' matrices and event logs; the files are the same for any count.
     Once every unit is in, this process settles the cells in grid order:
-    each gets ``report.txt``, or ``error.txt`` with its first failure's text,
-    and loses the other of the two; ``summary.csv`` gets the reports' rows.
-    When a seed fails, its files and those of its cell's later seeds are
-    removed, so in a reused directory only the seeds before it keep files.
+    each gets ``report.txt``, or ``error.txt`` with its first failure's text;
+    ``summary.csv`` gets the reports' rows.  When a seed fails, its files and
+    those of its cell's later seeds are removed.
+
+    The run is written into a fresh sibling of the output directory, which
+    replaces it once the run completes: a reused directory ends as the tree
+    a fresh run writes, and a run that raises leaves it as it was.  An
+    existing output directory that holds anything a run does not write is
+    refused with :class:`FileExistsError` naming that path.
     """
     env_seed = os.environ.get(SEED_ENV_VAR)
     try:
@@ -581,14 +548,40 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
     if env_base is not None and env_base < 0:
         raise ConfigError(f"{SEED_ENV_VAR} must be >= 0, got {env_seed!r}")
-    grid.out_dir.mkdir(parents=True, exist_ok=True)
+    out = grid.out_dir.resolve()  # a symbolic link keeps pointing at the run
+    if (foreign := _foreign_path(out)) is not None:
+        raise FileExistsError(f"{foreign}: not written by a driftbench run; refusing to replace {out}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staged = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    aside = staged.with_name(staged.name + ".old")
+    try:
+        result = _run_grid(grid, staged, env_base)
+        umask = os.umask(0)
+        os.umask(umask)
+        staged.chmod(0o777 & ~umask)  # the mode mkdir would give, not mkdtemp's 0o700
+        if out.exists():
+            out.rename(aside)
+        try:
+            staged.rename(out)
+        except BaseException:
+            if aside.exists():
+                aside.rename(out)
+            raise
+    finally:
+        shutil.rmtree(staged, ignore_errors=True)
+        shutil.rmtree(aside, ignore_errors=True)
+    return result
+
+
+def _run_grid(grid: ExperimentGrid, out_dir: Path, env_base: int | None) -> ExperimentResult:
+    """:func:`run_experiment` into the empty directory ``out_dir``."""
     stream = load_stream(grid.stream)
-    _write_artifact(grid.out_dir / "stream_manifest.tsv", [stream_manifest(stream)])
+    _write_artifact(out_dir / "stream_manifest.tsv", [stream_manifest(stream)])
 
     units: list[_Unit] = []
     for cell in grid.cells:
-        cell_dir = grid.out_dir / cell.name
-        cell_dir.mkdir(parents=True, exist_ok=True)
+        cell_dir = out_dir / cell.name
+        cell_dir.mkdir()
         base = cell.base_seed if env_base is None else env_base
         units.extend((cell, cell_dir, seed) for seed in range(base, base + cell.n_seeds))
     outcomes = _run_units(stream, units)
@@ -600,7 +593,7 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
     for cell in grid.cells:
         cell_units, cell_outcomes = units[start : start + cell.n_seeds], outcomes[start : start + cell.n_seeds]
         start += cell.n_seeds
-        cell_dir = grid.out_dir / cell.name
+        cell_dir = out_dir / cell.name
         failed = next((j for j, outcome in enumerate(cell_outcomes) if isinstance(outcome, str)), None)
         if failed is None:
             try:
@@ -609,17 +602,16 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 error = f"{type(exc).__name__}: {exc}"
             else:
-                (cell_dir / "error.txt").unlink(missing_ok=True)
                 reports[cell.name] = agg
                 lines.extend(csv_rows(cell.name, agg))
                 continue
         else:
             error = cell_outcomes[failed]
-            for _, _, seed in cell_units[failed:]:  # the failed seed's files and its later seeds' are stale
+            # The failed seed may have written its matrix, and with P > 1 another process its cell's later seeds.
+            for _, _, seed in cell_units[failed:]:
                 (cell_dir / f"matrix_seed{seed}.txt").unlink(missing_ok=True)
                 (cell_dir / f"events_seed{seed}.log").unlink(missing_ok=True)
         failures[cell.name] = error
         _write_artifact(cell_dir / "error.txt", [error, "\n"])
-        (cell_dir / "report.txt").unlink(missing_ok=True)
-    _write_artifact(grid.out_dir / "summary.csv", [line + "\n" for line in lines])
+    _write_artifact(out_dir / "summary.csv", [line + "\n" for line in lines])
     return ExperimentResult(reports=reports, failures=failures)

@@ -12,6 +12,8 @@ described.
 
 Each run-grid test runs in one process and in two (a forked worker), the
 count forced through ``runner._process_count``: both give the recorded bytes.
+The curated feature file is written in one, two and three processes the same
+way, through ``corpus._process_count``.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import driftbench.corpus as corpus_module
 import driftbench.protocol as protocol_module
 import driftbench.runner as runner_module
 from driftbench.cli import main
@@ -240,3 +243,16 @@ def test_curated_files_match_recorded_digests(tmp_path):
         for name in ("classes.txt", "features.tsv")
     }
     assert got == json.loads(DIGESTS.read_text(encoding="utf-8"))["curate"]
+
+
+# The curation writes about 30 records: with one value per unit the writer
+# cuts them into as many blocks as it is given processes.
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_curated_bytes_match_at_every_process_count(processes, tmp_path, monkeypatch):
+    forked = []
+    real = corpus_module._fork_shares
+    monkeypatch.setattr(corpus_module, "FORK_MIN_VALUES", 1)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
+    monkeypatch.setattr(corpus_module, "_fork_shares", lambda count, share: forked.append(count) or real(count, share))
+    test_curated_files_match_recorded_digests(tmp_path)
+    assert forked == [processes]

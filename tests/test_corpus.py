@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from driftbench.corpus import (
     stream_manifest,
     write_feature_file,
 )
+from driftbench.curate import load_embedding_file
 
 
 def make_rows(n, timestamps=None, d=3, labels=None):
@@ -354,6 +359,108 @@ class TestAtomicWrite:
             fh.write("new\n")
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_text() == "new\n"
+
+
+class TestForkShares:
+    def test_workers_report_their_exit_codes_and_files_in_order(self):
+        # Worker 1 returns, worker 2 raises and worker 3 is killed, each after writing to its file.
+        def share(first, step, file):
+            if file is None:
+                return
+            file.write(f"{first} of {step}".encode())
+            file.flush()
+            if first == 2:
+                raise RuntimeError("the worker fails")
+            if first == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        workers = corpus_module._fork_shares(4, share)
+        try:
+            assert [code for code, _ in workers] == [0, 1, -int(signal.SIGKILL)]
+            assert [file.read() for _, file in workers] == [b"1 of 4", b"2 of 4", b"3 of 4"]
+        finally:
+            for _, file in workers:
+                file.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failing_share_0_kills_and_reaps_the_workers_and_closes_their_files(self, monkeypatch):
+        opened, real = [], tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: opened.append(real()) or opened[-1])
+
+        def share(first, step, file):
+            if file is None:
+                raise RuntimeError("share 0 fails")
+            time.sleep(60)
+
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="share 0 fails"):
+            corpus_module._fork_shares(3, share)
+        assert time.monotonic() - started < 30
+        assert len(opened) == 2 and all(file.closed for file in opened)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def vector_lines(lead_fields):
+    """Twelve records with ``lead_fields`` integer fields and 3 components, a blank line and a CRLF line ending."""
+    ids, ts, x, y = make_rows(12, labels=[i % 2 for i in range(12)])
+    lead = [(i,) if lead_fields == 1 else (i, t, label) for i, t, label in zip(ids, ts, y)]
+    lines = ["\t".join(map(str, fields)) + "\t" + ",".join(map(repr, row.tolist())) for fields, row in zip(lead, x)]
+    lines[4] += "\r"
+    return lines[:6] + [""] + lines[6:]
+
+
+@pytest.mark.parametrize("bad", [None, 1, 11])
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("kind", ["features", "embeddings"])
+def test_forked_readers_match_one_process(tmp_path, monkeypatch, kind, processes, bad):
+    # The records are cut into byte ranges parsed by forked workers; a bad
+    # record in any range is named by the line reader, as in one process.
+    lines = vector_lines(3 if kind == "features" else 1)
+    if bad is not None:
+        lines[bad] = lines[bad].rpartition(",")[0]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text("\n".join(["#d=3 C=2" if kind == "features" else "#m=3", *lines]) + "\n")
+    read = read_feature_file if kind == "features" else load_embedding_file
+
+    def outcome():
+        try:
+            return [a.tobytes() if isinstance(a, np.ndarray) else a for a in read(path)]
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    expected = outcome()
+    assert (bad is None) == isinstance(expected, list)
+    forked = []
+    real = corpus_module._fork_shares
+    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 1)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
+    monkeypatch.setattr(corpus_module, "_fork_shares", lambda count, share: forked.append(count) or real(count, share))
+    assert outcome() == expected
+    assert forked == [processes + 1]
+
+
+def test_a_dead_reader_worker_stops_the_read(tmp_path, monkeypatch):
+    path = tmp_path / "features.tsv"
+    path.write_text("\n".join(["#d=3 C=2", *vector_lines(3)]) + "\n")
+    real = corpus_module._fork_shares
+
+    def dying(processes, share):
+        def die_then_share(first, step, file):
+            if file is not None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            share(first, step, file)
+
+        return real(processes, die_then_share)
+
+    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 1)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: 2)
+    monkeypatch.setattr(corpus_module, "_fork_shares", dying)
+    with pytest.raises(ChildProcessError, match=f"a worker process reading {path} was killed by signal"):
+        read_feature_file(path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_stream_manifest_format():

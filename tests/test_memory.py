@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import driftbench.corpus as corpus_module
 from driftbench.corpus import DriftConfig, generate_drift_stream, read_feature_file, write_feature_file
 from driftbench.learner import Hyperparams, Strategy, parse_architecture
 from driftbench.protocol import SCORE_BATCH_ROWS, RunConfig, run_iid_protocol, run_streaming_protocol
@@ -127,3 +128,9 @@ def test_run_holds_one_matrix_at_a_time(tmp_path):
     matrix = LONG_BUCKETS * LONG_BUCKETS * 8
     peak = traced_peak(run_experiment, validate_config(LONG_GRID, tmp_path / "out"))
     assert peak <= 2 * matrix, (peak, matrix)
+
+
+def test_writer_holds_no_block_copy_in_two_processes(tmp_path, monkeypatch):
+    # Measured in this process, which writes block 0 and appends the worker's file.
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: 2)
+    test_writer_reads_selected_rows_in_place(tmp_path)

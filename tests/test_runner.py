@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import driftbench.corpus as corpus_module
 import driftbench.learner as learner_module
 import driftbench.protocol as protocol_module
 import driftbench.runner as runner_module
@@ -830,6 +831,114 @@ class TestRunExperiment:
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         assert (runner_module._process_count(3), runner_module._process_count(8)) == expected
+
+
+class TestReusedOut:
+    def test_a_reused_out_ends_as_a_fresh_runs_tree(self, tmp_path, monkeypatch):
+        # TWO_SEED_CONFIG writes ft-fast seed 1 and the other cell; GOOD_CONFIG has neither.
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        trees = {}
+        for processes in (1, 2):
+            use_processes(monkeypatch, processes)
+            out = tmp_path / str(processes)
+            assert run_experiment(validate_config(TWO_SEED_CONFIG, out)).ok
+            assert run_experiment(validate_config(GOOD_CONFIG, out)).ok
+            trees[processes] = tree(out)
+        assert run_experiment(validate_config(GOOD_CONFIG, tmp_path / "fresh")).ok
+        assert trees[1] == trees[2] == tree(tmp_path / "fresh")
+        assert sorted(os.listdir(tmp_path)) == ["1", "2", "fresh"]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_an_interrupted_rerun_leaves_the_old_tree(self, tmp_path, monkeypatch, processes):
+        # This process's second unit raises; with two processes the worker has run seed 1 by then, or is killed.
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        use_processes(monkeypatch, processes)
+        out = tmp_path / "out"
+        assert run_experiment(validate_config(TWO_SEED_CONFIG, out)).ok
+        before = tree(out)
+        caller, calls, real = os.getpid(), [], runner_module._run_unit
+
+        def interrupted(stream, cell, cell_dir, seed):
+            if os.getpid() == caller:
+                calls.append(seed)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+            return real(stream, cell, cell_dir, seed)
+
+        monkeypatch.setattr(runner_module, "_run_unit", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(validate_config(TWO_SEED_CONFIG.replace("lr = 0.5", "lr = 0.1"), out))
+        assert tree(out) == before
+        assert os.listdir(tmp_path) == ["out"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("foreign, named", [
+        ("notes.txt", "notes.txt"),
+        ("ft-fast/plot.png", "ft-fast/plot.png"),
+        ("ft-fast/old/matrix_seed0.txt", "ft-fast/old"),
+    ])
+    def test_a_foreign_path_is_refused_before_the_stream_loads(self, tmp_path, monkeypatch, capsys, foreign, named):
+        out = tmp_path / "out"
+        assert run_experiment(validate_config(GOOD_CONFIG, out)).ok
+        (out / foreign).parent.mkdir(exist_ok=True)
+        (out / foreign).write_text("not a run's\n")
+        before = tree(out)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(GOOD_CONFIG)
+
+        def no_load(spec):
+            raise AssertionError("the stream was loaded before the output directory was checked")
+
+        monkeypatch.setattr(runner_module, "load_stream", no_load)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"driftbench: error: {out / named}: not written by a driftbench run" in capsys.readouterr().err
+        assert tree(out) == before
+        assert sorted(os.listdir(tmp_path)) == ["grid.cfg", "out"]
+
+
+def write_curation(root, seed):
+    """A curation of 120 embeddings into ``root / "curated"``: 5 records in each of 3 classes; the CLI args."""
+    vectors = np.random.default_rng(0).standard_normal((120, 4))
+    with open(root / "emb.tsv", "w") as fh:
+        fh.write("#m=4\n")
+        for i, v in enumerate(vectors):
+            fh.write(f"{i}\t" + ",".join(str(x) for x in v) + "\n")
+    (root / "q.tsv").write_text("first\t1.0,0.0,0.0,0.0\nsecond\t0.0,1.0,0.0,0.0\n")
+    (root / "cur.cfg").write_text(f"per_class_top = 10\nbackground_low = 20\nfinal_per_class = 5\nseed = {seed}\n")
+    return ["curate", "--embeddings", str(root / "emb.tsv"), "--queries", str(root / "q.tsv"),
+            "--spec", str(root / "cur.cfg"), "--out", str(root / "curated")]
+
+
+class TestForkedWriter:
+    @pytest.mark.parametrize("death", ["exit", "kill"])
+    def test_a_dead_writer_worker_keeps_the_previous_file(self, tmp_path, monkeypatch, capsys, death):
+        assert main(write_curation(tmp_path, seed=3)) == 0
+        features = tmp_path / "curated" / "features.tsv"
+        before = features.read_bytes()
+        real = corpus_module._fork_shares
+
+        def dying(processes, share):
+            def share_then_die(first, step, file):
+                share(first, step, file)
+                if file is not None:
+                    if death == "kill":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    raise RuntimeError("the worker fails")
+
+            return real(processes, share_then_die)
+
+        monkeypatch.setattr(corpus_module, "FORK_MIN_VALUES", 1)
+        monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, 2))
+        monkeypatch.setattr(corpus_module, "_fork_shares", dying)
+        capsys.readouterr()
+        assert main(write_curation(tmp_path, seed=4)) == 2
+        why = f"was killed by signal {int(signal.SIGKILL)}" if death == "kill" else "exited with status 1"
+        assert f"a worker process writing {features} {why}" in capsys.readouterr().err
+        assert features.read_bytes() == before
+        assert sorted(os.listdir(tmp_path / "curated")) == ["classes.txt", "features.tsv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestCli:
