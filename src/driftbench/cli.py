@@ -33,16 +33,15 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     config = _parse_curation_spec(args.spec)
     queries = cur.load_query_file(args.queries)
     spec = config.spec(queries)
-    ids, x = cur.load_embedding_file(args.embeddings)
-    if queries[0][1].shape != x.shape[1:]:
+    m = cur.embedding_dimension(args.embeddings)  # checked before the records are parsed
+    if queries[0][1].shape != (m,):
         raise cur.EmbeddingFileError(
             f"{args.queries}: query dimension {queries[0][1].shape[0]} != "
-            f"embedding dimension {x.shape[1]} of {args.embeddings}"
+            f"embedding dimension {m} of {args.embeddings}"
         )
-    rankings = {name: cur.rank_rows(ids, x, q) for name, q in spec.queries}
-    labeled = cur.select_labeled(rankings, spec)
-    background = cur.assemble_background(rankings, spec, labeled)
-    del rankings  # two vectors per class as long as the file: not held through the write below
+    ids, x = cur.load_embedding_file(args.embeddings)
+    # One position vector per class as long as the file, freed on return: not held through the write.
+    labeled, background = cur.curate_ids(ids, x, spec)
     if "reject_file" in config.values:
         rejected = cur.load_rejection_list(config.values["reject_file"])
         labeled = {name: chosen - rejected for name, chosen in labeled.items()}

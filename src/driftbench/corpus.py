@@ -236,11 +236,11 @@ def parse_records(
 
     Blank lines are skipped.  The vector fields go to ``np.loadtxt`` and form
     one finite ``(rows, k)`` array; with ``normalize`` set, each row is
-    scaled in place to unit L2 norm, ``sqrt(x . x)``, which equals
-    ``np.linalg.norm`` bit for bit.  ``n_ints`` must be >= 1.  Raises
-    ``ValueError`` on a wrong field count, a non-integer or non-int64 field,
-    a vector field ``np.loadtxt`` rejects or without ``k`` values, a non-finite
-    value, or a row to normalize that is zero or whose squared norm overflows.
+    scaled in place to unit L2 norm, ``sqrt(x . x)``.  ``n_ints`` must be
+    >= 1.  Raises ``ValueError`` on a wrong field count, a non-integer or
+    non-int64 field, a vector field ``np.loadtxt`` rejects or without ``k``
+    values, a non-finite value, or a row to normalize that is zero or whose
+    squared norm overflows.
     The error names no line: callers re-read a rejected file line by line.
     """
     columns: list[list[int]] = [[] for _ in range(n_ints)]

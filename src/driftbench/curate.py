@@ -87,6 +87,13 @@ def _embedding_dimension(header: str, path: str) -> int:
         raise EmbeddingFileError(f"{path}:1: bad dimension in header") from exc
 
 
+def embedding_dimension(path: str | Path) -> int:
+    """The ``m`` of an embedding file's ``#m=<m>`` header, read without its records."""
+    path = str(path)
+    with open(path, encoding="utf-8") as fh:
+        return _embedding_dimension(fh.readline(), path)
+
+
 def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Load ``#m=<m>`` header plus ``id<TAB>v1,...,vm`` records as (int64 ids, (rows, m) matrix).
 
@@ -193,6 +200,13 @@ def _stack(embeddings: Sequence[EmbeddingRecord]) -> tuple[np.ndarray, np.ndarra
     return ids, np.stack([e.vector for e in embeddings])
 
 
+def _scores(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Each row's dot product with the query: the cosine score, for unit vectors."""
+    if query.shape != matrix.shape[1:]:
+        raise ValueError(f"query dimension {query.shape} != embedding dimension {matrix.shape[1:]}")
+    return matrix @ query
+
+
 def rank_rows(ids: np.ndarray, matrix: np.ndarray, query: np.ndarray) -> CosineRanking:
     """Rank the rows of a stacked ``(U, m)`` embedding matrix, row ``i`` having id ``ids[i]``.
 
@@ -200,10 +214,8 @@ def rank_rows(ids: np.ndarray, matrix: np.ndarray, query: np.ndarray) -> CosineR
     score, for unit vectors); ties break by ascending id, making the order
     total and deterministic.  ``ids`` is taken as an int64 vector.
     """
-    if query.shape != matrix.shape[1:]:
-        raise ValueError(f"query dimension {query.shape} != embedding dimension {matrix.shape[1:]}")
+    raw = _scores(matrix, query)
     ids = np.asarray(ids, dtype=np.int64)
-    raw = matrix @ query
     order = np.lexsort((ids, -raw))
     return CosineRanking(ids=ids[order], scores=raw[order])
 
@@ -223,17 +235,55 @@ def _ranked_positions(
     rankings: Mapping[str, CosineRanking], names: Sequence[str]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The sorted id universe, and each ranking as positions into it; each holds every id once."""
-    universe = None
+    universe, positions = None, []
     for name in names:
-        ids = np.sort(rankings[name].ids)
-        repeated = ids[1:][ids[1:] == ids[:-1]]
+        ids = rankings[name].ids
+        by_id = np.argsort(ids)
+        sorted_ids = ids[by_id]
+        repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
         if len(repeated):
             raise ValueError(f"ranking {name!r} repeats id {repeated[0]}")
         if universe is None:
-            universe = ids
-        elif not np.array_equal(ids, universe):
+            universe = sorted_ids
+        elif not np.array_equal(sorted_ids, universe):
             raise ValueError("rankings must cover the same embedding universe")
-    return universe, [np.searchsorted(universe, rankings[name].ids) for name in names]
+        position = np.empty(len(ids), dtype=np.intp)
+        position[by_id] = np.arange(len(ids))
+        positions.append(position)
+    return universe, positions
+
+
+def _select_positions(
+    universe: np.ndarray, positions: Sequence[np.ndarray], spec: CurationSpec
+) -> dict[str, set[int]]:
+    """:func:`select_labeled` over each class's ranking as positions into the sorted universe."""
+    names = spec.class_names
+    banned = np.zeros(len(universe), dtype=bool)
+    selected = [np.zeros(0, dtype=np.intp) for _ in names]
+    cursor = [0] * len(names)
+
+    for _ in range(len(universe) + 1):
+        n_banned = int(np.count_nonzero(banned))
+        for k, name in enumerate(names):
+            need = spec.per_class_top - len(selected[k])
+            if not need:
+                continue
+            # At most n_banned of these positions are banned (a ranking holds each once), so
+            # the window holds the next `need` unbanned candidates whenever the whole tail does.
+            window = positions[k][cursor[k] : cursor[k] + need + n_banned]
+            take = np.flatnonzero(~banned[window])[:need]
+            if len(take) < need:
+                raise ShortageError(
+                    f"class {name!r} cannot reach {spec.per_class_top} ids"
+                )
+            selected[k] = np.concatenate([selected[k], window[take]])
+            cursor[k] += int(take[-1]) + 1
+        conflicted = np.bincount(np.concatenate(selected), minlength=len(universe)) >= 2
+        if not conflicted.any():
+            return {name: set(universe[sel].tolist()) for name, sel in zip(names, selected)}
+        banned |= conflicted
+        selected = [sel[~conflicted[sel]] for sel in selected]
+    raise RuntimeError("duplicate resolution did not reach a fixpoint")
 
 
 def select_labeled(
@@ -247,32 +297,17 @@ def select_labeled(
     and the loop is bounded at the universe size.  A ranking that repeats an id
     is rejected.
     """
-    names = spec.class_names
-    universe, ranked = _ranked_positions(rankings, names)
-    banned = np.zeros(len(universe), dtype=bool)
-    selected = [np.zeros(0, dtype=np.intp) for _ in names]
-    cursor = [0] * len(names)
+    return _select_positions(*_ranked_positions(rankings, spec.class_names), spec)
 
-    for _ in range(len(universe) + 1):
-        for k, name in enumerate(names):
-            need = spec.per_class_top - len(selected[k])
-            if not need:
-                continue
-            tail = ranked[k][cursor[k] :]
-            # The next `need` unbanned candidates; the cursor moves past the last one taken.
-            take = np.flatnonzero(~banned[tail])[:need]
-            if len(take) < need:
-                raise ShortageError(
-                    f"class {name!r} cannot reach {spec.per_class_top} ids"
-                )
-            selected[k] = np.concatenate([selected[k], tail[take]])
-            cursor[k] += int(take[-1]) + 1
-        conflicted = np.bincount(np.concatenate(selected), minlength=len(universe)) >= 2
-        if not conflicted.any():
-            return {name: set(universe[sel].tolist()) for name, sel in zip(names, selected)}
-        banned |= conflicted
-        selected = [sel[~conflicted[sel]] for sel in selected]
-    raise RuntimeError("duplicate resolution did not reach a fixpoint")
+
+def _lowest(name: str, ranked: np.ndarray, spec: CurationSpec) -> np.ndarray:
+    """The last ``background_low_per_class`` entries of a class's ranking."""
+    if len(ranked) < spec.background_low_per_class:
+        raise ShortageError(
+            f"class {name!r} has only {len(ranked)} ids, "
+            f"needs {spec.background_low_per_class} for background"
+        )
+    return ranked[-spec.background_low_per_class :]
 
 
 def assemble_background(
@@ -281,17 +316,24 @@ def assemble_background(
     labeled: Mapping[str, set[int]],
 ) -> set[int]:
     """Union of each class's lowest-scoring ids, minus everything already labeled."""
-    taken = set().union(*labeled.values()) if labeled else set()
-    background: set[int] = set()
-    for name in spec.class_names:
-        ids = rankings[name].ids
-        if len(ids) < spec.background_low_per_class:
-            raise ShortageError(
-                f"class {name!r} has only {len(ids)} ids, "
-                f"needs {spec.background_low_per_class} for background"
-            )
-        background.update(ids[-spec.background_low_per_class :].tolist())
-    return background - taken
+    lowest = [_lowest(name, rankings[name].ids, spec) for name in spec.class_names]
+    return set(np.concatenate(lowest).tolist()).difference(*labeled.values())
+
+
+def curate_ids(
+    ids: np.ndarray, matrix: np.ndarray, spec: CurationSpec
+) -> tuple[dict[str, set[int]], set[int]]:
+    """:func:`select_labeled` and :func:`assemble_background` of :func:`rank_rows` per query class.
+
+    Each class's ranking is its positions into the sorted ids, which must not
+    repeat; a stable sort by score breaks ties by position, that is by id.
+    """
+    by_id = np.argsort(ids)
+    universe = ids[by_id]
+    positions = [np.argsort(-_scores(matrix, q)[by_id], kind="stable") for _, q in spec.queries]
+    labeled = _select_positions(universe, positions, spec)
+    lowest = [_lowest(name, pos, spec) for name, pos in zip(spec.class_names, positions)]
+    return labeled, set(universe[np.concatenate(lowest)].tolist()).difference(*labeled.values())
 
 
 @dataclass(frozen=True)

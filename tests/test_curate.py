@@ -15,6 +15,7 @@ from driftbench.curate import (
     ShortageError,
     assemble_background,
     cosine_rank,
+    curate_ids,
     curated_rows,
     finalize_bucket,
     load_embedding_file,
@@ -559,3 +560,10 @@ def test_curation_core_matches_tuple_reference(case):
     assert outcome(lambda: assemble_background(rankings, spec, taken)) == outcome(
         lambda: reference_background(reference, spec, taken)
     )
+    # The CLI's position path ranks every class over the first class's rows.
+    ids, matrix = class_rows[0]
+    same = {name: reference_rank(ids, matrix, query)[0] for name, query in spec.queries}
+    want = outcome(lambda: reference_select(same, spec))
+    if want[0] == "ok":
+        want = outcome(lambda: (want[1], reference_background(same, spec, want[1])))
+    assert outcome(lambda: curate_ids(np.array(ids, dtype=np.int64), matrix, spec)) == want

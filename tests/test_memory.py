@@ -1,4 +1,4 @@
-"""Memory guards: runs, their artifacts, stream generation and the feature-file writer hold bounded copies.
+"""Memory guards: runs, their artifacts, stream generation, the feature-file writer and curation hold bounded copies.
 
 Each test measures with ``tracemalloc``, which numpy reports its array data
 to, after a warm-up call has done the first-call imports.  The protocol runs
@@ -15,6 +15,7 @@ import pytest
 
 import driftbench.corpus as corpus_module
 from driftbench.corpus import DriftConfig, generate_drift_stream, read_feature_file, write_feature_file
+from driftbench.curate import CurationSpec, curate_ids
 from driftbench.learner import Hyperparams, Strategy, parse_architecture
 from driftbench.protocol import SCORE_BATCH_ROWS, RunConfig, run_iid_protocol, run_streaming_protocol
 from driftbench.runner import run_experiment, validate_config
@@ -134,3 +135,20 @@ def test_writer_holds_no_block_copy_in_two_processes(tmp_path, monkeypatch):
     # Measured in this process, which writes block 0 and appends the worker's file.
     monkeypatch.setattr(corpus_module, "_process_count", lambda units: 2)
     test_writer_reads_selected_rows_in_place(tmp_path)
+
+
+def test_curation_holds_one_position_vector_per_class():
+    n, m, classes = 50_000, 8, 4
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, m))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    ids = rng.permutation(10 * n)[:n]
+    queries = tuple((f"c{k}", x[k].copy()) for k in range(classes))
+    spec = CurationSpec(queries=queries, per_class_top=200, background_low_per_class=200, final_per_class=100)
+    # Beyond the matrix: the sorted universe, its by-id order and one
+    # position vector per class, plus, while a class ranks, its scores and
+    # the sort's work space.  rank_rows rankings (an id and a score vector
+    # per class) held while select_labeled maps them to positions take about
+    # 16 words per id.
+    peak = traced_peak(curate_ids, ids, x, spec)
+    assert peak <= (classes + 4) * n * 8, (peak, n * 8)

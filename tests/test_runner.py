@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import driftbench.corpus as corpus_module
+import driftbench.curate as curate_module
 import driftbench.learner as learner_module
 import driftbench.protocol as protocol_module
 import driftbench.runner as runner_module
@@ -1184,6 +1185,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{queries}: query dimension 2 != embedding dimension 3 of {emb}" in err
         assert not (tmp_path / "curated").exists()
+
+    def test_curate_reports_dimension_mismatch_before_parsing_records(self, tmp_path, capsys, monkeypatch):
+        def parse(*args, **kwargs):
+            raise AssertionError("records parsed before the dimension check")
+
+        monkeypatch.setattr(curate_module, "read_records", parse)
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("#m=3\n0\t1.0,0.0,0.0\n")
+        queries = tmp_path / "q.tsv"
+        queries.write_text("a\t1.0,0.0\n")
+        spec = tmp_path / "cur.cfg"
+        spec.write_text("per_class_top = 1\nbackground_low = 1\nfinal_per_class = 1\n")
+        code = main([
+            "curate", "--embeddings", str(emb), "--queries", str(queries),
+            "--spec", str(spec), "--out", str(tmp_path / "curated"),
+        ])
+        assert code == 2
+        assert f"{queries}: query dimension 2 != embedding dimension 3 of {emb}" in capsys.readouterr().err
 
     def test_help_lists_config_keys(self):
         assert "buffer_capacity" in config_reference()
