@@ -39,19 +39,20 @@ def _cmd_curate(args: argparse.Namespace) -> int:
             f"{args.queries}: query dimension {queries[0][1].shape[0]} != "
             f"embedding dimension {m} of {args.embeddings}"
         )
-    ids, x = cur.load_embedding_file(args.embeddings)
-    # One position vector per class as long as the file, freed on return: not held through the write.
-    labeled, background = cur.curate_ids(ids, x, spec)
-    if "reject_file" in config.values:
-        rejected = cur.load_rejection_list(config.values["reject_file"])
-        labeled = {name: chosen - rejected for name, chosen in labeled.items()}
-        background -= rejected
-    dataset = cur.finalize_bucket(labeled, background, spec, seed=config.values["seed"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows, labels = cur.curated_rows(dataset, ids)
-    C = len(dataset.class_names)
-    write_feature_file(out / "features.tsv", ids[rows], np.zeros_like(rows), labels, x, rows, C)
+    with open(args.embeddings, "rb") as fh:
+        # The file's scores, not its matrix: the selected records are parsed again for the write.
+        ids, scores, x = cur.score_embedding_file(fh, spec)
+        labeled, background = cur.curate_scores(ids, scores, spec)
+        if "reject_file" in config.values:
+            rejected = cur.load_rejection_list(config.values["reject_file"])
+            labeled = {name: chosen - rejected for name, chosen in labeled.items()}
+            background -= rejected
+        dataset = cur.finalize_bucket(labeled, background, spec, seed=config.values["seed"])
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        rows, labels = cur.curated_rows(dataset, ids)
+        C = len(dataset.class_names)
+        write_feature_file(out / "features.tsv", ids[rows], np.zeros_like(rows), labels, x, rows, C)
     cur.write_class_table(out / "classes.txt", dataset.class_names)
     print(f"wrote {len(rows)} samples across {C} classes to {out}")
     return 0

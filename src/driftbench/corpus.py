@@ -121,13 +121,19 @@ def bucketize(
     The trailing ``len(ids) mod n_buckets`` rows are dropped so every bucket
     has identical size; the stream records how many were dropped.  Ties in
     timestamp keep ascending-id order, so the partition is deterministic.
+    Rows already in that order are not copied: the stream's arrays are then
+    leading slices of the arguments.
     """
     size, dropped = bucket_shape(len(ids), n_buckets)
     if len(np.unique(ids)) != len(ids):
         raise ValueError("sample ids must be unique within a stream")
     if y.max() >= C:
         raise ValueError(f"label {y.max()} out of range for class_count={C}")
-    kept = np.lexsort((ids, timestamps))[: size * n_buckets]
+    later, tied = timestamps[1:] > timestamps[:-1], timestamps[1:] == timestamps[:-1]
+    if (later | tied & (ids[1:] > ids[:-1])).all():
+        kept = slice(0, size * n_buckets)
+    else:
+        kept = np.lexsort((ids, timestamps))[: size * n_buckets]
     offsets = np.arange(n_buckets + 1) * size
     return TemporalStream(x[kept], y[kept], ids[kept], timestamps[kept], offsets, C, dropped)
 
@@ -278,24 +284,53 @@ def parse_records(
 
 # Bytes of records a worker process must have to parse before workers are
 # forked: below about 1 MiB, forking, reaping and placing the rows cost more
-# than they save (measured on a 2-CPU host).
+# than they save (measured on a 2-CPU host).  Readers also parse a range a
+# chunk of about this size at a time.
 FORK_MIN_BYTES = 1 << 20
 
 
-def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`parse_records` of the lines from ``fh``'s position on, in forked workers where that pays.
+def line_chunks(fd: int, start: int, stop: int) -> Iterator[tuple[int, bytes]]:
+    """Bytes ``start:stop`` of file descriptor ``fd`` as ``(offset, chunk)`` pairs, in order.
 
-    With P = :func:`_process_count` (a unit per ``FORK_MIN_BYTES`` bytes)
-    above 1, the bytes are cut at line ends into P ranges, each parsed by a
-    forked worker that reads its own range; this process waits, then places
-    the rows into one matrix allocated at its final size.  The result, and
-    the ``ValueError`` of a malformed record, are those of one process.
+    Each chunk holds about ``FORK_MIN_BYTES`` and ends just past a newline,
+    or at ``stop``; a longer line makes a longer chunk.  The reads go through
+    :func:`os.pread`, so forked processes may share the descriptor.
+    """
+    size = FORK_MIN_BYTES
+    while start < stop:
+        data = os.pread(fd, min(size, stop - start), start)
+        if len(data) < min(size, stop - start):
+            raise ValueError(f"file ended {stop - start - len(data)} bytes early")
+        cut = len(data) if start + len(data) == stop else data.rfind(b"\n") + 1
+        if cut:
+            yield start, data[:cut]
+            start, size = start + cut, FORK_MIN_BYTES
+        else:
+            size *= 2
+
+
+def chunk_lines(chunk: bytes) -> io.TextIOWrapper:
+    """The text lines of a UTF-8 chunk, split and ended as a text-mode file's lines are."""
+    return io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8")
+
+
+def read_ranges(
+    fh: BinaryIO, n_ints: int, k: int, parse: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``parse(start, stop)`` over the bytes from ``fh``'s position on, in forked workers where that pays.
+
+    ``parse`` returns its byte range's records as ``(n_ints, rows)`` int64s
+    and a ``(rows, k)`` float64 matrix.  With P = :func:`_process_count` (a
+    unit per ``FORK_MIN_BYTES`` bytes) above 1, the bytes are cut at line
+    ends into P ranges, each parsed by a forked worker; this process waits,
+    then places the rows into arrays allocated at their final size.  The
+    result, and the ``ValueError`` of a malformed record, are those of one
+    process.
     """
     body, size = fh.tell(), os.fstat(fh.fileno()).st_size
     processes = _process_count(max(1, (size - body) // FORK_MIN_BYTES))
     if processes == 1:
-        with io.TextIOWrapper(fh, encoding="utf-8") as text:
-            return parse_records(text, n_ints, k, normalize)
+        return parse(body, size)
     cuts = [body]
     for p in range(1, processes):
         fh.seek(body + (size - body) * p // processes)
@@ -304,15 +339,8 @@ def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np
     cuts.append(size)
 
     def share(first: int, step: int, file: BinaryIO | None) -> None:
-        if file is None:
-            return
-        data = io.BytesIO(os.pread(fh.fileno(), cuts[first] - cuts[first - 1], cuts[first - 1]))
-        try:
-            with io.TextIOWrapper(data, encoding="utf-8") as text:  # decoded a chunk at a time
-                ints, x = parse_records(text, n_ints, k, normalize)
-        except ValueError:
-            file.write((-1).to_bytes(8, "little", signed=True))
-        else:
+        if file is not None:
+            ints, x = parse(cuts[first - 1], cuts[first])
             file.writelines([len(x).to_bytes(8, "little", signed=True), ints, x])
 
     workers = _fork_shares(processes + 1, share)
@@ -320,8 +348,6 @@ def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np
         if code := next((code for code, _ in workers if code), 0):
             raise ChildProcessError(f"a worker process reading {fh.name} {_exit_text(code)}")
         counts = [int.from_bytes(file.read(8), "little", signed=True) for _, file in workers]
-        if min(counts) < 0:
-            raise ValueError("malformed records")
         ints, x = np.empty((n_ints, sum(counts)), dtype=np.int64), np.empty((sum(counts), k))
         for (_, file), start, count in zip(workers, np.cumsum([0, *counts]), counts):
             for column in ints:
@@ -331,6 +357,57 @@ def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np
         for _, file in workers:
             file.close()
     return ints, x
+
+
+def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`parse_records` of the lines from ``fh``'s position on, through :func:`read_ranges`."""
+    def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        chunks = line_chunks(fh.fileno(), start, stop)
+        return parse_records(chain.from_iterable(chunk_lines(data) for _, data in chunks), n_ints, k, normalize)
+
+    return read_ranges(fh, n_ints, k, parse)
+
+
+@dataclass(frozen=True, eq=False)
+class FileRows:
+    """The vectors of records in an open file, parsed again from their bytes when they are read.
+
+    Row ``r`` is the record at bytes ``spans[0, r]:spans[1, r]`` of ``fh``,
+    whose ``n_ints`` integer fields start with ``ids[r]`` and whose vector has
+    ``k`` values, parsed as :func:`parse_records` with ``normalize`` does.
+    """
+
+    fh: BinaryIO
+    ids: np.ndarray
+    spans: np.ndarray
+    n_ints: int
+    k: int
+    normalize: bool
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.ids), self.k
+
+    def rows(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """The vector of each row in ``rows``, in order, parsed a chunk of about ``FORK_MIN_BYTES`` at a time.
+
+        A record that no longer parses, or whose id is not its row's, raises
+        ``ValueError`` naming the file.
+        """
+        spans = self.spans[:, rows]
+        chunk = np.cumsum(spans[1] - spans[0]) // FORK_MIN_BYTES
+        cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(rows)]
+        starts, stops = spans.tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            data = b"\n".join(os.pread(self.fh.fileno(), stop - start, start)
+                              for start, stop in zip(starts[lo:hi], stops[lo:hi]))
+            try:
+                ints, x = parse_records(chunk_lines(data), self.n_ints, self.k, self.normalize)
+            except ValueError:
+                ints = None
+            if ints is None or not np.array_equal(ints[0], self.ids[rows[lo:hi]]):
+                raise ValueError(f"{self.fh.name}: records changed since the file was read")
+            yield from x
 
 
 FeatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
@@ -451,6 +528,10 @@ def _exit_text(code: int) -> str:
     return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
 
 
+# The exit status of a worker whose share raised ValueError.
+_VALUE_ERROR = 2
+
+
 def _fork_shares(processes: int, share: Callable[[int, int, BinaryIO | None], None]) -> list[tuple[int, BinaryIO]]:
     """Run ``share(first, processes, file)`` for every ``first`` below ``processes``; share 0 runs here.
 
@@ -459,9 +540,12 @@ def _fork_shares(processes: int, share: Callable[[int, int, BinaryIO | None], No
     ``file`` (share 0 gets None) and exits with status 0 once its share
     returns and the file is flushed, else with status 1.  Returns each
     worker's exit code (negative: the signal that killed it) and its file,
-    rewound, in index order; the caller closes the files.  Every worker is
-    reaped before this returns or raises: when this process raises, the
-    workers still running are killed first and every file is closed.
+    rewound, in index order; the caller closes the files.  A share that
+    raises ``ValueError`` in a worker leaves only its message in the file;
+    once every worker is reaped, the first such message is raised here as a
+    ``ValueError``.  Every worker is reaped before this returns or raises:
+    when this process raises, the workers still running are killed first
+    and every file is closed.
     """
     workers: list[tuple[BinaryIO, int]] = []
     codes: list[int] = []
@@ -474,6 +558,12 @@ def _fork_shares(processes: int, share: Callable[[int, int, BinaryIO | None], No
                     share(first, processes, file)
                     file.flush()
                     code = 0
+                except ValueError as exc:
+                    file.seek(0)
+                    file.truncate()
+                    file.write(str(exc).encode("utf-8"))
+                    file.flush()
+                    code = _VALUE_ERROR
                 except BaseException:
                     import traceback
 
@@ -495,6 +585,11 @@ def _fork_shares(processes: int, share: Callable[[int, int, BinaryIO | None], No
         raise
     for file, _ in workers:
         file.seek(0)
+    if _VALUE_ERROR in codes:
+        message = workers[codes.index(_VALUE_ERROR)][0].read().decode("utf-8")
+        for file, _ in workers:
+            file.close()
+        raise ValueError(message)
     return [(code, file) for code, (file, _) in zip(codes, workers)]
 
 
@@ -506,17 +601,20 @@ FORK_MIN_VALUES = 64_000
 
 def write_feature_file(
     path: str | Path, ids: np.ndarray, timestamps: np.ndarray, labels: np.ndarray,
-    x: np.ndarray, rows: np.ndarray, C: int,
+    x: np.ndarray | FileRows, rows: np.ndarray, C: int,
 ) -> None:
     """Write records in the feature-file format read by :func:`read_feature_file`, atomically.
 
     Record ``i`` is ``ids[i]``, ``timestamps[i]``, ``labels[i]`` and the
     features ``x[rows[i]]``, read from ``x`` one row at a time: no
-    ``x[rows]`` matrix is built.  The records are cut into P contiguous
-    blocks (:func:`_process_count`, a unit per ``FORK_MIN_VALUES`` values);
-    this process writes the header and block 0, then appends the files of
-    the workers that formatted the others, so the bytes are the same for any
-    P.  A worker that fails raises :class:`ChildProcessError`.
+    ``x[rows]`` matrix is built.  ``x`` is a matrix or :class:`FileRows`,
+    whose rows each block parses again from their file, a chunk at a time.
+    The records are cut into P contiguous blocks (:func:`_process_count`, a
+    unit per ``FORK_MIN_VALUES`` values); this process writes the header and
+    block 0, then appends the files of the workers that formatted the
+    others, so the bytes are the same for any P.  A worker that fails raises
+    :class:`ChildProcessError`; a ``ValueError`` of :meth:`FileRows.rows` is
+    raised here.  Either way ``path`` keeps its old content.
     """
     processes = _process_count(max(1, len(rows) * x.shape[1] // FORK_MIN_VALUES))
     bounds = [len(rows) * p // processes for p in range(processes + 1)]
@@ -525,13 +623,16 @@ def write_feature_file(
 
         def share(first: int, step: int, file: BinaryIO | None) -> None:
             block = slice(bounds[first], bounds[first + 1])
+            values = (x[row] for row in rows[block]) if isinstance(x, np.ndarray) else x.rows(rows[block])
             out = fh if file is None else io.TextIOWrapper(file, encoding="utf-8")
-            for sid, ts, label, row in zip(ids[block].tolist(), timestamps[block].tolist(),
-                                           labels[block].tolist(), rows[block]):
-                feats = ",".join(repr(float(v)) for v in x[row].tolist())
-                out.write(f"{sid}\t{ts}\t{label}\t{feats}\n")
-            if file is not None:
-                out.detach()  # flushes the text into ``file`` and leaves it open
+            try:
+                for sid, ts, label, row in zip(ids[block].tolist(), timestamps[block].tolist(),
+                                               labels[block].tolist(), values):
+                    feats = ",".join(repr(float(v)) for v in row.tolist())
+                    out.write(f"{sid}\t{ts}\t{label}\t{feats}\n")
+            finally:  # also on a ValueError, whose message _fork_shares writes into ``file``
+                if file is not None:
+                    out.detach()  # flushes the text into ``file`` and leaves it open
 
         workers = _fork_shares(processes, share)
         try:

@@ -4,12 +4,14 @@ cross-class duplicate rejection, background-class assembly, and balanced finaliz
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FieldValueError, atomic_write, checked_norm, parse_int64, read_records
+from .corpus import (FieldValueError, FileRows, atomic_write, checked_norm, line_chunks,
+                     parse_int64, parse_records, read_ranges, read_records)
 
 
 class ShortageError(ValueError):
@@ -112,9 +114,66 @@ def _load_embedding_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "rb") as fh:
         m = _embedding_dimension(fh.readline().decode("utf-8"), path)
         (ids,), x = read_records(fh, 1, m, normalize=True)
+    return _checked_ids(ids), x
+
+
+def _checked_ids(ids: np.ndarray) -> np.ndarray:
     if len(np.unique(ids)) != len(ids) or (len(ids) and ids.min() < 0):
         raise ValueError("duplicate or negative id")
-    return ids, x
+    return ids
+
+
+def _record_lines(base: int, chunk: bytes) -> tuple[list[str], np.ndarray]:
+    """The lines of a chunk at file offset ``base`` that hold records, and their ``(2, records)`` byte spans."""
+    lines = chunk.splitlines(keepends=True)  # at "\n", "\r\n" and a lone "\r", as text-mode files split
+    sizes = np.fromiter(map(len, lines), np.int64, len(lines))
+    ends = base + np.cumsum(sizes)
+    text = [line.decode("utf-8") for line in lines]
+    records = list(map(bool, map(str.strip, text)))  # the lines parse_records does not skip
+    return list(compress(text, records)), np.array([ends - sizes, ends])[:, records]
+
+
+def _score_rows(fh: BinaryIO, queries: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, FileRows]:
+    """The ids of an embedding file's records, their ``(classes, ids)`` scores and their rows."""
+    m = _embedding_dimension(fh.readline().decode("utf-8"), fh.name)
+
+    def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        ints, scores = [np.empty((3, 0), dtype=np.int64)], [np.empty((0, len(queries)))]
+        for base, chunk in line_chunks(fh.fileno(), start, stop):
+            lines, spans = _record_lines(base, chunk)
+            (ids,), x = parse_records(lines, 1, m, normalize=True)
+            ints.append(np.vstack([ids, spans]))
+            scores.append(np.column_stack([_scores(x, q) for q in queries]))
+            del x  # before the next chunk is parsed
+        return np.concatenate(ints, axis=1), np.concatenate(scores)
+
+    ints, scores = read_ranges(fh, 3, len(queries), parse)
+    return _checked_ids(ints[0]), scores.T, FileRows(fh, ints[0], ints[1:], 1, m, normalize=True)
+
+
+def score_embedding_file(
+    fh: BinaryIO, spec: CurationSpec
+) -> tuple[np.ndarray, Iterable[np.ndarray], np.ndarray | FileRows]:
+    """Score the embedding file open as ``fh`` against each query class without its matrix: ``(ids, scores, x)``.
+
+    ``fh`` is binary, at the start of the file.  ``scores`` yields each
+    class's score vector in spec order, as :func:`curate_scores` takes them.
+    The records are parsed as :func:`load_embedding_file` parses them, a
+    chunk at a time, in the processes :func:`~driftbench.corpus.read_ranges`
+    forks; each chunk's matrix is dropped once it is scored.  ``x``, for
+    :func:`~driftbench.corpus.write_feature_file`, is a
+    :class:`~driftbench.corpus.FileRows` that parses the selected records
+    again through ``fh`` while it is open.  A file that parser rejects is
+    read as :func:`load_embedding_file` reads it: a bad record raises
+    :class:`EmbeddingFileError` naming its line, and an accepted file's
+    matrix is ``x``.
+    """
+    queries = [q for _, q in spec.queries]
+    try:
+        return _score_rows(fh, queries)
+    except ValueError:
+        ids, x = _load_embedding_lines(fh.name)
+        return ids, (_scores(x, q) for q in queries), x
 
 
 def _load_embedding_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -200,11 +259,24 @@ def _stack(embeddings: Sequence[EmbeddingRecord]) -> tuple[np.ndarray, np.ndarra
     return ids, np.stack([e.vector for e in embeddings])
 
 
+# Values multiplied at a time by _scores: 256 KiB of temporaries.
+SCORE_BLOCK_VALUES = 1 << 15
+
+
 def _scores(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Each row's dot product with the query: the cosine score, for unit vectors."""
+    """Each row's dot product with the query: the cosine score, for unit vectors.
+
+    numpy sums each row's products in its own fixed order, so a score's bits
+    depend neither on the BLAS kernel nor on which rows are scored together;
+    ``matrix @ query`` would differ in the last bit under some kernels.
+    """
     if query.shape != matrix.shape[1:]:
         raise ValueError(f"query dimension {query.shape} != embedding dimension {matrix.shape[1:]}")
-    return matrix @ query
+    scores = np.empty(len(matrix))
+    step = max(1, SCORE_BLOCK_VALUES // max(1, len(query)))
+    for start in range(0, len(matrix), step):
+        scores[start : start + step] = np.add.reduce(matrix[start : start + step] * query, axis=1)
+    return scores
 
 
 def rank_rows(ids: np.ndarray, matrix: np.ndarray, query: np.ndarray) -> CosineRanking:
@@ -320,20 +392,31 @@ def assemble_background(
     return set(np.concatenate(lowest).tolist()).difference(*labeled.values())
 
 
-def curate_ids(
-    ids: np.ndarray, matrix: np.ndarray, spec: CurationSpec
+def curate_scores(
+    ids: np.ndarray, scores: Iterable[np.ndarray], spec: CurationSpec
 ) -> tuple[dict[str, set[int]], set[int]]:
-    """:func:`select_labeled` and :func:`assemble_background` of :func:`rank_rows` per query class.
+    """:func:`select_labeled` and :func:`assemble_background` of the rankings by each class's scores.
 
-    Each class's ranking is its positions into the sorted ids, which must not
+    ``scores`` yields one score vector per query class, in spec order, entry
+    ``i`` scoring id ``ids[i]``; a ``(classes, ids)`` matrix will do.  Each
+    class's ranking is its positions into the sorted ids, which must not
     repeat; a stable sort by score breaks ties by position, that is by id.
+    Positions are int32 below 2**31 ids.
     """
     by_id = np.argsort(ids)
     universe = ids[by_id]
-    positions = [np.argsort(-_scores(matrix, q)[by_id], kind="stable") for _, q in spec.queries]
+    kind = np.int32 if len(ids) < 2**31 else np.intp
+    positions = [np.argsort(-s[by_id], kind="stable").astype(kind) for s in scores]
     labeled = _select_positions(universe, positions, spec)
     lowest = [_lowest(name, pos, spec) for name, pos in zip(spec.class_names, positions)]
     return labeled, set(universe[np.concatenate(lowest)].tolist()).difference(*labeled.values())
+
+
+def curate_ids(
+    ids: np.ndarray, matrix: np.ndarray, spec: CurationSpec
+) -> tuple[dict[str, set[int]], set[int]]:
+    """:func:`curate_scores` of :func:`rank_rows`' scores: one class's score vector at a time."""
+    return curate_scores(ids, (_scores(matrix, q) for _, q in spec.queries), spec)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,13 @@ described.
 Each run-grid test runs in one process and in two (a forked worker), the
 count forced through ``runner._process_count``: both give the recorded bytes.
 The curated feature file is written in one, two and three processes the same
-way, through ``corpus._process_count``.
+way, through ``corpus._process_count``, also with the embedding file cut into
+chunks of about 512 bytes and up to three byte ranges.  ``driftbench curate``
+scores the embedding file without its matrix and parses the selected records
+again for the write: a messy file gives the bytes of the library path
+(``load_embedding_file``, ``curate_ids``, ``write_feature_file``), a bad
+record is still named by its line, and a file changed between the two reads
+leaves the previous output.
 """
 
 import hashlib
@@ -24,10 +30,11 @@ import numpy as np
 import pytest
 
 import driftbench.corpus as corpus_module
+import driftbench.curate as curate_module
 import driftbench.protocol as protocol_module
 import driftbench.runner as runner_module
 from driftbench.cli import main
-from driftbench.runner import run_experiment, validate_config
+from driftbench.runner import read_curation_spec, run_experiment, validate_config
 
 DIGESTS = Path(__file__).with_name("byte_identity_digests.json")
 
@@ -256,3 +263,104 @@ def test_curated_bytes_match_at_every_process_count(processes, tmp_path, monkeyp
     monkeypatch.setattr(corpus_module, "_fork_shares", lambda count, share: forked.append(count) or real(count, share))
     test_curated_files_match_recorded_digests(tmp_path)
     assert forked == [processes]
+
+
+# The embedding file (about 27 KB) is cut into chunks of about 512 bytes, a
+# few records each, and its byte ranges among up to three processes.
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_curated_bytes_match_with_the_embedding_file_split(processes, tmp_path, monkeypatch):
+    forked = []
+    real = corpus_module._fork_shares
+    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 512)
+    monkeypatch.setattr(corpus_module, "FORK_MIN_VALUES", 1)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
+    monkeypatch.setattr(corpus_module, "_fork_shares", lambda count, share: forked.append(count) or real(count, share))
+    test_curated_files_match_recorded_digests(tmp_path)
+    # The reader forks a worker per range, the writer one per block but the first.
+    assert forked == ([processes + 1] if processes > 1 else []) + [processes]
+
+
+def write_messy_embeddings(root: Path, bad_line: int | None = None) -> Path:
+    """An embedding file with CRLF and lone-CR line ends, blank and whitespace-only lines,
+    padded records, ids out of order and no final newline; ``bad_line`` loses a component."""
+    rng = np.random.default_rng(31)
+    ids = rng.permutation(np.arange(2000, 2240))
+    vectors = rng.standard_normal((240, 6))
+    lines = [f"{rid}\t" + ",".join(repr(float(v)) for v in row) for rid, row in zip(ids, vectors)]
+    ends = ["\n", "\r\n", "\r", "\n  \t \n", "\n\n", " \r\n"]
+    text = "#m=6\r\n" + "".join(
+        (" " if k % 9 == 0 else "") + line + ends[k % len(ends)] for k, line in enumerate(lines[:-1])
+    ) + lines[-1]
+    if bad_line is not None:
+        split = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        assert split[bad_line - 1].strip(), "the bad line must hold a record"
+        record = split[bad_line - 1].strip()
+        text = text.replace(record, record.rpartition(",")[0], 1)
+    path = root / "emb.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_messy_embedding_file_curates_as_the_library_path(processes, tmp_path, monkeypatch):
+    args = write_curation_inputs(tmp_path)
+    write_messy_embeddings(tmp_path)
+    spec = read_curation_spec(tmp_path / "cur.cfg")
+    curation = spec.spec(curate_module.load_query_file(tmp_path / "q.tsv"))
+    ids, x = curate_module.load_embedding_file(tmp_path / "emb.tsv")
+    labeled, background = curate_module.curate_ids(ids, x, curation)
+    rejected = curate_module.load_rejection_list(tmp_path / "reject.txt")
+    labeled = {name: chosen - rejected for name, chosen in labeled.items()}
+    dataset = curate_module.finalize_bucket(labeled, background - rejected, curation, seed=spec.values["seed"])
+    rows, labels = curate_module.curated_rows(dataset, ids)
+    reference = tmp_path / "reference.tsv"
+    corpus_module.write_feature_file(reference, ids[rows], np.zeros_like(rows), labels, x, rows, 4)
+
+    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 512)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
+    # The scoring reader takes the whole file: the line reader is never asked.
+    monkeypatch.setattr(curate_module, "_load_embedding_lines", lambda path: pytest.fail("fell back to the line reader"))
+    assert main(args) == 0
+    assert (tmp_path / "curated" / "features.tsv").read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("bad_line", [3, 201, 321])
+@pytest.mark.parametrize("processes", [1, 2])
+def test_a_bad_embedding_record_is_named_by_its_line(processes, bad_line, tmp_path, monkeypatch, capsys):
+    args = write_curation_inputs(tmp_path)
+    emb = write_messy_embeddings(tmp_path, bad_line)
+    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 512)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
+    assert main(args) == 2
+    assert f"{emb}:{bad_line}: expected 6 components" in capsys.readouterr().err
+    assert not (tmp_path / "curated").exists()
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_an_embedding_file_changed_before_the_write_keeps_the_old_output(processes, tmp_path, monkeypatch, capsys):
+    args = write_curation_inputs(tmp_path)
+    assert main(args) == 0
+    features = tmp_path / "curated" / "features.tsv"
+    before = features.read_bytes()
+    emb = tmp_path / "emb.tsv"
+    real = curate_module.curated_rows
+
+    def rows_then_change_the_file(dataset, ids):
+        # The last record written (the largest id, in the last writer block)
+        # gets another id of the same width, in place.
+        rows, labels = real(dataset, ids)
+        last = int(ids[rows[-1]])
+        text = emb.read_text()
+        with open(emb, "r+b") as fh:
+            fh.seek(text.index(f"\n{last}\t") + 1)
+            fh.write(str(last + 100).encode())
+        return rows, labels
+
+    monkeypatch.setattr(corpus_module, "FORK_MIN_VALUES", 1)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
+    monkeypatch.setattr(curate_module, "curated_rows", rows_then_change_the_file)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"{emb}: records changed since the file was read" in capsys.readouterr().err
+    assert features.read_bytes() == before
+    assert sorted(p.name for p in features.parent.iterdir()) == ["classes.txt", "features.tsv"]

@@ -110,6 +110,26 @@ class TestBucketize:
         b = bucketize(*rows, 3, C=1)
         assert np.array_equal(a.ids, b.ids) and np.array_equal(a.x, b.x)
 
+    @pytest.mark.parametrize("timestamps", [[0] * 31, [i // 4 for i in range(31)]])
+    def test_rows_in_order_are_sliced_not_copied(self, timestamps):
+        ids, ts, x, y = make_rows(31, timestamps=timestamps)
+        stream = bucketize(ids, ts, x, y, 3, C=1)
+        for got, arg in ((stream.x, x), (stream.y, y), (stream.ids, ids), (stream.timestamps, ts)):
+            assert np.shares_memory(got, arg) and np.array_equal(got, arg[:30])
+        # The same rows in another order are gathered into the same stream.
+        order = np.random.default_rng(1).permutation(31)
+        shuffled = bucketize(ids[order], ts[order], x[order], y[order], 3, C=1)
+        assert not np.shares_memory(shuffled.x, x[order])
+        assert shuffled.x.tobytes() == stream.x.tobytes() and np.array_equal(shuffled.ids, stream.ids)
+
+    def test_a_later_id_in_an_earlier_timestamp_is_gathered(self):
+        ids, ts, x, y = make_rows(4, timestamps=[0, 0, 1, 1])
+        ids = np.array([0, 5, 1, 2])
+        stream = bucketize(ids, ts, x, y, 1, C=1)
+        assert stream.ids.tolist() == [0, 5, 1, 2] and np.shares_memory(stream.x, x)
+        stream = bucketize(ids[[1, 0, 2, 3]], ts, x, y, 1, C=1)
+        assert stream.ids.tolist() == [0, 5, 1, 2] and not np.shares_memory(stream.x, x)
+
 
 class TestSplitIid:
     def test_seventy_thirty_split_sizes(self):
@@ -400,6 +420,36 @@ class TestForkShares:
         assert len(opened) == 2 and all(file.closed for file in opened)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+    def test_a_value_error_in_a_worker_is_raised_here_with_its_message(self):
+        def share(first, step, file):
+            if file is not None:
+                file.write(b"partial output")
+                if first == 2:
+                    raise ValueError(f"share {first} rejects its input")
+
+        with pytest.raises(ValueError, match="^share 2 rejects its input$"):
+            corpus_module._fork_shares(4, share)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20])
+def test_line_chunks_cover_the_range_and_end_at_newlines(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", chunk)
+    data = b"head\n" + b"".join(b"x" * (i * 13 % 40) + b"\r\n\n\r"[: i % 4] for i in range(200)) + b"no newline"
+    path = tmp_path / "lines"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        got = list(corpus_module.line_chunks(fh.fileno(), 5, len(data)))
+        assert b"".join(piece for _, piece in got) == data[5:]
+        assert [offset for offset, _ in got] == list(np.cumsum([5] + [len(piece) for _, piece in got[:-1]]))
+        assert all(piece.endswith(b"\n") for _, piece in got[:-1])
+        longest = max(len(line) for line in data.split(b"\n")) + 1
+        assert all(len(piece) < 2 * max(chunk, longest) for _, piece in got)
+        with pytest.raises(ValueError, match="file ended 5 bytes early"):
+            list(corpus_module.line_chunks(fh.fileno(), len(data) - 5, len(data) + 5))
 
 
 def vector_lines(lead_fields):

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +123,7 @@ class TestCosineRank:
         rankings = rank_all(embeddings, spec)
         assert list(rankings) == [name for name, _ in queries]
         for name, query in queries:
-            raw = np.stack(vectors) @ query
+            raw = curate_module._scores(np.stack(vectors), query)
             order = sorted(range(len(ids)), key=lambda i: (-raw[i], ids[i]))
             ranking = rankings[name]
             # Bytes, so that dtypes and the sign of a zero score count too.
@@ -163,6 +167,35 @@ class TestCosineRank:
         assert held <= 2 * word + 4096, f"held {held / n:.1f} bytes per id"
         assert isinstance(ranking.ids, np.ndarray) and ranking.ids.dtype == np.int64
         assert isinstance(ranking.scores, np.ndarray) and ranking.scores.dtype == np.float64
+
+
+# Prints the digest of curate._scores on a fixed 6,000 x 64 matrix of unit rows.
+SCORES_DIGEST = """
+import hashlib
+import numpy as np
+from driftbench.curate import _scores
+rng = np.random.default_rng(5)
+matrix = rng.standard_normal((6000, 64))
+matrix /= np.sqrt(np.add.reduce(matrix * matrix, axis=1))[:, None]
+print(hashlib.sha256(_scores(matrix, 0.6 * matrix[0] + 0.8 * matrix[1]).tobytes()).hexdigest())
+"""
+
+
+def test_scores_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS built with DYNAMIC_ARCH picks its kernel when it loads, and
+    # OPENBLAS_CORETYPE forces one; matrix @ query differs in the last bit
+    # between some of these.
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so no kernel can be forced: {blas}")
+    src = str(Path(curate_module.__file__).parents[1])
+    digests = {}
+    for core in ("SkylakeX", "Haswell", "Prescott"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", SCORES_DIGEST], env=env, capture_output=True, text=True, check=True)
+        digests[core] = done.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 class TestSelectLabeled:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import driftbench.corpus as corpus_module
+from driftbench.cli import main
 from driftbench.corpus import DriftConfig, generate_drift_stream, read_feature_file, write_feature_file
 from driftbench.curate import CurationSpec, curate_ids
 from driftbench.learner import Hyperparams, Strategy, parse_architecture
@@ -152,3 +153,53 @@ def test_curation_holds_one_position_vector_per_class():
     # 16 words per id.
     peak = traced_peak(curate_ids, ids, x, spec)
     assert peak <= (classes + 4) * n * 8, (peak, n * 8)
+
+
+def test_curation_holds_positions_as_int32():
+    # With 16 classes the position vectors dominate: int32 positions take
+    # 8 words per id, intp ones 16, beyond the sorted universe, its by-id
+    # order and one class's scores and sort while it ranks (about 5 words).
+    n, m, classes = 50_000, 8, 16
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((n, m))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    ids = rng.permutation(10 * n)[:n]
+    queries = tuple((f"c{k}", x[k].copy()) for k in range(classes))
+    spec = CurationSpec(queries=queries, per_class_top=100, background_low_per_class=100, final_per_class=50)
+    peak = traced_peak(curate_ids, ids, x, spec)
+    assert peak <= (classes // 2 + 6) * n * 8, (peak, n * 8)
+
+
+def test_curate_command_holds_no_embedding_matrix(tmp_path, monkeypatch):
+    # 20,000 x 256 components written "d.d": a 41 MB matrix from a 20 MB
+    # file.  Everything runs in this process, so that the trace sees every parse.
+    n, m = 20_000, 256
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: 1)
+    text = np.full((n, m, 4), ord("."), dtype=np.uint8)
+    text[:, :, [0, 2]] = np.random.default_rng(2).integers(1, 10, (n, m, 2), dtype=np.uint8) + ord("0")
+    text[:, :, 3] = ord(",")
+    text[:, -1, 3] = ord("\n")
+    text = text.reshape(n, 4 * m)
+
+    def write_inputs(root, rows):
+        root.mkdir()
+        with open(root / "emb.tsv", "wb") as fh:
+            fh.write(f"#m={m}\n".encode())
+            fh.writelines(f"{i}\t".encode() + row.tobytes() for i, row in enumerate(text[:rows]))
+        (root / "q.tsv").write_text("".join(f"c{k}\t" + ",".join(["0"] * k + ["1"] + ["0"] * (m - k - 1)) + "\n"
+                                            for k in range(4)))
+        (root / "cur.cfg").write_text("per_class_top = 20\nbackground_low = 20\nfinal_per_class = 10\n")
+        return ["curate", "--embeddings", str(root / "emb.tsv"), "--queries", str(root / "q.tsv"),
+                "--spec", str(root / "cur.cfg"), "--out", str(root / "curated")]
+
+    assert main(write_inputs(tmp_path / "warm-up", 400)) == 0  # first-call imports
+    args = write_inputs(tmp_path / "big", n)
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A chunk's matrix is about twice its text here, some 2 MiB; holding the
+    # file's matrix, as load_embedding_file does, would take four times the bound.
+    assert peak <= n * m * 8 // 4, (peak, n * m * 8)
