@@ -195,36 +195,48 @@ def forward_loss_grad(
     return _loss_grad_arrays(state, x, y)
 
 
-def fit(state: LearnerState, x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> LearnerState:
-    """Run momentum SGD for ``hp.epochs`` epochs over seeded shuffles of the rows of ``(x, y)``.
+def fit(
+    state: LearnerState, x: np.ndarray, y: np.ndarray, hp: Hyperparams, rows: np.ndarray | None = None
+) -> LearnerState:
+    """Run momentum SGD for ``hp.epochs`` epochs over seeded shuffles of the training rows of ``(x, y)``.
+
+    The training rows are ``rows``, an index vector into ``x`` and ``y``, or
+    every row in order when it is None; ``fit(state, x, y, hp, rows)`` equals
+    ``fit(state, x[rows], y[rows], hp)`` bit for bit.  Each minibatch gathers
+    its rows from ``x`` and ``y``, so no copy larger than one minibatch is
+    made; epoch 1 visits every training row once and checks each minibatch's
+    features for non-finite values as it gathers them.
 
     Update rule per minibatch: ``v <- momentum * v + g``, ``theta <- theta - lr * v``,
     with weight decay added to the gradient.  The updates run in place on
     copies of ``state``'s arrays, which is never mutated, with the roundings
     of the formulas above.  The minibatch loss is not computed.  The last
     batch of an epoch may be smaller.  Deterministic per ``hp.seed``.  Raises
+    ``ValueError`` when a training row holds a non-finite feature, and
     ``FloatingPointError`` when training diverged, i.e. any parameter is
     non-finite afterwards.
     """
-    if len(y) == 0:
+    rows = np.arange(len(y)) if rows is None else rows
+    n = len(rows)
+    if n == 0:
         raise ValueError("cannot train on an empty dataset")
     if x.shape[1] != state.architecture.d:
         raise ValueError(f"expected dimension {state.architecture.d}, got {x.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite feature value in dataset")
     rng = np.random.default_rng([hp.seed, 1])
     params = {k: v.copy() for k, v in state.params.items()}
     velocity = {k: v.copy() for k, v in state.velocity.items()}
     work = LearnerState(architecture=state.architecture, params=params, velocity=velocity)
-    n = x.shape[0]
     lr = hp.learning_rate
     for epoch in range(1, hp.epochs + 1):
         if epoch == hp.decay_epoch + 1:
             lr *= hp.decay_factor
-        order = rng.permutation(n)
+        order = rows[rng.permutation(n)]
         for start in range(0, n, hp.batch_size):
             idx = order[start : start + hp.batch_size]
-            _, grads = _loss_grad_arrays(work, x[idx], y[idx], with_loss=False)
+            batch = x[idx]
+            if epoch == 1 and not np.all(np.isfinite(batch)):
+                raise ValueError("non-finite feature value in dataset")
+            _, grads = _loss_grad_arrays(work, batch, y[idx], with_loss=False)
             for name, g in grads.items():
                 p, v = params[name], velocity[name]
                 if hp.weight_decay:
@@ -267,17 +279,19 @@ def strategy_step(
     y: np.ndarray,
     hp: Hyperparams,
     architecture: Architecture,
+    rows: np.ndarray | None = None,
 ) -> LearnerState:
-    """Produce the timestamp's predictor from the training rows ``(x, y)``.
+    """Produce the timestamp's predictor from the training rows ``rows`` of ``(x, y)``.
 
+    ``rows`` is as for :func:`fit`: None trains on every row, in order.
     Every strategy reinitializes and trains at the first timestamp.  After it,
     From-Scratch reinitializes and trains each time, Napping returns ``prev``
     unchanged, and Finetuning continues from the previous weights.
     """
     if strategy is Strategy.FROM_SCRATCH or timestamp_index == 0:
-        return fit(init_learner(architecture, hp.seed), x, y, hp)
+        return fit(init_learner(architecture, hp.seed), x, y, hp, rows)
     if prev is None:
         raise ValueError(f"{strategy.value} after the first timestamp requires a previous state")
     if strategy is Strategy.NAPPING:
         return prev
-    return fit(prev, x, y, hp)
+    return fit(prev, x, y, hp, rows)

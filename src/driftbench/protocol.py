@@ -180,12 +180,15 @@ def _run_protocol(
 
     Step ``i`` folds the stream rows ``train_rows[i]`` into the replay buffer,
     trains on the buffer's rows (Napping: on ``train_rows[0]``) and scores the
-    targets ``first:`` of the ``(rows, offsets)`` target table, which holds
-    no features (see :func:`_score`), with ``first = 0`` for iid and
-    ``i + 1`` for streaming.  A step with no target left, streaming's last,
-    only ingests: no model is fit, since none would be scored.  The loop builds no per-evaluation object; ``event_log``, if
-    given, starts empty and receives the step's :class:`Event` objects as the
-    step runs.  Only streaming targets are trained on, so only they are checked.
+    targets ``first:`` of the ``(rows, offsets)`` target table, with
+    ``first = 0`` for iid and ``i + 1`` for streaming.  Neither the training
+    rows nor the targets are gathered as a whole: the learner gathers each
+    minibatch, and :func:`_score` each chunk, from ``stream.x``.  A step with no
+    target left, streaming's last, only ingests: no model is fit, since none
+    would be scored.  The loop builds no per-evaluation object; ``event_log``,
+    if given, starts empty and receives the step's :class:`Event` objects as
+    the step runs.  Only streaming targets are trained on, so only they are
+    checked.
     """
     if event_log:
         raise ProtocolOrderError(f"event_log must be empty, got {len(event_log)} events")
@@ -209,9 +212,7 @@ def _run_protocol(
         if first < n:
             rows = np.array(train_rows[0] if cfg.strategy is Strategy.NAPPING else buffer.entries)
             hp = replace(cfg.hyperparams, seed=seed + LEARNER_SEED_OFFSET + i)
-            state = strategy_step(
-                cfg.strategy, state, i, stream.x[rows], stream.y[rows], hp, cfg.architecture
-            )
+            state = strategy_step(cfg.strategy, state, i, stream.x, stream.y, hp, cfg.architecture, rows)
             cells[i, first:] = _score(state, stream, target_rows, target_offsets[first:])
             if event_log is not None:
                 event_log.extend(Event(kind="evaluate", step=i, bucket=j) for j in range(first, n))

@@ -1,4 +1,4 @@
-"""Memory guards: runs, their artifacts, stream generation, the feature-file writer and curation hold bounded copies.
+"""Memory guards: runs, their fits, their artifacts, stream generation, the feature-file writer and curation hold bounded copies.
 
 Each test measures with ``tracemalloc``, which numpy reports its array data
 to, after a warm-up call has done the first-call imports.  The protocol runs
@@ -17,7 +17,7 @@ import driftbench.corpus as corpus_module
 from driftbench.cli import main
 from driftbench.corpus import DriftConfig, generate_drift_stream, read_feature_file, write_feature_file
 from driftbench.curate import CurationSpec, curate_ids
-from driftbench.learner import Hyperparams, Strategy, parse_architecture
+from driftbench.learner import Hyperparams, Strategy, fit, init_learner, parse_architecture
 from driftbench.protocol import SCORE_BATCH_ROWS, RunConfig, run_iid_protocol, run_streaming_protocol
 from driftbench.runner import run_experiment, validate_config
 from driftbench.sampler import parse_policy
@@ -26,10 +26,11 @@ STREAM = DriftConfig(C=4, d=64, N=6, n_per_class=500, radius=1.0, drift_rate=0.2
 BATCH = 256
 HIDDEN = 64
 
-# The rows a step may hold gathered: the buffer's training rows (capacity =
-# BATCH), one minibatch and one score chunk, each with its hidden
-# activations; half as much again covers the per-row index lists and the
-# small temporaries.  A copy of the iid test rows does not fit.
+# The rows a step may hold gathered: one minibatch and one score chunk, each
+# with its hidden activations, since the fit reads the buffer's rows
+# (capacity = BATCH) in place.  The budget leaves room for one batch of rows
+# more, and half as much again covers the per-row index lists and the small
+# temporaries.  A copy of the iid test rows does not fit.
 BUDGET = 3 * (2 * BATCH + SCORE_BATCH_ROWS) * (STREAM.d + HIDDEN) * 8 // 2
 
 
@@ -76,6 +77,27 @@ def test_streaming_run_scores_a_large_bucket_in_chunks(stream):
     assert np.diff(two.offsets).max() * HIDDEN * 8 > BUDGET
     peak = traced_peak(run_streaming_protocol, two, run_config(two, None), 0)
     assert peak <= BUDGET, (peak, BUDGET)
+
+
+@pytest.mark.parametrize("protocol", ["iid", "streaming"])
+def test_run_trains_on_the_buffer_rows_in_place(stream, protocol):
+    # A full buffer of 16 batches: its rows gathered for a fit would pass
+    # their feature bytes, beside the score chunk and the minibatch.
+    capacity = 16 * BATCH
+    iid = protocol == "iid"
+    cfg = dataclasses.replace(run_config(stream, 0.7 if iid else None), buffer_capacity=capacity)
+    peak = traced_peak(run_iid_protocol if iid else run_streaming_protocol, stream, cfg, 0)
+    assert peak < capacity * STREAM.d * 8, (peak, capacity * STREAM.d * 8)
+
+
+def test_fit_on_rows_holds_one_minibatch():
+    x = np.random.default_rng(0).standard_normal((50_000, 64))
+    y = np.arange(len(x)) % 4
+    rows = np.random.default_rng(1).permutation(len(x))[:BATCH]
+    state = init_learner(parse_architecture(f"mlp:{HIDDEN}", d=64, C=4), seed=0)
+    hp = Hyperparams(learning_rate=0.1, batch_size=64, epochs=2, decay_epoch=1)
+    peak = traced_peak(fit, state, x, y, hp, rows)
+    assert peak < x.nbytes // 8, (peak, x.nbytes)
 
 
 def test_generation_holds_the_stream_plus_one_bucket():

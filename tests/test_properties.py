@@ -1,5 +1,6 @@
 """Property tests for the config parser, the matrix and event-log formats, the metrics and
-matrix validation against their whole-array references, the replay buffer,
+matrix validation against their whole-array references, the replay buffer, ``fit`` on
+row indices against ``fit`` on the gathered rows,
 the runner's event logs against the protocol's events, the array readers of feature and
 embedding files against their line-by-line references, and ``bucketize`` against the
 sorted-sample version it replaced."""
@@ -25,7 +26,7 @@ from driftbench.corpus import (
     read_feature_file,
 )
 from driftbench.curate import _load_embedding_lines, _load_embedding_rows, load_embedding_file
-from driftbench.learner import Strategy
+from driftbench.learner import Hyperparams, Strategy, fit, init_learner, parse_architecture
 from driftbench.metrics import METRIC_NAMES, compute_metrics
 from driftbench.protocol import (
     LEARNER_SEED_OFFSET,
@@ -232,10 +233,10 @@ def test_runner_event_log_matches_public_event_log(tmp_path_factory, kind, n, da
     # The runner forks a worker for seed 1, so each call is recorded in a file both processes append to.
     recorded = tmp_path_factory.mktemp("calls") / "calls.pkl"
 
-    def diverging_step(strategy, prev, i, x, y, hp, arch):
+    def diverging_step(strategy, prev, i, x, y, hp, arch, rows):
         if hp.seed - LEARNER_SEED_OFFSET - i == 1 and i == diverge_at:
             raise FloatingPointError("training diverged")
-        return real_step(strategy, prev, i, x, y, hp, arch)
+        return real_step(strategy, prev, i, x, y, hp, arch, rows)
 
     public = run_iid_protocol if kind is ProtocolKind.IID else run_streaming_protocol
 
@@ -268,6 +269,46 @@ def test_runner_event_log_matches_public_event_log(tmp_path_factory, kind, n, da
     public(stream, cfg, 1, event_log=full)
     began = full.index(Event("train", diverge_at, diverge_at)) + 1
     assert partial == full[:began]
+
+
+@SETTINGS
+@given(st.sampled_from(["linear", "mlp:5"]), st.data())
+def test_fit_on_rows_equals_fit_on_the_gathered_rows(architecture, data):
+    # Rows in any order, repeats allowed, and batch sizes that need not
+    # divide their count; a non-finite feature counts only in a training row.
+    n, d = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x, y = rng.standard_normal((n, d)), rng.integers(0, 3, n)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    hp = Hyperparams(
+        learning_rate=0.1,
+        weight_decay=data.draw(st.sampled_from([0.0, 1e-3])),
+        batch_size=data.draw(st.integers(1, len(rows) + 2)),
+        epochs=data.draw(st.integers(1, 3)),
+        decay_epoch=1,
+        seed=data.draw(st.integers(0, 100)),
+    )
+    state = init_learner(parse_architecture(architecture, d=d, C=3), seed=hp.seed)
+    want = fit(state, x[rows], y[rows], hp)
+
+    def assert_fits_want(got):
+        for name in want.params:
+            assert got.params[name].tobytes() == want.params[name].tobytes()
+            assert got.velocity[name].tobytes() == want.velocity[name].tobytes()
+
+    assert_fits_want(fit(state, x, y, hp, rows))
+    value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    outside = np.setdiff1d(np.arange(n), rows)
+    if len(outside):
+        bad = x.copy()
+        bad[data.draw(st.sampled_from(outside.tolist())), data.draw(st.integers(0, d - 1))] = value
+        assert_fits_want(fit(state, bad, y, hp, rows))
+    bad = x.copy()
+    bad[data.draw(st.sampled_from(rows.tolist())), data.draw(st.integers(0, d - 1))] = value
+    with pytest.raises(ValueError, match="non-finite feature value"):
+        fit(state, bad, y, hp, rows)
+    with pytest.raises(ValueError, match="non-finite feature value"):
+        fit(state, bad[rows], y[rows], hp)
 
 
 @SETTINGS

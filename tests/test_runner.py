@@ -106,10 +106,10 @@ def fail_seed(monkeypatch, failing_seed):
     """Make every cell's seed ``failing_seed`` raise in its first training step."""
     real_step = protocol_module.strategy_step
 
-    def failing_step(strategy, prev, i, x, y, hp, arch):
+    def failing_step(strategy, prev, i, x, y, hp, arch, rows):
         if hp.seed - LEARNER_SEED_OFFSET - i == failing_seed:
             raise FloatingPointError("training diverged")
-        return real_step(strategy, prev, i, x, y, hp, arch)
+        return real_step(strategy, prev, i, x, y, hp, arch, rows)
 
     monkeypatch.setattr(protocol_module, "strategy_step", failing_step)
 
@@ -687,10 +687,10 @@ class TestRunExperiment:
             text = TWO_SEED_CONFIG
             real_step = protocol_module.strategy_step
 
-            def failing_step(strategy, prev, i, x, y, hp, arch):
+            def failing_step(strategy, prev, i, x, y, hp, arch, rows):
                 if hp.seed - LEARNER_SEED_OFFSET - i == failing_seed:
                     raise FloatingPointError("training diverged")
-                return real_step(strategy, prev, i, x, y, hp, arch)
+                return real_step(strategy, prev, i, x, y, hp, arch, rows)
 
             monkeypatch.setattr(protocol_module, "strategy_step", failing_step)
         trees, failures = {}, {}
