@@ -289,44 +289,19 @@ def parse_records(
 FORK_MIN_BYTES = 1 << 20
 
 
-# The readers split lines where a text-mode file does: at "\n", "\r\n" or a
-# lone "\r".  No cut falls between the "\r" and "\n" of a "\r\n".
-def line_end(fd: int, start: int, stop: int) -> int:
-    """The offset of file descriptor ``fd`` just past the first line end at or after ``start``, or ``stop``."""
-    while start < stop:
-        data = os.pread(fd, min(io.DEFAULT_BUFFER_SIZE, stop - start), start)
-        if ends := [i for i in (data.find(b"\n"), data.find(b"\r", 0, len(data) - 1)) if i >= 0]:
-            first = min(ends)
-            return start + first + 1 + (data[first : first + 2] == b"\r\n")
-        if len(data) < io.DEFAULT_BUFFER_SIZE:
-            break
-        start += len(data) - 1  # a final "\r" is read again with the byte after it
-    return stop
-
-
-def header_line(fh: BinaryIO) -> str:
-    """The UTF-8 line at the position of the binary file ``fh``, line end included; ``fh`` moves past it."""
-    start = fh.tell()
-    end = line_end(fh.fileno(), start, os.fstat(fh.fileno()).st_size)
-    fh.seek(end)
-    return os.pread(fh.fileno(), end - start, start).decode("utf-8")
-
-
 def line_chunks(fd: int, start: int, stop: int) -> Iterator[tuple[int, bytes]]:
     """Bytes ``start:stop`` of file descriptor ``fd`` as ``(offset, chunk)`` pairs, in order.
 
-    Each chunk holds about ``FORK_MIN_BYTES`` and ends just past its last
-    line end, or at ``stop``; a longer line makes a longer chunk.  The reads
-    go through :func:`os.pread`, so forked processes may share the descriptor.
+    Each chunk holds about ``FORK_MIN_BYTES`` and ends just past a newline,
+    or at ``stop``; a longer line makes a longer chunk.  The reads go through
+    :func:`os.pread`, so forked processes may share the descriptor.
     """
     size = FORK_MIN_BYTES
     while start < stop:
         data = os.pread(fd, min(size, stop - start), start)
         if len(data) < min(size, stop - start):
             raise ValueError(f"file ended {stop - start - len(data)} bytes early")
-        # A final "\r" may be the first half of a "\r\n": the line ends after it.
-        last = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1))
-        cut = len(data) if start + len(data) == stop else last + 1
+        cut = len(data) if start + len(data) == stop else data.rfind(b"\n") + 1
         if cut:
             yield start, data[:cut]
             start, size = start + cut, FORK_MIN_BYTES
@@ -358,7 +333,9 @@ def read_ranges(
         return parse(body, size)
     cuts = [body]
     for p in range(1, processes):
-        cuts.append(line_end(fh.fileno(), body + (size - body) * p // processes, size))
+        fh.seek(body + (size - body) * p // processes)
+        fh.readline()
+        cuts.append(fh.tell())
     cuts.append(size)
 
     def share(first: int, step: int, file: BinaryIO | None) -> None:
@@ -460,7 +437,7 @@ def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]
 
 def _load_feature_rows(path: str, normalize: bool) -> FeatureArrays:
     with open(path, "rb") as fh:
-        d, c = _parse_header(header_line(fh), path)
+        d, c = _parse_header(fh.readline().decode("utf-8"), path)
         (ids, timestamps, labels), x = read_records(fh, 3, d, normalize)
     if len(ids) and (ids.min() < 0 or labels.min() < 0 or labels.max() >= c):
         raise ValueError("id or label out of range")

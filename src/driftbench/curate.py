@@ -10,8 +10,8 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (FieldValueError, FileRows, atomic_write, checked_norm, header_line,
-                     line_chunks, parse_int64, parse_records, read_ranges, read_records)
+from .corpus import (FieldValueError, FileRows, atomic_write, checked_norm, line_chunks,
+                     parse_int64, parse_records, read_ranges, read_records)
 
 
 class ShortageError(ValueError):
@@ -112,7 +112,7 @@ def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 def _load_embedding_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "rb") as fh:
-        m = _embedding_dimension(header_line(fh), path)
+        m = _embedding_dimension(fh.readline().decode("utf-8"), path)
         (ids,), x = read_records(fh, 1, m, normalize=True)
     return _checked_ids(ids), x
 
@@ -135,7 +135,7 @@ def _record_lines(base: int, chunk: bytes) -> tuple[list[str], np.ndarray]:
 
 def _score_rows(fh: BinaryIO, queries: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, FileRows]:
     """The ids of an embedding file's records, their ``(classes, ids)`` scores and their rows."""
-    m = _embedding_dimension(header_line(fh), fh.name)
+    m = _embedding_dimension(fh.readline().decode("utf-8"), fh.name)
 
     def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         ints, scores = [np.empty((3, 0), dtype=np.int64)], [np.empty((0, len(queries)))]

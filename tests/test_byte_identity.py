@@ -19,8 +19,7 @@ scores the embedding file without its matrix and parses the selected records
 again for the write: a messy file gives the bytes of the library path
 (``load_embedding_file``, ``curate_ids``, ``write_feature_file``), a bad
 record is still named by its line, and a file changed between the two reads
-leaves the previous output.  Vector files whose lines end in a lone "\r" read
-as their "\n" twins through the same array readers.
+leaves the previous output.
 """
 
 import hashlib
@@ -323,46 +322,6 @@ def test_messy_embedding_file_curates_as_the_library_path(processes, tmp_path, m
     monkeypatch.setattr(curate_module, "_load_embedding_lines", lambda path: pytest.fail("fell back to the line reader"))
     assert main(args) == 0
     assert (tmp_path / "curated" / "features.tsv").read_bytes() == reference.read_bytes()
-
-
-@pytest.mark.parametrize("processes", [1, 2])
-def test_lone_cr_files_read_as_their_newline_twins(processes, tmp_path, monkeypatch):
-    # Both vector files, with every line ended by a lone "\r", are cut into
-    # chunks of about 512 bytes and byte ranges at those line ends and taken
-    # by the array readers, with the results of their "\n" twins.
-    def lone_cr(path):
-        data = path.read_bytes().replace(b"\n", b"\r")
-        path.write_bytes(data)
-        with open(path, "rb") as fh:
-            chunks = list(corpus_module.line_chunks(fh.fileno(), data.index(b"\r") + 1, len(data)))
-        assert len(chunks) > 1 and all(chunk.endswith(b"\r") for _, chunk in chunks)
-
-    def scores(root):
-        spec = read_curation_spec(root / "cur.cfg").spec(curate_module.load_query_file(root / "q.tsv"))
-        with open(root / "emb.tsv", "rb") as fh:
-            ids, by_class, rows = curate_module.score_embedding_file(fh, spec)
-            return [ids.tobytes(), np.array(list(by_class)).tobytes(), np.array(list(rows.rows(np.arange(len(ids))))).tobytes()]
-
-    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 512)
-    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
-    monkeypatch.setattr(curate_module, "_load_embedding_lines", lambda path: pytest.fail("fell back to the line reader"))
-    monkeypatch.setattr(corpus_module, "_load_feature_lines", lambda path, normalize: pytest.fail("fell back to the line reader"))
-    results = []
-    for name in ("lf", "cr"):
-        root = tmp_path / name
-        root.mkdir()
-        args = write_curation_inputs(root)
-        if name == "cr":
-            lone_cr(root / "emb.tsv")
-        assert main(args) == 0
-        features = root / "curated" / "features.tsv"
-        curated = features.read_bytes()
-        if name == "cr":
-            lone_cr(features)
-        loaded = [a.tobytes() for a in curate_module.load_embedding_file(root / "emb.tsv")]
-        read = [a if isinstance(a, int) else a.tobytes() for a in corpus_module.read_feature_file(features)]
-        results.append((curated, loaded, scores(root), read))
-    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("bad_line", [3, 201, 321])

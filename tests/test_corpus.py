@@ -445,28 +445,11 @@ def test_line_chunks_cover_the_range_and_end_at_newlines(tmp_path, monkeypatch, 
         got = list(corpus_module.line_chunks(fh.fileno(), 5, len(data)))
         assert b"".join(piece for _, piece in got) == data[5:]
         assert [offset for offset, _ in got] == list(np.cumsum([5] + [len(piece) for _, piece in got[:-1]]))
-        # Each piece but the last ends at a line end, never between the "\r" and "\n" of a "\r\n".
-        assert all(piece.endswith((b"\n", b"\r")) for _, piece in got[:-1])
-        assert not any(a.endswith(b"\r") and b.startswith(b"\n") for (_, a), (_, b) in zip(got, got[1:]))
+        assert all(piece.endswith(b"\n") for _, piece in got[:-1])
         longest = max(len(line) for line in data.split(b"\n")) + 1
         assert all(len(piece) < 2 * max(chunk, longest) for _, piece in got)
         with pytest.raises(ValueError, match="file ended 5 bytes early"):
             list(corpus_module.line_chunks(fh.fileno(), len(data) - 5, len(data) + 5))
-
-
-def test_line_end_is_where_a_text_mode_file_ends_the_line(tmp_path):
-    # Short lines and lines longer than a read window, ended by "\n", "\r\n"
-    # or a lone "\r"; every start offset, so a window also ends inside a "\r\n".
-    rng = np.random.default_rng(5)
-    ends = [b"\n", b"\r\n", b"\r"]
-    lengths = [int(rng.integers(0, 30)) for _ in range(600)] + [8191, 8190, 9000] * 2
-    data = b"".join(b"x" * length + ends[k % 3] for k, length in enumerate(rng.permutation(lengths))) + b"tail"
-    path = tmp_path / "lines"
-    path.write_bytes(data)
-    bounds = np.cumsum([len(line) for line in data.splitlines(keepends=True)])
-    with open(path, "rb") as fh:
-        got = [corpus_module.line_end(fh.fileno(), start, len(data)) for start in range(len(data))]
-    assert got == bounds[np.searchsorted(bounds, np.arange(len(data)), side="right")].tolist()
 
 
 def vector_lines(lead_fields):
