@@ -19,7 +19,6 @@ from .learner import (
     fit,
     forward_loss_grad,
     init_learner,
-    predict,
     strategy_step,
     train,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "init_learner",
     "load_feature_file",
     "parse_policy",
-    "predict",
     "read_feature_file",
     "run_iid_protocol",
     "run_streaming_protocol",

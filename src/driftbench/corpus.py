@@ -11,7 +11,7 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -309,9 +309,14 @@ def line_chunks(fd: int, start: int, stop: int) -> Iterator[tuple[int, bytes]]:
             size *= 2
 
 
-def chunk_lines(chunk: bytes) -> io.TextIOWrapper:
-    """The text lines of a UTF-8 chunk, split and ended as a text-mode file's lines are."""
-    return io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8")
+def record_lines(base: int, chunk: bytes) -> tuple[list[str], np.ndarray]:
+    """The lines of a UTF-8 chunk at file offset ``base`` that hold records, and their ``(2, records)`` byte spans."""
+    lines = chunk.splitlines(keepends=True)  # at "\n", "\r\n" and a lone "\r", as text-mode files split
+    sizes = np.fromiter(map(len, lines), np.int64, len(lines))
+    ends = base + np.cumsum(sizes)
+    text = [line.decode("utf-8") for line in lines]
+    records = list(map(bool, map(str.strip, text)))  # the lines parse_records does not skip
+    return list(compress(text, records)), np.array([ends - sizes, ends])[:, records]
 
 
 def read_ranges(
@@ -322,10 +327,11 @@ def read_ranges(
     ``parse`` returns its byte range's records as ``(n_ints, rows)`` int64s
     and a ``(rows, k)`` float64 matrix.  With P = :func:`_process_count` (a
     unit per ``FORK_MIN_BYTES`` bytes) above 1, the bytes are cut at line
-    ends into P ranges, each parsed by a forked worker; this process waits,
-    then places the rows into arrays allocated at their final size.  The
-    result, and the ``ValueError`` of a malformed record, are those of one
-    process.
+    ends into P ranges, each parsed by a worker of :func:`_fork_shares`
+    (share 0, here, parses nothing); once they are reaped, this process
+    places the rows from their files into arrays allocated at their final
+    size.  The result, and the ``ValueError`` of a malformed record, are
+    those of one process.
     """
     body, size = fh.tell(), os.fstat(fh.fileno()).st_size
     processes = _process_count(max(1, (size - body) // FORK_MIN_BYTES))
@@ -338,13 +344,12 @@ def read_ranges(
         cuts.append(fh.tell())
     cuts.append(size)
 
-    def share(first: int, step: int, file: BinaryIO | None) -> None:
+    def share(first: int, file: BinaryIO | None) -> None:
         if file is not None:
             ints, x = parse(cuts[first - 1], cuts[first])
             file.writelines([len(x).to_bytes(8, "little", signed=True), ints, x])
 
-    workers = _fork_shares(processes + 1, share)
-    try:
+    with _fork_shares(processes + 1, share) as workers:
         if code := next((code for code, _ in workers if code), 0):
             raise ChildProcessError(f"a worker process reading {fh.name} {_exit_text(code)}")
         counts = [int.from_bytes(file.read(8), "little", signed=True) for _, file in workers]
@@ -353,17 +358,14 @@ def read_ranges(
             for column in ints:
                 file.readinto(column[start : start + count])
             file.readinto(x[start : start + count])
-    finally:
-        for _, file in workers:
-            file.close()
     return ints, x
 
 
 def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`parse_records` of the lines from ``fh``'s position on, through :func:`read_ranges`."""
+    """:func:`parse_records` of the :func:`record_lines` from ``fh``'s position on, through :func:`read_ranges`."""
     def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         chunks = line_chunks(fh.fileno(), start, stop)
-        return parse_records(chain.from_iterable(chunk_lines(data) for _, data in chunks), n_ints, k, normalize)
+        return parse_records(chain.from_iterable(record_lines(*chunk)[0] for chunk in chunks), n_ints, k, normalize)
 
     return read_ranges(fh, n_ints, k, parse)
 
@@ -374,7 +376,8 @@ class FileRows:
 
     Row ``r`` is the record at bytes ``spans[0, r]:spans[1, r]`` of ``fh``,
     whose ``n_ints`` integer fields start with ``ids[r]`` and whose vector has
-    ``k`` values, parsed as :func:`parse_records` with ``normalize`` does.
+    ``k`` values, parsed as :func:`parse_records` with ``normalize`` does
+    after :func:`record_lines` splits them.
     """
 
     fh: BinaryIO
@@ -402,7 +405,7 @@ class FileRows:
             data = b"\n".join(os.pread(self.fh.fileno(), stop - start, start)
                               for start, stop in zip(starts[lo:hi], stops[lo:hi]))
             try:
-                ints, x = parse_records(chunk_lines(data), self.n_ints, self.k, self.normalize)
+                ints, x = parse_records(record_lines(0, data)[0], self.n_ints, self.k, self.normalize)
             except ValueError:
                 ints = None
             if ints is None or not np.array_equal(ints[0], self.ids[rows[lo:hi]]):
@@ -532,20 +535,23 @@ def _exit_text(code: int) -> str:
 _VALUE_ERROR = 2
 
 
-def _fork_shares(processes: int, share: Callable[[int, int, BinaryIO | None], None]) -> list[tuple[int, BinaryIO]]:
-    """Run ``share(first, processes, file)`` for every ``first`` below ``processes``; share 0 runs here.
+@contextmanager
+def _fork_shares(
+    processes: int, share: Callable[[int, BinaryIO | None], None]
+) -> Iterator[list[tuple[int, BinaryIO]]]:
+    """Run ``share(first, file)`` for every ``first`` below ``processes``; share 0 runs here.
 
     Shares 1..P-1 run in worker processes forked from this one, so they see
     its memory copy-on-write.  Each worker gets its own unnamed temporary
     ``file`` (share 0 gets None) and exits with status 0 once its share
-    returns and the file is flushed, else with status 1.  Returns each
-    worker's exit code (negative: the signal that killed it) and its file,
-    rewound, in index order; the caller closes the files.  A share that
-    raises ``ValueError`` in a worker leaves only its message in the file;
-    once every worker is reaped, the first such message is raised here as a
-    ``ValueError``.  Every worker is reaped before this returns or raises:
-    when this process raises, the workers still running are killed first
-    and every file is closed.
+    returns and the file is flushed, else with status 1.  Once share 0 has
+    returned and every worker is reaped, the block gets each worker's exit
+    code (negative: the signal that killed it) and its file, rewound, in
+    index order.  A share that raises ``ValueError`` in a worker leaves only
+    its message in the file, and the first such message is raised here as a
+    ``ValueError`` instead.  When this process raises before the block, the
+    workers still running are killed and reaped first.  Every file is closed
+    when the block exits, however it exits.
     """
     workers: list[tuple[BinaryIO, int]] = []
     codes: list[int] = []
@@ -555,7 +561,7 @@ def _fork_shares(processes: int, share: Callable[[int, int, BinaryIO | None], No
             if workers[-1][1] == 0:  # the worker ends in os._exit, whatever happens: it must not return into the caller's code
                 code = 1
                 try:
-                    share(first, processes, file)
+                    share(first, file)
                     file.flush()
                     code = 0
                 except ValueError as exc:
@@ -571,26 +577,22 @@ def _fork_shares(processes: int, share: Callable[[int, int, BinaryIO | None], No
                     sys.stderr.flush()
                 finally:
                     os._exit(code)
-        share(0, processes, None)
+        share(0, None)
         for _, pid in workers:
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    except BaseException:
-        import signal  # here, since its import costs a millisecond that no run without an error needs
-
+        for file, _ in workers:
+            file.seek(0)
+        if _VALUE_ERROR in codes:
+            raise ValueError(workers[codes.index(_VALUE_ERROR)][0].read().decode("utf-8"))
+        yield [(code, file) for code, (file, _) in zip(codes, workers)]
+    finally:
         for _, pid in workers[len(codes):]:
+            import signal  # here, since its import costs a millisecond that no run without an error needs
+
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for file, _ in workers:
             file.close()
-        raise
-    for file, _ in workers:
-        file.seek(0)
-    if _VALUE_ERROR in codes:
-        message = workers[codes.index(_VALUE_ERROR)][0].read().decode("utf-8")
-        for file, _ in workers:
-            file.close()
-        raise ValueError(message)
-    return [(code, file) for code, (file, _) in zip(codes, workers)]
 
 
 # Feature values a worker process must have to format before one is forked:
@@ -610,9 +612,10 @@ def write_feature_file(
     ``x[rows]`` matrix is built.  ``x`` is a matrix or :class:`FileRows`,
     whose rows each block parses again from their file, a chunk at a time.
     The records are cut into P contiguous blocks (:func:`_process_count`, a
-    unit per ``FORK_MIN_VALUES`` values); this process writes the header and
-    block 0, then appends the files of the workers that formatted the
-    others, so the bytes are the same for any P.  A worker that fails raises
+    unit per ``FORK_MIN_VALUES`` values), block ``i`` formatted by share
+    ``i`` of :func:`_fork_shares`: this process writes the header and block
+    0, then appends the files of the workers that formatted the others, so
+    the bytes are the same for any P.  A worker that fails raises
     :class:`ChildProcessError`; a ``ValueError`` of :meth:`FileRows.rows` is
     raised here.  Either way ``path`` keeps its old content.
     """
@@ -621,7 +624,7 @@ def write_feature_file(
     with atomic_write(path) as fh:
         fh.write(f"#d={x.shape[1]} C={C}\n")
 
-        def share(first: int, step: int, file: BinaryIO | None) -> None:
+        def share(first: int, file: BinaryIO | None) -> None:
             block = slice(bounds[first], bounds[first + 1])
             values = (x[row] for row in rows[block]) if isinstance(x, np.ndarray) else x.rows(rows[block])
             out = fh if file is None else io.TextIOWrapper(file, encoding="utf-8")
@@ -634,16 +637,12 @@ def write_feature_file(
                 if file is not None:
                     out.detach()  # flushes the text into ``file`` and leaves it open
 
-        workers = _fork_shares(processes, share)
-        try:
+        with _fork_shares(processes, share) as workers:
             if code := next((code for code, _ in workers if code), 0):
                 raise ChildProcessError(f"a worker process writing {path} {_exit_text(code)}")
             fh.flush()
             for _, file in workers:
                 shutil.copyfileobj(file, fh.buffer)
-        finally:
-            for _, file in workers:
-                file.close()
 
 
 def stream_manifest(stream: TemporalStream) -> str:

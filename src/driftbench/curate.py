@@ -4,14 +4,13 @@ cross-class duplicate rejection, background-class assembly, and balanced finaliz
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import (FieldValueError, FileRows, atomic_write, checked_norm, line_chunks,
-                     parse_int64, parse_records, read_ranges, read_records)
+                     parse_int64, parse_records, read_ranges, read_records, record_lines)
 
 
 class ShortageError(ValueError):
@@ -123,16 +122,6 @@ def _checked_ids(ids: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _record_lines(base: int, chunk: bytes) -> tuple[list[str], np.ndarray]:
-    """The lines of a chunk at file offset ``base`` that hold records, and their ``(2, records)`` byte spans."""
-    lines = chunk.splitlines(keepends=True)  # at "\n", "\r\n" and a lone "\r", as text-mode files split
-    sizes = np.fromiter(map(len, lines), np.int64, len(lines))
-    ends = base + np.cumsum(sizes)
-    text = [line.decode("utf-8") for line in lines]
-    records = list(map(bool, map(str.strip, text)))  # the lines parse_records does not skip
-    return list(compress(text, records)), np.array([ends - sizes, ends])[:, records]
-
-
 def _score_rows(fh: BinaryIO, queries: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, FileRows]:
     """The ids of an embedding file's records, their ``(classes, ids)`` scores and their rows."""
     m = _embedding_dimension(fh.readline().decode("utf-8"), fh.name)
@@ -140,7 +129,7 @@ def _score_rows(fh: BinaryIO, queries: Sequence[np.ndarray]) -> tuple[np.ndarray
     def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         ints, scores = [np.empty((3, 0), dtype=np.int64)], [np.empty((0, len(queries)))]
         for base, chunk in line_chunks(fh.fileno(), start, stop):
-            lines, spans = _record_lines(base, chunk)
+            lines, spans = record_lines(base, chunk)
             (ids,), x = parse_records(lines, 1, m, normalize=True)
             ints.append(np.vstack([ids, spans]))
             scores.append(np.column_stack([_scores(x, q) for q in queries]))
@@ -160,13 +149,14 @@ def score_embedding_file(
     class's score vector in spec order, as :func:`curate_scores` takes them.
     The records are parsed as :func:`load_embedding_file` parses them, a
     chunk at a time, in the processes :func:`~driftbench.corpus.read_ranges`
-    forks; each chunk's matrix is dropped once it is scored.  ``x``, for
-    :func:`~driftbench.corpus.write_feature_file`, is a
-    :class:`~driftbench.corpus.FileRows` that parses the selected records
-    again through ``fh`` while it is open.  A file that parser rejects is
-    read as :func:`load_embedding_file` reads it: a bad record raises
-    :class:`EmbeddingFileError` naming its line, and an accepted file's
-    matrix is ``x``.
+    forks; :func:`~driftbench.corpus.record_lines` splits each chunk and
+    gives each record's byte span, and each chunk's matrix is dropped once
+    it is scored.  ``x``, for :func:`~driftbench.corpus.write_feature_file`,
+    is a :class:`~driftbench.corpus.FileRows` that parses the selected
+    records again from those spans through ``fh`` while it is open.  A file
+    that parser rejects is read as :func:`load_embedding_file` reads it: a
+    bad record raises :class:`EmbeddingFileError` naming its line, and an
+    accepted file's matrix is ``x``.
     """
     queries = [q for _, q in spec.queries]
     try:

@@ -266,11 +266,6 @@ def predict_batch(state: LearnerState, features: np.ndarray) -> np.ndarray:
     return np.argmax(_forward(state.architecture, state.params, features)[1], axis=1)
 
 
-def predict(state: LearnerState, features: np.ndarray) -> int:
-    """Predicted class for a single feature vector."""
-    return int(predict_batch(state, np.asarray(features)[None, :])[0])
-
-
 def strategy_step(
     strategy: Strategy,
     prev: LearnerState | None,

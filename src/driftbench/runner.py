@@ -448,57 +448,48 @@ def _run_unit(stream: TemporalStream, cell: CellConfig, cell_dir: Path, seed: in
     return compute_metrics(matrix)
 
 
-def _run_share(
-    stream: TemporalStream, units: list[_Unit], first: int, step: int, emit: Callable[[int, _Outcome], None]
-) -> None:
-    """Run ``units[first::step]`` in order and ``emit`` each one's index and outcome.
-
-    A cell stops at its first failing seed: its later units in this share are skipped.
-    """
-    failed: set[str] = set()
-    for k in range(first, len(units), step):
-        cell, cell_dir, seed = units[k]
-        if cell.name in failed:
-            continue
-        try:
-            outcome: _Outcome = _run_unit(stream, cell, cell_dir, seed)
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            failed.add(cell.name)
-            outcome = f"{type(exc).__name__}: {exc}"
-        emit(k, outcome)
-
-
 def _run_units(stream: TemporalStream, units: list[_Unit]) -> list[_Outcome | None]:
     """Run every unit; return each one's outcome, or None where an earlier seed of its cell failed first.
 
-    With P = :func:`_process_count` processes, unit k runs in process k mod P
-    (see :func:`_fork_shares`): the workers share the stream copy-on-write
-    and write their units' files themselves.  A worker appends one pickled
-    ``(index, outcome)`` per unit to its file, each with a single write, so a
-    kill can cut short only the last record.  Once every worker is reaped,
+    With P = :func:`_process_count` processes, unit k runs in share k mod P
+    of :func:`_fork_shares`, in order; a cell stops at its first failing
+    seed, so its later units in that share are skipped.  The workers share
+    the stream copy-on-write and write their units' files themselves.  Share
+    0 puts its outcomes straight into the list; a worker appends one pickled
+    ``(index, outcome)`` per unit to its file, each with a single write, so
+    a kill can cut short only the last record.  Once every worker is reaped,
     this process reads the outcomes they recorded; a worker that died fails
     every unit it did not record, naming its exit status or signal.
     """
     processes = _process_count(len(units))
     outcomes: list[_Outcome | None] = [None] * len(units)
 
-    def share(first: int, step: int, file: BinaryIO | None) -> None:
-        def record(k: int, outcome: _Outcome) -> None:
-            data = pickle.dumps((k, outcome))
-            if os.write(file.fileno(), data) < len(data):
+    def share(first: int, file: BinaryIO | None) -> None:
+        failed: set[str] = set()
+        for k in range(first, len(units), processes):
+            cell, cell_dir, seed = units[k]
+            if cell.name in failed:
+                continue
+            try:
+                outcome: _Outcome = _run_unit(stream, cell, cell_dir, seed)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                failed.add(cell.name)
+                outcome = f"{type(exc).__name__}: {exc}"
+            if file is None:
+                outcomes[k] = outcome
+            elif os.write(file.fileno(), data := pickle.dumps((k, outcome))) < len(data):
                 raise OSError(f"wrote part of unit {k}'s outcome record")
 
-        _run_share(stream, units, first, step, outcomes.__setitem__ if file is None else record)
-
-    for first, (code, file) in enumerate(_fork_shares(processes, share), start=1):
-        with file, contextlib.suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
-            while True:
-                k, outcome = pickle.load(file)
-                outcomes[k] = outcome
-        if code:
-            for k in range(first, len(units), processes):
-                if outcomes[k] is None:
-                    outcomes[k] = f"ChildProcessError: the worker process running this seed {_exit_text(code)}"
+    with _fork_shares(processes, share) as workers:
+        for first, (code, file) in enumerate(workers, start=1):
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
+                while True:
+                    k, outcome = pickle.load(file)
+                    outcomes[k] = outcome
+            if code:
+                for k in range(first, len(units), processes):
+                    if outcomes[k] is None:
+                        outcomes[k] = f"ChildProcessError: the worker process running this seed {_exit_text(code)}"
     return outcomes
 
 

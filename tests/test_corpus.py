@@ -384,23 +384,19 @@ class TestAtomicWrite:
 class TestForkShares:
     def test_workers_report_their_exit_codes_and_files_in_order(self):
         # Worker 1 returns, worker 2 raises and worker 3 is killed, each after writing to its file.
-        def share(first, step, file):
+        def share(first, file):
             if file is None:
                 return
-            file.write(f"{first} of {step}".encode())
+            file.write(f"{first} of 4".encode())
             file.flush()
             if first == 2:
                 raise RuntimeError("the worker fails")
             if first == 3:
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        workers = corpus_module._fork_shares(4, share)
-        try:
+        with corpus_module._fork_shares(4, share) as workers:
             assert [code for code, _ in workers] == [0, 1, -int(signal.SIGKILL)]
             assert [file.read() for _, file in workers] == [b"1 of 4", b"2 of 4", b"3 of 4"]
-        finally:
-            for _, file in workers:
-                file.close()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -408,14 +404,14 @@ class TestForkShares:
         opened, real = [], tempfile.TemporaryFile
         monkeypatch.setattr(tempfile, "TemporaryFile", lambda: opened.append(real()) or opened[-1])
 
-        def share(first, step, file):
+        def share(first, file):
             if file is None:
                 raise RuntimeError("share 0 fails")
             time.sleep(60)
 
         started = time.monotonic()
-        with pytest.raises(RuntimeError, match="share 0 fails"):
-            corpus_module._fork_shares(3, share)
+        with pytest.raises(RuntimeError, match="share 0 fails"), corpus_module._fork_shares(3, share):
+            pass
         assert time.monotonic() - started < 30
         assert len(opened) == 2 and all(file.closed for file in opened)
         with pytest.raises(ChildProcessError):
@@ -423,14 +419,25 @@ class TestForkShares:
 
 
     def test_a_value_error_in_a_worker_is_raised_here_with_its_message(self):
-        def share(first, step, file):
+        def share(first, file):
             if file is not None:
                 file.write(b"partial output")
                 if first == 2:
                     raise ValueError(f"share {first} rejects its input")
 
-        with pytest.raises(ValueError, match="^share 2 rejects its input$"):
-            corpus_module._fork_shares(4, share)
+        with pytest.raises(ValueError, match="^share 2 rejects its input$"), corpus_module._fork_shares(4, share):
+            pass
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_block_that_raises_still_closes_every_worker_file(self):
+        def share(first, file):
+            if file is not None:
+                file.write(b"output")
+
+        with pytest.raises(RuntimeError, match="the block fails"), corpus_module._fork_shares(3, share) as workers:
+            raise RuntimeError("the block fails")
+        assert len(workers) == 2 and all(file.closed for _, file in workers)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -497,10 +504,10 @@ def test_a_dead_reader_worker_stops_the_read(tmp_path, monkeypatch):
     real = corpus_module._fork_shares
 
     def dying(processes, share):
-        def die_then_share(first, step, file):
+        def die_then_share(first, file):
             if file is not None:
                 os.kill(os.getpid(), signal.SIGKILL)
-            share(first, step, file)
+            share(first, file)
 
         return real(processes, die_then_share)
 

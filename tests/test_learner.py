@@ -16,7 +16,6 @@ from driftbench.learner import (
     init_learner,
     parse_architecture,
     parse_strategy,
-    predict,
     predict_batch,
     strategy_step,
     train,
@@ -343,21 +342,21 @@ class TestInPlaceFit:
 class TestPredict:
     def test_zero_state_ties_break_low(self):
         state = zero_state(Architecture("linear", 3, 4))
-        assert predict(state, np.array([0.3, -1.0, 2.0])) == 0
+        assert predict_batch(state, np.array([[0.3, -1.0, 2.0]])).tolist() == [0]
 
     def test_single_class(self):
         state = zero_state(Architecture("linear", 2, 1))
-        assert predict(state, np.array([5.0, -3.0])) == 0
+        assert predict_batch(state, np.array([[5.0, -3.0]])).tolist() == [0]
 
     def test_hand_set_identity_weights(self):
         state = zero_state(LINEAR_2_2)
         state.params["w"][:] = np.eye(2)
-        assert predict(state, np.array([0.3, 0.7])) == 1
+        assert predict_batch(state, np.array([[0.3, 0.7]])).tolist() == [1]
 
     def test_non_finite_rejected(self):
         state = zero_state(LINEAR_2_2)
         with pytest.raises(ValueError):
-            predict(state, np.array([np.nan, 0.0]))
+            predict_batch(state, np.array([[np.nan, 0.0]]))
 
 
 class TestStrategyStep:

@@ -2,9 +2,11 @@
 matrix validation against their whole-array references, the replay buffer, ``fit`` on
 row indices against ``fit`` on the gathered rows,
 the runner's event logs against the protocol's events, the array readers of feature and
-embedding files against their line-by-line references, and ``bucketize`` against the
-sorted-sample version it replaced."""
+embedding files against their line-by-line references, the readers' record splitter
+against a text-mode file's lines, and ``bucketize`` against the sorted-sample version it
+replaced."""
 
+import io
 import math
 import pickle
 
@@ -24,6 +26,7 @@ from driftbench.corpus import (
     bucket_shape,
     bucketize,
     read_feature_file,
+    record_lines,
 )
 from driftbench.curate import _load_embedding_lines, _load_embedding_rows, load_embedding_file
 from driftbench.learner import Hyperparams, Strategy, fit, init_learner, parse_architecture
@@ -562,6 +565,24 @@ def test_feature_reader_matches_line_reference(
     _assert_reader_matches(
         vector_path, read_feature_file, _load_feature_rows, _load_feature_lines, normalize
     )
+
+
+# Line text: any character (line breaks included), weighted towards whitespace that
+# ``str.strip`` removes but text-mode files do not split at, and non-ASCII letters.
+line_text = st.text(st.one_of(st.sampled_from(" \t\x0b\x0c\x1c\x85\u2028\u3000,0é中"),
+                              st.characters(blacklist_categories=("Cs",))), max_size=6)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(line_text, st.sampled_from(["\n", "\r\n", "\r", ""]))), st.integers(0, 2**40))
+def test_record_lines_are_the_text_mode_lines_that_hold_records(lines, base):
+    chunk = "".join(text + end for text, end in lines).encode("utf-8")
+    got, spans = record_lines(base, chunk)
+    expected = [line for line in io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8") if line.strip()]
+    assert [line.strip() for line in got] == [line.strip() for line in expected]
+    assert spans.shape == (2, len(got))
+    for line, (start, stop) in zip(got, spans.T.tolist()):
+        assert chunk[start - base : stop - base].decode("utf-8") == line
 
 
 def _bucketize_samples(samples, n_buckets):

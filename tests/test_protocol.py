@@ -14,7 +14,7 @@ from driftbench.corpus import (
     generate_drift_stream,
     split_iid,
 )
-from driftbench.learner import Architecture, Hyperparams, Strategy, init_learner, predict, strategy_step
+from driftbench.learner import Architecture, Hyperparams, Strategy, init_learner, predict_batch, strategy_step
 from driftbench.metrics import aggregate, compute_metrics
 from driftbench.protocol import (
     LEARNER_SEED_OFFSET,
@@ -524,7 +524,7 @@ class TestDesiderata:
         assert cfg.architecture.C == stream.C
 
     def test_predict_takes_no_task_identity(self):
-        params = inspect.signature(predict).parameters
+        params = inspect.signature(predict_batch).parameters
         assert list(params) == ["state", "features"]
 
     def test_more_than_two_buckets_supported(self):

@@ -920,8 +920,8 @@ class TestForkedWriter:
         real = corpus_module._fork_shares
 
         def dying(processes, share):
-            def share_then_die(first, step, file):
-                share(first, step, file)
+            def share_then_die(first, file):
+                share(first, file)
                 if file is not None:
                     if death == "kill":
                         os.kill(os.getpid(), signal.SIGKILL)
@@ -1190,7 +1190,7 @@ class TestCli:
         def parse(*args, **kwargs):
             raise AssertionError("records parsed before the dimension check")
 
-        monkeypatch.setattr(curate_module, "read_records", parse)
+        monkeypatch.setattr(curate_module, "parse_records", parse)
         emb = tmp_path / "emb.tsv"
         emb.write_text("#m=3\n0\t1.0,0.0,0.0\n")
         queries = tmp_path / "q.tsv"
