@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import pickle
 import shutil
 import sys
 import tempfile
@@ -20,6 +21,10 @@ import numpy as np
 
 class FeatureFileError(ValueError):
     """Raised when a feature file is malformed; the message names the offending line."""
+
+
+class LineError(ValueError):
+    """A rejected line of a vector file: ``args`` are the byte offset at which it starts and why; see :func:`named_lines`."""
 
 
 class FieldValueError(ValueError):
@@ -213,21 +218,6 @@ def _parse_header(line: str, path: str) -> tuple[int, int]:
     return d, c
 
 
-def checked_norm(vector: np.ndarray) -> float:
-    """The L2 norm of a finite vector, as ``np.linalg.norm`` computes it.
-
-    Raises ``ValueError`` when the norm is 0 or its square overflows; numpy
-    would return 0 or, with an overflow warning, ``inf``.
-    """
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise ValueError("zero vector cannot be normalized")
-    if norm == math.inf:
-        raise ValueError("squared norm overflows; vector cannot be normalized")
-    return norm
-
-
 def parse_int64(text: str) -> int:
     """``int(text)``, rejecting with ``ValueError`` a value that does not fit in int64."""
     if -(2**63) <= (value := int(text)) < 2**63:
@@ -240,14 +230,14 @@ def parse_records(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parse ``i_1<TAB>...<TAB>i_n<TAB>v1,...,vk`` lines into ``(n_ints, rows)`` int64s and a matrix.
 
-    Blank lines are skipped.  The vector fields go to ``np.loadtxt`` and form
-    one finite ``(rows, k)`` array; with ``normalize`` set, each row is
-    scaled in place to unit L2 norm, ``sqrt(x . x)``.  ``n_ints`` must be
-    >= 1.  Raises ``ValueError`` on a wrong field count, a non-integer or
-    non-int64 field, a vector field ``np.loadtxt`` rejects or without ``k``
-    values, a non-finite value, or a row to normalize that is zero or whose
-    squared norm overflows.
-    The error names no line: callers re-read a rejected file line by line.
+    Blank lines are skipped.  The integer fields go to :func:`parse_int64`.
+    The vector fields go to ``np.loadtxt`` and form one finite ``(rows, k)``
+    array; with ``normalize`` set, each row is scaled in place to unit L2
+    norm, ``sqrt(x . x)``.  ``n_ints`` must be >= 1.  Raises ``ValueError``
+    on a wrong field count, a non-integer or non-int64 field, a vector field
+    ``np.loadtxt`` rejects or without ``k`` values, a non-finite value, or a
+    row to normalize that is zero or whose squared norm overflows.  The
+    error names no line; for one line, it says what is wrong with it.
     """
     columns: list[list[int]] = [[] for _ in range(n_ints)]
 
@@ -259,7 +249,7 @@ def parse_records(
                 if len(ints) != n_ints:
                     raise ValueError(f"expected {n_ints + 1} tab-separated fields")
                 for column, text in zip(columns, ints):
-                    column.append(int(text))
+                    column.append(parse_int64(text))
                 yield vector
 
     fields = vector_fields()
@@ -267,17 +257,18 @@ def parse_records(
     if first is None:
         return np.empty((n_ints, 0), dtype=np.int64), np.empty((0, k))
     x = np.loadtxt(chain([first], fields), delimiter=",", comments=None, ndmin=2)
-    try:
-        ints = np.array(columns, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError("integer field outside the int64 range") from exc
-    if x.shape != (ints.shape[1], k) or not np.isfinite(x).all():
-        raise ValueError("malformed vector rows")
+    ints = np.array(columns, dtype=np.int64)
+    if x.shape != (ints.shape[1], k):
+        raise ValueError(f"expected {k} components, got {x.shape[1]}")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite value")
     if normalize:
         with np.errstate(over="ignore"):
             norms = np.sqrt(np.vecdot(x, x))
-        if not norms.all() or np.isinf(norms).any():
-            raise ValueError("zero vector or overflowing squared norm cannot be normalized")
+        if not norms.all():
+            raise ValueError("zero vector cannot be normalized")
+        if np.isinf(norms).any():
+            raise ValueError("squared norm overflows; vector cannot be normalized")
         x /= norms[:, None]
     return ints, x
 
@@ -317,6 +308,66 @@ def record_lines(base: int, chunk: bytes) -> tuple[list[str], np.ndarray]:
     text = [line.decode("utf-8") for line in lines]
     records = list(map(bool, map(str.strip, text)))  # the lines parse_records does not skip
     return list(compress(text, records)), np.array([ends - sizes, ends])[:, records]
+
+
+def record_fault(fd: int, start: int, stop: int, n_ints: int, k: int, normalize: bool) -> LineError | None:
+    """The first line in bytes ``start:stop`` of ``fd`` that :func:`parse_records` or UTF-8 rejects alone, or None.
+
+    Only a chunk that :func:`parse_records` rejects whole is parsed again a line at a time.
+    """
+    for base, chunk in line_chunks(fd, start, stop):
+        try:
+            parse_records(record_lines(base, chunk)[0], n_ints, k, normalize)
+        except ValueError:
+            for line in chunk.splitlines(keepends=True):
+                try:
+                    parse_records([line.decode("utf-8")], n_ints, k, normalize)
+                except ValueError as exc:
+                    return LineError(base, str(exc))
+                base += len(line)
+    return None
+
+
+def header_line(fh: BinaryIO) -> str:
+    """The first line of ``fh``, decoded, leaving ``fh`` at the second; bytes that are not UTF-8 raise :class:`LineError`.
+
+    The line ends where :func:`record_lines` would end it, so also at a lone carriage return.
+    """
+    fh.seek(0)
+    line = fh.readline().splitlines(keepends=True)[:1] or [b""]
+    fh.seek(len(line[0]))
+    try:
+        return line[0].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LineError(0, str(exc)) from None
+
+
+def reject_first(fh: BinaryIO, bad: np.ndarray, why: Callable[[int], str]) -> None:
+    """Raise :class:`LineError` at the first record of ``fh``, after its header line, whose ``bad`` entry is set.
+
+    ``why(i)`` says what is wrong with record ``i``; only a rejected file is read again to find its line.
+    """
+    if not bad.any():
+        return
+    i = first = int(bad.argmax())
+    header_line(fh)
+    for base, chunk in line_chunks(fh.fileno(), fh.tell(), os.fstat(fh.fileno()).st_size):
+        starts = record_lines(base, chunk)[1][0]
+        if i < len(starts):
+            raise LineError(int(starts[i]), why(first))
+        i -= len(starts)
+    raise ValueError(f"{fh.name}: records changed since the file was read")
+
+
+@contextmanager
+def named_lines(fh: BinaryIO, error: type[ValueError]) -> Iterator[None]:
+    """Raise a :class:`LineError` of the block as ``error("<fh.name>:<line>: <why>")``, counting lines as :func:`record_lines` splits them."""
+    try:
+        yield
+    except LineError as exc:
+        offset, why = exc.args
+        line = 1 + sum(len(chunk.splitlines()) for _, chunk in line_chunks(fh.fileno(), 0, offset))
+        raise error(f"{fh.name}:{line}: {why}") from None
 
 
 def read_ranges(
@@ -362,10 +413,16 @@ def read_ranges(
 
 
 def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`parse_records` of the :func:`record_lines` from ``fh``'s position on, through :func:`read_ranges`."""
+    """:func:`parse_records` of the :func:`record_lines` from ``fh``'s position on, through :func:`read_ranges`.
+
+    A byte range that does not parse raises the :func:`record_fault` of its first bad line.
+    """
     def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         chunks = line_chunks(fh.fileno(), start, stop)
-        return parse_records(chain.from_iterable(record_lines(*chunk)[0] for chunk in chunks), n_ints, k, normalize)
+        try:
+            return parse_records(chain.from_iterable(record_lines(*chunk)[0] for chunk in chunks), n_ints, k, normalize)
+        except ValueError as exc:
+            raise record_fault(fh.fileno(), start, stop, n_ints, k, normalize) or exc
 
     return read_ranges(fh, n_ints, k, parse)
 
@@ -420,69 +477,25 @@ def read_feature_file(path: str | Path, normalize: bool = False) -> FeatureArray
     """Read ``id<TAB>timestamp<TAB>label<TAB>f1,...,fd`` records as (ids, timestamps, labels, x, C).
 
     Three int64 vectors and the ``(rows, d)`` matrix, in file order, and the
-    header's class count.  With ``normalize`` set, each row is scaled to unit
-    L2 norm; rows that are zero or whose squared norm overflows are rejected.
-    Malformed records raise :class:`FeatureFileError` naming the line.
+    header's class count, read by :func:`read_records`.  With ``normalize``
+    set, each row is scaled to unit L2 norm; rows that are zero or whose
+    squared norm overflows are rejected.  A malformed file raises
+    :class:`FeatureFileError` naming its first bad line: the first record
+    that does not parse, else the first with a negative id or a label
+    outside ``[0, C)``.
     """
-    path = str(path)
-    try:
-        return _load_feature_rows(path, normalize)
-    except ValueError:
-        # The line-by-line reader finds the first bad line and names it.
-        return _load_feature_lines(path, normalize)
+    with open(path, "rb") as fh, named_lines(fh, FeatureFileError):
+        d, c = _parse_header(header_line(fh), fh.name)
+        (ids, timestamps, labels), x = read_records(fh, 3, d, normalize)
+        reject_first(fh, (ids < 0) | (labels < 0) | (labels >= c),
+                     lambda i: "id must be non-negative" if ids[i] < 0 else f"label {labels[i]} outside [0, {c})")
+    return ids, timestamps, labels, x, c
 
 
 def load_feature_file(path: str | Path, normalize: bool = False) -> list[Sample]:
     """:func:`read_feature_file` as one :class:`Sample` per record; features are rows of one matrix."""
     ids, timestamps, labels, x, _ = read_feature_file(path, normalize)
     return [Sample(*rec) for rec in zip(ids.tolist(), timestamps.tolist(), x, labels.tolist())]
-
-
-def _load_feature_rows(path: str, normalize: bool) -> FeatureArrays:
-    with open(path, "rb") as fh:
-        d, c = _parse_header(fh.readline().decode("utf-8"), path)
-        (ids, timestamps, labels), x = read_records(fh, 3, d, normalize)
-    if len(ids) and (ids.min() < 0 or labels.min() < 0 or labels.max() >= c):
-        raise ValueError("id or label out of range")
-    return ids, timestamps, labels, x, c
-
-
-def _load_feature_lines(path: str, normalize: bool) -> FeatureArrays:
-    records: list[tuple[int, int, int]] = []
-    rows: list[np.ndarray] = []
-    with open(path, encoding="utf-8") as fh:
-        d, c = _parse_header(fh.readline(), path)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise FeatureFileError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            try:
-                sid, ts, label = map(parse_int64, parts[:3])
-                feats = np.array([float(v) for v in parts[3].split(",")])
-            except ValueError as exc:
-                raise FeatureFileError(f"{path}:{lineno}: {exc}") from exc
-            if feats.shape != (d,):
-                raise FeatureFileError(
-                    f"{path}:{lineno}: expected {d} features, got {feats.shape[0]}"
-                )
-            if not np.all(np.isfinite(feats)):
-                raise FeatureFileError(f"{path}:{lineno}: non-finite feature value")
-            if sid < 0:
-                raise FeatureFileError(f"{path}:{lineno}: id must be non-negative")
-            if not 0 <= label < c:
-                raise FeatureFileError(f"{path}:{lineno}: label {label} outside [0, {c})")
-            if normalize:
-                try:
-                    feats = feats / checked_norm(feats)
-                except ValueError as exc:
-                    raise FeatureFileError(f"{path}:{lineno}: {exc}") from exc
-            records.append((sid, ts, label))
-            rows.append(feats)
-    ids, timestamps, labels = np.array(records, dtype=np.int64).reshape(-1, 3).T.copy()
-    return ids, timestamps, labels, np.array(rows).reshape(len(rows), d), c
 
 
 @contextmanager
@@ -548,8 +561,8 @@ def _fork_shares(
     returned and every worker is reaped, the block gets each worker's exit
     code (negative: the signal that killed it) and its file, rewound, in
     index order.  A share that raises ``ValueError`` in a worker leaves only
-    its message in the file, and the first such message is raised here as a
-    ``ValueError`` instead.  When this process raises before the block, the
+    the exception, pickled, in the file, and the first such exception is
+    raised here instead.  When this process raises before the block, the
     workers still running are killed and reaped first.  Every file is closed
     when the block exits, however it exits.
     """
@@ -567,7 +580,7 @@ def _fork_shares(
                 except ValueError as exc:
                     file.seek(0)
                     file.truncate()
-                    file.write(str(exc).encode("utf-8"))
+                    pickle.dump(exc, file)
                     file.flush()
                     code = _VALUE_ERROR
                 except BaseException:
@@ -583,7 +596,7 @@ def _fork_shares(
         for file, _ in workers:
             file.seek(0)
         if _VALUE_ERROR in codes:
-            raise ValueError(workers[codes.index(_VALUE_ERROR)][0].read().decode("utf-8"))
+            raise pickle.load(workers[codes.index(_VALUE_ERROR)][0])
         yield [(code, file) for code, (file, _) in zip(codes, workers)]
     finally:
         for _, pid in workers[len(codes):]:
@@ -633,7 +646,7 @@ def write_feature_file(
                                                labels[block].tolist(), values):
                     feats = ",".join(repr(float(v)) for v in row.tolist())
                     out.write(f"{sid}\t{ts}\t{label}\t{feats}\n")
-            finally:  # also on a ValueError, whose message _fork_shares writes into ``file``
+            finally:  # also on a ValueError, which _fork_shares pickles into ``file``
                 if file is not None:
                     out.detach()  # flushes the text into ``file`` and leaves it open
 

@@ -9,8 +9,9 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (FieldValueError, FileRows, atomic_write, checked_norm, line_chunks,
-                     parse_int64, parse_records, read_ranges, read_records, record_lines)
+from .corpus import (FieldValueError, FileRows, atomic_write, header_line, line_chunks, named_lines,
+                     parse_int64, parse_records, read_ranges, read_records, record_fault, record_lines,
+                     reject_first)
 
 
 class ShortageError(ValueError):
@@ -69,133 +70,101 @@ class CosineRanking:
         return float(self.scores[at[0]])
 
 
-def _unit(vector: np.ndarray, context: str) -> np.ndarray:
+def _unit(vector: np.ndarray) -> np.ndarray:
+    """``vector`` over ``np.linalg.norm(vector)``; ``ValueError`` if it is not finite, is zero or its square overflows."""
     if not np.all(np.isfinite(vector)):
-        raise EmbeddingFileError(f"{context}: non-finite value")
-    try:
-        return vector / checked_norm(vector)
-    except ValueError as exc:
-        raise EmbeddingFileError(f"{context}: {exc}") from exc
+        raise ValueError("non-finite value")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vector))
+    if norm == 0.0:
+        raise ValueError("zero vector cannot be normalized")
+    if norm == np.inf:
+        raise ValueError("squared norm overflows; vector cannot be normalized")
+    return vector / norm
 
 
-def _embedding_dimension(header: str, path: str) -> int:
-    header = header.strip()
+def _embedding_dimension(fh: BinaryIO) -> int:
+    header = header_line(fh).strip()
     if not header.startswith("#m="):
-        raise EmbeddingFileError(f"{path}:1: expected '#m=<m>' header")
+        raise EmbeddingFileError(f"{fh.name}:1: expected '#m=<m>' header")
     try:
         return int(header[3:])
     except ValueError as exc:
-        raise EmbeddingFileError(f"{path}:1: bad dimension in header") from exc
+        raise EmbeddingFileError(f"{fh.name}:1: bad dimension in header") from exc
 
 
 def embedding_dimension(path: str | Path) -> int:
     """The ``m`` of an embedding file's ``#m=<m>`` header, read without its records."""
-    path = str(path)
-    with open(path, encoding="utf-8") as fh:
-        return _embedding_dimension(fh.readline(), path)
+    with open(path, "rb") as fh, named_lines(fh, EmbeddingFileError):
+        return _embedding_dimension(fh)
 
 
 def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Load ``#m=<m>`` header plus ``id<TAB>v1,...,vm`` records as (int64 ids, (rows, m) matrix).
 
-    Rows are in file order, each vector scaled to unit L2 norm.  Malformed
-    records raise :class:`EmbeddingFileError` naming the line.
+    Rows are in file order, read by :func:`~driftbench.corpus.read_records`,
+    each vector scaled to unit L2 norm.  A malformed file raises
+    :class:`EmbeddingFileError` naming its first bad line: the first record
+    that does not parse, else the first whose id is negative or repeats an
+    earlier one.
     """
-    path = str(path)
-    try:
-        return _load_embedding_rows(path)
-    except ValueError:
-        # The line-by-line reader finds the first bad line and names it.
-        return _load_embedding_lines(path)
-
-
-def _load_embedding_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        m = _embedding_dimension(fh.readline().decode("utf-8"), path)
+    with open(path, "rb") as fh, named_lines(fh, EmbeddingFileError):
+        m = _embedding_dimension(fh)
         (ids,), x = read_records(fh, 1, m, normalize=True)
-    return _checked_ids(ids), x
+        _check_ids(fh, ids)
+    return ids, x
 
 
-def _checked_ids(ids: np.ndarray) -> np.ndarray:
-    if len(np.unique(ids)) != len(ids) or (len(ids) and ids.min() < 0):
-        raise ValueError("duplicate or negative id")
-    return ids
+def _check_ids(fh: BinaryIO, ids: np.ndarray) -> None:
+    """:func:`~driftbench.corpus.reject_first` of the records whose id is negative or repeats an earlier one."""
+    if len(np.unique(ids)) != len(ids) or ids.min(initial=0) < 0:
+        repeated = np.ones(len(ids), dtype=bool)
+        repeated[np.unique(ids, return_index=True)[1]] = False
+        reject_first(fh, (ids < 0) | repeated,
+                     lambda i: "id must be non-negative" if ids[i] < 0 else f"duplicate id {ids[i]}")
 
 
-def _score_rows(fh: BinaryIO, queries: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, FileRows]:
-    """The ids of an embedding file's records, their ``(classes, ids)`` scores and their rows."""
-    m = _embedding_dimension(fh.readline().decode("utf-8"), fh.name)
-
-    def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        ints, scores = [np.empty((3, 0), dtype=np.int64)], [np.empty((0, len(queries)))]
-        for base, chunk in line_chunks(fh.fileno(), start, stop):
-            lines, spans = record_lines(base, chunk)
-            (ids,), x = parse_records(lines, 1, m, normalize=True)
-            ints.append(np.vstack([ids, spans]))
-            scores.append(np.column_stack([_scores(x, q) for q in queries]))
-            del x  # before the next chunk is parsed
-        return np.concatenate(ints, axis=1), np.concatenate(scores)
-
-    ints, scores = read_ranges(fh, 3, len(queries), parse)
-    return _checked_ids(ints[0]), scores.T, FileRows(fh, ints[0], ints[1:], 1, m, normalize=True)
-
-
-def score_embedding_file(
-    fh: BinaryIO, spec: CurationSpec
-) -> tuple[np.ndarray, Iterable[np.ndarray], np.ndarray | FileRows]:
+def score_embedding_file(fh: BinaryIO, spec: CurationSpec) -> tuple[np.ndarray, Iterable[np.ndarray], FileRows]:
     """Score the embedding file open as ``fh`` against each query class without its matrix: ``(ids, scores, x)``.
 
-    ``fh`` is binary, at the start of the file.  ``scores`` yields each
-    class's score vector in spec order, as :func:`curate_scores` takes them.
-    The records are parsed as :func:`load_embedding_file` parses them, a
-    chunk at a time, in the processes :func:`~driftbench.corpus.read_ranges`
-    forks; :func:`~driftbench.corpus.record_lines` splits each chunk and
-    gives each record's byte span, and each chunk's matrix is dropped once
-    it is scored.  ``x``, for :func:`~driftbench.corpus.write_feature_file`,
+    ``fh`` is binary.  ``scores`` yields each class's score vector in spec
+    order, as :func:`curate_scores` takes them.  The records are parsed as
+    :func:`load_embedding_file` parses them, a chunk at a time, in the
+    processes :func:`~driftbench.corpus.read_ranges` forks;
+    :func:`~driftbench.corpus.record_lines` splits each chunk and gives each
+    record's byte span, and each chunk's matrix is dropped once it is scored.  ``x``, for :func:`~driftbench.corpus.write_feature_file`,
     is a :class:`~driftbench.corpus.FileRows` that parses the selected
-    records again from those spans through ``fh`` while it is open.  A file
-    that parser rejects is read as :func:`load_embedding_file` reads it: a
-    bad record raises :class:`EmbeddingFileError` naming its line, and an
-    accepted file's matrix is ``x``.
+    records again from those spans through ``fh`` while it is open.  A
+    malformed file raises :class:`EmbeddingFileError` naming the line that
+    :func:`load_embedding_file` names, and no embedding matrix is built.
     """
     queries = [q for _, q in spec.queries]
-    try:
-        return _score_rows(fh, queries)
-    except ValueError:
-        ids, x = _load_embedding_lines(fh.name)
-        return ids, (_scores(x, q) for q in queries), x
+    with named_lines(fh, EmbeddingFileError):
+        m = _embedding_dimension(fh)
 
+        def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            ints, scores = [np.empty((3, 0), dtype=np.int64)], [np.empty((0, len(queries)))]
+            for base, chunk in line_chunks(fh.fileno(), start, stop):
+                try:
+                    lines, spans = record_lines(base, chunk)
+                    (ids,), x = parse_records(lines, 1, m, normalize=True)
+                except ValueError as exc:
+                    raise record_fault(fh.fileno(), base, base + len(chunk), 1, m, True) or exc
+                ints.append(np.vstack([ids, spans]))
+                scores.append(np.column_stack([_scores(x, q) for q in queries]))
+                del x  # before the next chunk is parsed
+            return np.concatenate(ints, axis=1), np.concatenate(scores)
 
-def _load_embedding_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
-    rows: dict[int, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        m = _embedding_dimension(fh.readline(), path)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise EmbeddingFileError(f"{path}:{lineno}: expected 'id<TAB>vector'")
-            try:
-                rid = parse_int64(parts[0])
-                vec = np.array([float(v) for v in parts[1].split(",")])
-            except ValueError as exc:
-                raise EmbeddingFileError(f"{path}:{lineno}: {exc}") from exc
-            if vec.shape != (m,):
-                raise EmbeddingFileError(f"{path}:{lineno}: expected {m} components")
-            if rid < 0:
-                raise EmbeddingFileError(f"{path}:{lineno}: id must be non-negative")
-            if rid in rows:
-                raise EmbeddingFileError(f"{path}:{lineno}: duplicate id {rid}")
-            rows[rid] = _unit(vec, f"{path}:{lineno}")
-    return np.array(list(rows), dtype=np.int64), np.array(list(rows.values())).reshape(len(rows), m)
+        ints, scores = read_ranges(fh, 3, len(queries), parse)
+        _check_ids(fh, ints[0])
+    return ints[0], scores.T, FileRows(fh, ints[0], ints[1:], 1, m, normalize=True)
 
 
 def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
     """Load ``class_name<TAB>v1,...,vm`` query lines, unit-normalizing each vector.
 
-    A repeated class name is rejected at its line.
+    The values follow ``np.loadtxt``'s grammar, as the vector files' do.  A
+    repeated class name is rejected at its line.
     """
     path = str(path)
     queries: list[tuple[str, np.ndarray]] = []
@@ -215,10 +184,9 @@ def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
                 )
             first_line[name] = lineno
             try:
-                vec = np.array([float(v) for v in parts[1].split(",")])
+                queries.append((name, _unit(np.loadtxt([parts[1]], delimiter=",", comments=None, ndmin=1))))
             except ValueError as exc:
                 raise EmbeddingFileError(f"{path}:{lineno}: {exc}") from exc
-            queries.append((name, _unit(vec, f"{path}:{lineno}")))
     if not queries:
         raise EmbeddingFileError(f"{path}: no queries found")
     dims = {q.shape[0] for _, q in queries}

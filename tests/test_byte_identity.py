@@ -318,8 +318,8 @@ def test_messy_embedding_file_curates_as_the_library_path(processes, tmp_path, m
 
     monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 512)
     monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
-    # The scoring reader takes the whole file: the line reader is never asked.
-    monkeypatch.setattr(curate_module, "_load_embedding_lines", lambda path: pytest.fail("fell back to the line reader"))
+    # The scoring reader parses each chunk once: no chunk is parsed again a line at a time.
+    monkeypatch.setattr(curate_module, "record_fault", lambda *args: pytest.fail("parsed again a line at a time"))
     assert main(args) == 0
     assert (tmp_path / "curated" / "features.tsv").read_bytes() == reference.read_bytes()
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import signal
 import tempfile
 import time
@@ -24,7 +25,8 @@ from driftbench.corpus import (
     stream_manifest,
     write_feature_file,
 )
-from driftbench.curate import load_embedding_file
+from driftbench.curate import EmbeddingFileError, load_embedding_file, load_query_file
+from line_readers import load_feature_lines
 
 
 def make_rows(n, timestamps=None, d=3, labels=None):
@@ -329,19 +331,28 @@ class TestFeatureFile:
         with pytest.raises(FeatureFileError, match="label"):
             load_feature_file(p)
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_line(self, tmp_path, line):
+        lines = [b"#d=2 C=1", b"0\t0\t0\t1.0,2.0", b"1\t0\t0\t3.0,4.0"]
+        lines[line - 1] = lines[line - 1][:4] + b"\xff" + lines[line - 1][4:]
+        p = tmp_path / "features.tsv"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(FeatureFileError, match=rf"features\.tsv:{line}: 'utf-8' codec can't decode byte 0xff"):
+            read_feature_file(p)
+
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_well_formed_file_is_read_as_arrays(self, tmp_path, monkeypatch, normalize):
-        # A silent fallback to the line-by-line reader would keep results and lose the speed.
+        # A well-formed file is parsed once: parsing it again a line at a time would keep results and lose the speed.
         path = tmp_path / "f.tsv"
         ids, ts, x, y = make_rows(40, d=5, labels=[i % 3 for i in range(40)])
         write_feature_file(path, ids, ts, y, x, np.arange(len(x)), C=3)
-        expected = corpus_module._load_feature_lines(str(path), normalize)
+        expected = load_feature_lines(str(path), normalize)
 
-        def no_fallback(path, normalize):
-            raise AssertionError(f"{path} fell back to the line-by-line reader")
+        def no_fallback(fd, start, stop, n_ints, k, normalize):
+            raise AssertionError(f"bytes {start}:{stop} were parsed again a line at a time")
 
-        monkeypatch.setattr(corpus_module, "_load_feature_lines", no_fallback)
+        monkeypatch.setattr(corpus_module, "record_fault", no_fallback)
         *loaded, c = read_feature_file(path, normalize=normalize)
         assert c == expected[4] == 3
         for got, want in zip(loaded, expected):
@@ -430,6 +441,16 @@ class TestForkShares:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_value_error_in_a_worker_is_raised_here_as_itself(self):
+        # A reader's worker names a bad line by its byte offset, which the message alone would lose.
+        def share(first, file):
+            if first == 2:
+                raise corpus_module.LineError(1234, "expected 3 components, got 2")
+
+        with pytest.raises(corpus_module.LineError) as err, corpus_module._fork_shares(3, share):
+            pass
+        assert err.value.args == (1234, "expected 3 components, got 2")
+
     def test_a_block_that_raises_still_closes_every_worker_file(self):
         def share(first, file):
             if file is not None:
@@ -473,7 +494,7 @@ def vector_lines(lead_fields):
 @pytest.mark.parametrize("kind", ["features", "embeddings"])
 def test_forked_readers_match_one_process(tmp_path, monkeypatch, kind, processes, bad):
     # The records are cut into byte ranges parsed by forked workers; a bad
-    # record in any range is named by the line reader, as in one process.
+    # record in any range is named by its line, as in one process.
     lines = vector_lines(3 if kind == "features" else 1)
     if bad is not None:
         lines[bad] = lines[bad].rpartition(",")[0]
@@ -498,6 +519,28 @@ def test_forked_readers_match_one_process(tmp_path, monkeypatch, kind, processes
     assert forked == [processes + 1]
 
 
+@pytest.mark.parametrize("bad", [None, 1])
+@pytest.mark.parametrize("kind", ["features", "embeddings"])
+def test_a_file_with_lone_cr_line_ends_reads_as_its_lf_twin(tmp_path, kind, bad):
+    # A text-mode file ends the header line, as every line, at a lone CR.
+    lines = [line.rstrip("\r") for line in vector_lines(3 if kind == "features" else 1)]
+    if bad is not None:
+        lines[bad] = lines[bad].rpartition(",")[0]
+    header = "#d=3 C=2" if kind == "features" else "#m=3"
+    read = read_feature_file if kind == "features" else load_embedding_file
+
+    def outcome(end):
+        path = tmp_path / f"{kind}.tsv"
+        path.write_bytes(end.join([header, *lines, ""]).encode())
+        try:
+            return [a.tobytes() if isinstance(a, np.ndarray) else a for a in read(path)]
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    assert outcome("\r") == outcome("\n")
+    assert (bad is None) == isinstance(outcome("\r"), list)
+
+
 def test_a_dead_reader_worker_stops_the_read(tmp_path, monkeypatch):
     path = tmp_path / "features.tsv"
     path.write_text("\n".join(["#d=3 C=2", *vector_lines(3)]) + "\n")
@@ -518,6 +561,60 @@ def test_a_dead_reader_worker_stops_the_read(tmp_path, monkeypatch):
         read_feature_file(path)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"])
+@pytest.mark.parametrize("kind", ["features", "embeddings", "queries"])
+def test_a_value_only_float_accepts_is_rejected_at_its_line(tmp_path, kind, value):
+    # float() reads "1_0" as 10.0 and "\u0661" (ARABIC-INDIC DIGIT ONE) as 1.0; np.loadtxt's grammar, the one every reader follows, rejects both.
+    assert float(value) in (10.0, 1.0)
+    header, lead, read, error = {
+        "features": ("#d=2 C=1\n", "0\t0\t", read_feature_file, FeatureFileError),
+        "embeddings": ("#m=2\n", "", load_embedding_file, EmbeddingFileError),
+        "queries": ("", "", load_query_file, EmbeddingFileError),
+    }[kind]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text(f"{header}{lead}0\t1.0,2.0\n{lead}1\t3.0,{value}\n", encoding="utf-8")
+    line = 2 + bool(header)
+    with pytest.raises(error, match=f"{kind}\\.tsv:{line}: could not convert string '{value}'"):
+        read(path)
+
+
+@pytest.mark.parametrize("fault", ["parse", "label", "label_then_parse"])
+def test_a_bad_record_in_a_later_range_and_chunk_is_named_by_its_line(tmp_path, monkeypatch, fault):
+    # Two workers parse a byte range each, in chunks of about 256 bytes.  Bad
+    # record 50 of 60 sits in the second range, past its first chunk, after
+    # blank lines and CRLF, CR and LF line ends.  A record that does not
+    # parse is named before a label out of range on an earlier line.
+    ids, ts, x, y = make_rows(60, labels=[i % 2 for i in range(60)])
+    rows = [[str(i), str(t), str(label), ",".join(map(repr, row))]
+            for i, t, label, row in zip(ids.tolist(), ts.tolist(), y.tolist(), x.tolist())]
+    if fault == "label":
+        rows[50][2] = "7"
+    else:
+        rows[50][3] = rows[50][3].replace(",", ";", 1)
+    if fault == "label_then_parse":
+        rows[3][2] = "7"
+    ends = ["\n", "\r\n", "\r", "\n\n", "\n  \t \r\n"]
+    lines = ["#d=3 C=2\n"] + ["\t".join(row) + ends[i % len(ends)] for i, row in enumerate(rows)]
+    path = tmp_path / "features.tsv"
+    path.write_bytes("".join(lines).encode())
+    before = "".join(lines[:51])
+    with open(path, "rb") as fh:
+        fh.readline()
+        fh.seek(fh.tell() + (path.stat().st_size - fh.tell()) // 2)
+        fh.readline()
+        assert fh.tell() + 256 < len(before.encode())  # the second range, past its first chunk
+
+    forked = []
+    real = corpus_module._fork_shares
+    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 256)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, 2))
+    monkeypatch.setattr(corpus_module, "_fork_shares", lambda count, share: forked.append(count) or real(count, share))
+    message = "label 7 outside [0, 2)" if fault == "label" else "could not convert string"
+    with pytest.raises(FeatureFileError, match=f"^{re.escape(str(path))}:{len(before.splitlines()) + 1}: {re.escape(message)}"):
+        read_feature_file(path)
+    assert forked == [3]
 
 
 def test_stream_manifest_format():

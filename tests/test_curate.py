@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftbench.corpus as corpus_module
 import driftbench.curate as curate_module
 from driftbench.curate import (
     BACKGROUND_CLASS,
@@ -21,15 +22,18 @@ from driftbench.curate import (
     cosine_rank,
     curate_ids,
     curated_rows,
+    embedding_dimension,
     finalize_bucket,
     load_embedding_file,
     load_query_file,
     load_rejection_list,
     rank_all,
     rank_rows,
+    score_embedding_file,
     select_labeled,
     write_class_table,
 )
+from line_readers import load_embedding_lines
 
 
 def unit(v):
@@ -386,30 +390,47 @@ class TestFiles:
         with pytest.raises(EmbeddingFileError, match=r"emb\.tsv:3: integer \d+ outside the int64 range"):
             load_embedding_file(p)
         p.write_text("#m=2\n0\t1.0,2.0\n-3\t2.0,1.0\n")
-        with pytest.raises(ValueError):
-            curate_module._load_embedding_rows(str(p))
+        with open(p, "rb") as fh, pytest.raises(ValueError):
+            score_embedding_file(fh, CurationSpec((("a", unit([1.0, 0.0])),), 1, 1, 1))
         with pytest.raises(EmbeddingFileError, match=r"emb\.tsv:3: id must be non-negative"):
             load_embedding_file(p)
 
     def test_well_formed_embedding_file_is_read_as_arrays(self, tmp_path, monkeypatch):
-        # A silent fallback to the line-by-line reader would keep results and lose the speed.
+        # A well-formed file is parsed once: parsing it again a line at a time would keep results and lose the speed.
         p = tmp_path / "emb.tsv"
         rows = np.column_stack([np.arange(50), np.random.default_rng(3).standard_normal((50, 6))])
         with open(p, "w", encoding="utf-8") as fh:
             fh.write("#m=6\n\n")
             np.savetxt(fh, rows, fmt="%d\t" + ",".join(["%.6f"] * 6))
-        expected = curate_module._load_embedding_lines(str(p))
+        expected = load_embedding_lines(str(p))
 
-        def no_fallback(path):
-            raise AssertionError(f"{path} fell back to the line-by-line reader")
+        def no_fallback(fd, start, stop, n_ints, k, normalize):
+            raise AssertionError(f"bytes {start}:{stop} were parsed again a line at a time")
 
-        monkeypatch.setattr(curate_module, "_load_embedding_lines", no_fallback)
+        monkeypatch.setattr(corpus_module, "record_fault", no_fallback)
         ids, x = load_embedding_file(p)
         assert (ids.dtype, ids.tobytes()) == (expected[0].dtype, expected[0].tobytes())
         assert (x.shape, x.tobytes()) == (expected[1].shape, expected[1].tobytes())
         p.write_text("#m=6\n\n")
         ids, x = load_embedding_file(p)
         assert (ids.shape, ids.dtype, x.shape) == ((0,), np.int64, (0, 6))
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_line(self, tmp_path, line):
+        lines = [b"#m=2", b"0\t1.0,2.0", b"1\t3.0,4.0"]
+        lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+        p = tmp_path / "emb.tsv"
+        p.write_bytes(b"\r\n".join(lines))
+        message = rf"emb\.tsv:{line}: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(EmbeddingFileError, match=message):
+            load_embedding_file(p)
+        with open(p, "rb") as fh, pytest.raises(EmbeddingFileError, match=message):
+            score_embedding_file(fh, CurationSpec((("a", unit([1.0, 0.0])),), 1, 1, 1))
+        if line == 1:
+            with pytest.raises(EmbeddingFileError, match=message):
+                embedding_dimension(p)
+        else:
+            assert embedding_dimension(p) == 2
 
     def test_query_file(self, tmp_path):
         p = tmp_path / "q.tsv"

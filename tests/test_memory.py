@@ -16,7 +16,7 @@ import pytest
 import driftbench.corpus as corpus_module
 from driftbench.cli import main
 from driftbench.corpus import DriftConfig, generate_drift_stream, read_feature_file, write_feature_file
-from driftbench.curate import CurationSpec, curate_ids
+from driftbench.curate import CurationSpec, EmbeddingFileError, curate_ids, score_embedding_file
 from driftbench.learner import Hyperparams, Strategy, fit, init_learner, parse_architecture
 from driftbench.protocol import SCORE_BATCH_ROWS, RunConfig, run_iid_protocol, run_streaming_protocol
 from driftbench.runner import run_experiment, validate_config
@@ -192,16 +192,21 @@ def test_curation_holds_positions_as_int32():
     assert peak <= (classes // 2 + 6) * n * 8, (peak, n * 8)
 
 
+def vector_text(n, m):
+    """``n`` rows of ``m`` components written "d.d", comma-separated and each ending in a newline: one row of bytes per line."""
+    text = np.full((n, m, 4), ord("."), dtype=np.uint8)
+    text[:, :, [0, 2]] = np.random.default_rng(2).integers(1, 10, (n, m, 2), dtype=np.uint8) + ord("0")
+    text[:, :, 3] = ord(",")
+    text[:, -1, 3] = ord("\n")
+    return text.reshape(n, 4 * m)
+
+
 def test_curate_command_holds_no_embedding_matrix(tmp_path, monkeypatch):
     # 20,000 x 256 components written "d.d": a 41 MB matrix from a 20 MB
     # file.  Everything runs in this process, so that the trace sees every parse.
     n, m = 20_000, 256
     monkeypatch.setattr(corpus_module, "_process_count", lambda units: 1)
-    text = np.full((n, m, 4), ord("."), dtype=np.uint8)
-    text[:, :, [0, 2]] = np.random.default_rng(2).integers(1, 10, (n, m, 2), dtype=np.uint8) + ord("0")
-    text[:, :, 3] = ord(",")
-    text[:, -1, 3] = ord("\n")
-    text = text.reshape(n, 4 * m)
+    text = vector_text(n, m)
 
     def write_inputs(root, rows):
         root.mkdir()
@@ -225,3 +230,26 @@ def test_curate_command_holds_no_embedding_matrix(tmp_path, monkeypatch):
     # A chunk's matrix is about twice its text here, some 2 MiB; holding the
     # file's matrix, as load_embedding_file does, would take four times the bound.
     assert peak <= n * m * 8 // 4, (peak, n * m * 8)
+
+
+@pytest.mark.parametrize("fault", ["1_0", "duplicate id"])
+def test_a_rejected_embedding_file_is_named_without_its_matrix(tmp_path, monkeypatch, fault):
+    # 8,000 x 256 components: a 16 MB matrix from an 8 MB file whose last
+    # record holds a value np.loadtxt rejects, or repeats the first id.  A
+    # chunk's text, lines and matrix take about 6 MB; holding the file's
+    # matrix would take twice the bound.
+    n, m = 8_000, 256
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: 1)
+    ids = [f"{i}\t".encode() for i in range(n - 1)] + [b"0\t" if fault == "duplicate id" else f"{n - 1}\t".encode()]
+    rows = [ident + row.tobytes() for ident, row in zip(ids, vector_text(n, m))]
+    if fault == "1_0":
+        rows[-1] = rows[-1].replace(b",", b",1_0,", 1).replace(b",", b"", 1)
+    path = tmp_path / "emb.tsv"
+    path.write_bytes(f"#m={m}\n".encode() + b"".join(rows))
+    spec = CurationSpec((("a", np.eye(m)[0]),), 1, 1, 1)
+
+    def score():
+        with open(path, "rb") as fh, pytest.raises(EmbeddingFileError, match=f"emb\\.tsv:{n + 1}: .*{fault}"):
+            score_embedding_file(fh, spec)
+
+    assert traced_peak(score) <= n * m * 8 // 2

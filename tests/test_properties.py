@@ -20,15 +20,13 @@ import driftbench.runner as runner_module
 
 from driftbench.corpus import (
     Sample,
-    _load_feature_lines,
-    _load_feature_rows,
     as_arrays,
     bucket_shape,
     bucketize,
     read_feature_file,
     record_lines,
 )
-from driftbench.curate import _load_embedding_lines, _load_embedding_rows, load_embedding_file
+from driftbench.curate import load_embedding_file
 from driftbench.learner import Hyperparams, Strategy, fit, init_learner, parse_architecture
 from driftbench.metrics import METRIC_NAMES, compute_metrics
 from driftbench.protocol import (
@@ -45,6 +43,7 @@ from driftbench.protocol import (
 )
 from driftbench.runner import ConfigError, load_stream, run_experiment, validate_config
 from driftbench.sampler import AlphaPolicy, PolicyKind, ReplayBuffer, update_buffer
+from line_readers import load_embedding_lines, load_feature_lines
 
 # Derandomized so the suite replays the same examples on every run.
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -457,9 +456,11 @@ def test_config_values_preserved_and_corruption_named(config, data):
 # second drawn one, each of a kind a reader must reject or read as the
 # line-by-line reference does.  Components span every finite float, so some
 # squared norms overflow; readers must reject those vectors by line, and
-# without numpy's overflow warning, which pytest turns into an error.
+# without numpy's overflow warning, which pytest turns into an error.  The
+# files are written with "surrogateescape", so the token "\udcff" is the byte
+# 0xff, which is not UTF-8.
 COMPONENTS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-ODD_TOKENS = ["nan", "inf", "-inf", "1_0", "1#2", "#", "", " 2.5 ", "-0.0", "1e3", "\u0661", "x"]
+ODD_TOKENS = ["nan", "inf", "-inf", "1_0", "1#2", "#", "", " 2.5 ", "-0.0", "1e3", "\u0661", "x", "\udcff"]
 CORRUPTIONS = [
     "none", "blank", "padded", "hash", "extra_component", "missing_component", "duplicate_id",
     "zero_vector", "extra_field", "bad_id", "negative_id", "header_only",
@@ -526,14 +527,8 @@ def _outcome(load, path, *args):
     return [(a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in loaded]
 
 
-def _assert_reader_matches(path, reader, fast_reader, reference, *args):
-    expected = _outcome(reference, path, *args)
-    assert _outcome(reader, path, *args) == expected
-    try:
-        fast = fast_reader(str(path), *args)
-    except ValueError:
-        return  # the reader falls back to the reference, compared above
-    assert _outcome(lambda *_: fast, path) == expected
+def _assert_reader_matches(path, reader, reference, *args):
+    assert _outcome(reader, path, *args) == _outcome(reference, path, *args)
 
 
 @pytest.fixture(scope="module")
@@ -549,8 +544,9 @@ DIM_OFFSETS = st.sampled_from([0, 0, 0, -1, 1])
 @given(data=st.data(), dim_offset=DIM_OFFSETS)
 def test_embedding_reader_matches_line_reference(vector_path, corruption, data, dim_offset):
     k, body = data.draw(vector_files(1, corruption))
-    vector_path.write_text("\n".join([f"#m={k + dim_offset}"] + body) + "\n", encoding="utf-8")
-    _assert_reader_matches(vector_path, load_embedding_file, _load_embedding_rows, _load_embedding_lines)
+    vector_path.write_text("\n".join([f"#m={k + dim_offset}"] + body) + "\n", encoding="utf-8",
+                           errors="surrogateescape")
+    _assert_reader_matches(vector_path, load_embedding_file, load_embedding_lines)
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
@@ -561,10 +557,8 @@ def test_feature_reader_matches_line_reference(
 ):
     k, body = data.draw(vector_files(3, corruption))
     vector_path.write_text("\n".join([f"#d={k + dim_offset} C={classes}"] + body) + "\n",
-                           encoding="utf-8")
-    _assert_reader_matches(
-        vector_path, read_feature_file, _load_feature_rows, _load_feature_lines, normalize
-    )
+                           encoding="utf-8", errors="surrogateescape")
+    _assert_reader_matches(vector_path, read_feature_file, load_feature_lines, normalize)
 
 
 # Line text: any character (line breaks included), weighted towards whitespace that
