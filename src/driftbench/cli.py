@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curate as cur
-from .corpus import write_feature_file
+from .corpus import read_text, write_feature_file
 from .metrics import METRIC_NAMES, compute_metrics
 from .protocol import matrix_from_text
 from .runner import (ConfigError, config_reference, curation_reference, run_experiment,
@@ -18,8 +18,7 @@ from .runner import read_curation_spec as _parse_curation_spec  # the name bench
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
-    grid = validate_config(text, args.out)
+    grid = validate_config(read_text(args.config, ConfigError), args.out)
     result = run_experiment(grid)
     for name in sorted(result.reports):
         print(f"cell {name}: ok")

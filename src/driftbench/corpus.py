@@ -204,20 +204,6 @@ def generate_drift_stream(cfg: DriftConfig) -> TemporalStream:
     return TemporalStream(x, y, ids, timestamps, np.arange(cfg.N + 1) * size, cfg.C)
 
 
-def _parse_header(line: str, path: str) -> tuple[int, int]:
-    if not line.startswith("#"):
-        raise FeatureFileError(f"{path}:1: missing '#d=<d> C=<C>' header")
-    parts = line.strip().lstrip("#").split()
-    try:
-        fields = dict(p.split("=", 1) for p in parts)
-        d, c = int(fields["d"]), int(fields["C"])
-    except (ValueError, KeyError) as exc:
-        raise FeatureFileError(f"{path}:1: expected header '#d=<d> C=<C>', got {line!r}") from exc
-    if d < 1 or c < 1:
-        raise FeatureFileError(f"{path}:1: d and C must be >= 1")
-    return d, c
-
-
 def parse_int64(text: str) -> int:
     """``int(text)``, rejecting with ``ValueError`` a value that does not fit in int64."""
     if -(2**63) <= (value := int(text)) < 2**63:
@@ -232,8 +218,8 @@ def parse_records(
 
     Blank lines are skipped.  The integer fields go to :func:`parse_int64`.
     The vector fields go to ``np.loadtxt`` and form one finite ``(rows, k)``
-    array; with ``normalize`` set, each row is scaled in place to unit L2
-    norm, ``sqrt(x . x)``.  ``n_ints`` must be >= 1.  Raises ``ValueError``
+    array; with ``normalize`` set, each row is scaled in place by
+    :func:`unit_rows`.  ``n_ints`` must be >= 1.  Raises ``ValueError``
     on a wrong field count, a non-integer or non-int64 field, a vector field
     ``np.loadtxt`` rejects or without ``k`` values, a non-finite value, or a
     row to normalize that is zero or whose squared norm overflows.  The
@@ -260,17 +246,25 @@ def parse_records(
     ints = np.array(columns, dtype=np.int64)
     if x.shape != (ints.shape[1], k):
         raise ValueError(f"expected {k} components, got {x.shape[1]}")
+    if normalize:
+        unit_rows(x)
+    elif not np.isfinite(x).all():
+        raise ValueError("non-finite value")
+    return ints, x
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """``x``, each row scaled in place to unit L2 norm ``sqrt(x . x)``; ``ValueError`` if a value is not finite or a row is zero or its square overflows."""
     if not np.isfinite(x).all():
         raise ValueError("non-finite value")
-    if normalize:
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.vecdot(x, x))
-        if not norms.all():
-            raise ValueError("zero vector cannot be normalized")
-        if np.isinf(norms).any():
-            raise ValueError("squared norm overflows; vector cannot be normalized")
-        x /= norms[:, None]
-    return ints, x
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(x, x))
+    if not norms.all():
+        raise ValueError("zero vector cannot be normalized")
+    if np.isinf(norms).any():
+        raise ValueError("squared norm overflows; vector cannot be normalized")
+    x /= norms[:, None]
+    return x
 
 
 # Bytes of records a worker process must have to parse before workers are
@@ -310,6 +304,11 @@ def record_lines(base: int, chunk: bytes) -> tuple[list[str], np.ndarray]:
     return list(compress(text, records)), np.array([ends - sizes, ends])[:, records]
 
 
+def line_reason(exc: ValueError) -> str:
+    """What is wrong with a line, from the ``ValueError`` of parsing it alone; numpy's ``row 0`` of that one-line parse is dropped."""
+    return str(exc).replace(" at row 0, column ", " at column ")
+
+
 def record_fault(fd: int, start: int, stop: int, n_ints: int, k: int, normalize: bool) -> LineError | None:
     """The first line in bytes ``start:stop`` of ``fd`` that :func:`parse_records` or UTF-8 rejects alone, or None.
 
@@ -323,7 +322,7 @@ def record_fault(fd: int, start: int, stop: int, n_ints: int, k: int, normalize:
                 try:
                     parse_records([line.decode("utf-8")], n_ints, k, normalize)
                 except ValueError as exc:
-                    return LineError(base, str(exc))
+                    return LineError(base, line_reason(exc))
                 base += len(line)
     return None
 
@@ -340,6 +339,44 @@ def header_line(fh: BinaryIO) -> str:
         return line[0].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LineError(0, str(exc)) from None
+
+
+def header_ints(fh: BinaryIO, names: Sequence[str]) -> tuple[int, ...]:
+    """The values of ``names`` in a vector file's :func:`header_line`, ``#`` then ``key=value`` pairs; ``fh`` is left at line 2.
+
+    Each of ``names`` must be there with an integer value >= 1, and other
+    keys are ignored; a bad header raises :class:`LineError` at offset 0.
+    """
+    line = header_line(fh)
+    form = "#" + " ".join(f"{name}=<{name}>" for name in names)
+    if not line.startswith("#"):
+        raise LineError(0, f"missing '{form}' header")
+    try:
+        fields = dict(part.split("=", 1) for part in line.strip().lstrip("#").split())
+        values = tuple(int(fields[name]) for name in names)
+    except (ValueError, KeyError):
+        raise LineError(0, f"expected header '{form}', got {line!r}") from None
+    if min(values) < 1:
+        raise LineError(0, f"{' and '.join(names)} must be >= 1")
+    return values
+
+
+def read_text(path: str | Path, error: type[ValueError]) -> str:
+    """The UTF-8 text of the file at ``path``, as a text-mode file reads it; a byte that is not UTF-8 raises ``error``.
+
+    The error names the byte's line as ``path:line``, counting lines as
+    :func:`record_lines` does, with that line's own decode error.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).getvalue()
+    except UnicodeDecodeError:
+        for line, raw in enumerate(data.splitlines(keepends=True), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{line}: {exc}") from None
+        raise
 
 
 def reject_first(fh: BinaryIO, bad: np.ndarray, why: Callable[[int], str]) -> None:
@@ -485,7 +522,7 @@ def read_feature_file(path: str | Path, normalize: bool = False) -> FeatureArray
     outside ``[0, C)``.
     """
     with open(path, "rb") as fh, named_lines(fh, FeatureFileError):
-        d, c = _parse_header(header_line(fh), fh.name)
+        d, c = header_ints(fh, ("d", "C"))
         (ids, timestamps, labels), x = read_records(fh, 3, d, normalize)
         reject_first(fh, (ids < 0) | (labels < 0) | (labels >= c),
                      lambda i: "id must be non-negative" if ids[i] < 0 else f"label {labels[i]} outside [0, {c})")

@@ -9,9 +9,9 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (FieldValueError, FileRows, atomic_write, header_line, line_chunks, named_lines,
-                     parse_int64, parse_records, read_ranges, read_records, record_fault, record_lines,
-                     reject_first)
+from .corpus import (FieldValueError, FileRows, atomic_write, header_ints, line_chunks, line_reason,
+                     named_lines, parse_int64, parse_records, read_ranges, read_records, read_text,
+                     record_fault, record_lines, reject_first, unit_rows)
 
 
 class ShortageError(ValueError):
@@ -70,33 +70,10 @@ class CosineRanking:
         return float(self.scores[at[0]])
 
 
-def _unit(vector: np.ndarray) -> np.ndarray:
-    """``vector`` over ``np.linalg.norm(vector)``; ``ValueError`` if it is not finite, is zero or its square overflows."""
-    if not np.all(np.isfinite(vector)):
-        raise ValueError("non-finite value")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise ValueError("zero vector cannot be normalized")
-    if norm == np.inf:
-        raise ValueError("squared norm overflows; vector cannot be normalized")
-    return vector / norm
-
-
-def _embedding_dimension(fh: BinaryIO) -> int:
-    header = header_line(fh).strip()
-    if not header.startswith("#m="):
-        raise EmbeddingFileError(f"{fh.name}:1: expected '#m=<m>' header")
-    try:
-        return int(header[3:])
-    except ValueError as exc:
-        raise EmbeddingFileError(f"{fh.name}:1: bad dimension in header") from exc
-
-
 def embedding_dimension(path: str | Path) -> int:
     """The ``m`` of an embedding file's ``#m=<m>`` header, read without its records."""
     with open(path, "rb") as fh, named_lines(fh, EmbeddingFileError):
-        return _embedding_dimension(fh)
+        return header_ints(fh, ("m",))[0]
 
 
 def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +86,7 @@ def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     earlier one.
     """
     with open(path, "rb") as fh, named_lines(fh, EmbeddingFileError):
-        m = _embedding_dimension(fh)
+        (m,) = header_ints(fh, ("m",))
         (ids,), x = read_records(fh, 1, m, normalize=True)
         _check_ids(fh, ids)
     return ids, x
@@ -140,7 +117,7 @@ def score_embedding_file(fh: BinaryIO, spec: CurationSpec) -> tuple[np.ndarray, 
     """
     queries = [q for _, q in spec.queries]
     with named_lines(fh, EmbeddingFileError):
-        m = _embedding_dimension(fh)
+        (m,) = header_ints(fh, ("m",))
 
         def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
             ints, scores = [np.empty((3, 0), dtype=np.int64)], [np.empty((0, len(queries)))]
@@ -161,32 +138,30 @@ def score_embedding_file(fh: BinaryIO, spec: CurationSpec) -> tuple[np.ndarray, 
 
 
 def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
-    """Load ``class_name<TAB>v1,...,vm`` query lines, unit-normalizing each vector.
+    """Load ``class_name<TAB>v1,...,vm`` query lines, unit-normalizing each vector by :func:`~driftbench.corpus.unit_rows`.
 
     The values follow ``np.loadtxt``'s grammar, as the vector files' do.  A
     repeated class name is rejected at its line.
     """
-    path = str(path)
     queries: list[tuple[str, np.ndarray]] = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise EmbeddingFileError(f"{path}:{lineno}: expected 'name<TAB>vector'")
-            name = parts[0]
-            if name in first_line:
-                raise EmbeddingFileError(
-                    f"{path}:{lineno}: duplicate class name {name!r} (first on line {first_line[name]})"
-                )
-            first_line[name] = lineno
-            try:
-                queries.append((name, _unit(np.loadtxt([parts[1]], delimiter=",", comments=None, ndmin=1))))
-            except ValueError as exc:
-                raise EmbeddingFileError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path, EmbeddingFileError).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise EmbeddingFileError(f"{path}:{lineno}: expected 'name<TAB>vector'")
+        name = parts[0]
+        if name in first_line:
+            raise EmbeddingFileError(
+                f"{path}:{lineno}: duplicate class name {name!r} (first on line {first_line[name]})"
+            )
+        first_line[name] = lineno
+        try:
+            queries.append((name, unit_rows(np.loadtxt([parts[1]], delimiter=",", comments=None, ndmin=2))[0]))
+        except ValueError as exc:
+            raise EmbeddingFileError(f"{path}:{lineno}: {line_reason(exc)}") from exc
     if not queries:
         raise EmbeddingFileError(f"{path}: no queries found")
     dims = {q.shape[0] for _, q in queries}
@@ -198,15 +173,14 @@ def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
 def load_rejection_list(path: str | Path) -> set[int]:
     """One id per line; ids to drop before finalization.  An id outside int64 names its line."""
     rejected: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rejected.add(parse_int64(line))
-            except ValueError as exc:
-                raise EmbeddingFileError(f"{path}:{lineno}: bad id {line!r}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path, EmbeddingFileError).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rejected.add(parse_int64(line))
+        except ValueError as exc:
+            raise EmbeddingFileError(f"{path}:{lineno}: bad id {line!r}: {exc}") from exc
     return rejected
 
 

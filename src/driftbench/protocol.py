@@ -170,7 +170,7 @@ def _score(
 def _run_protocol(
     kind: ProtocolKind,
     stream: TemporalStream,
-    train_rows: Sequence[Sequence[int]],
+    train_rows: Sequence[range | np.ndarray],
     targets: tuple[np.ndarray | None, np.ndarray],
     cfg: RunConfig,
     seed: int,
@@ -178,7 +178,8 @@ def _run_protocol(
 ) -> AccuracyMatrix:
     """The loop both protocols share: ingest, train, then score the step's targets.
 
-    Step ``i`` folds the stream rows ``train_rows[i]`` into the replay buffer,
+    Step ``i`` folds the stream rows ``train_rows[i]`` (a range, or an index
+    vector listed as Python ints only at that step) into the replay buffer,
     trains on the buffer's rows (Napping: on ``train_rows[0]``) and scores the
     targets ``first:`` of the ``(rows, offsets)`` target table, with
     ``first = 0`` for iid and ``i + 1`` for streaming.  Neither the training
@@ -205,7 +206,9 @@ def _run_protocol(
             raise ProtocolOrderError(
                 f"bucket {i} has {evaluated[i]} of {i} required evaluations before training"
             )
-        buffer = update_buffer(buffer, train_rows[i], cfg.alpha_policy, sampler_rng)
+        bucket = train_rows[i]
+        bucket = bucket.tolist() if isinstance(bucket, np.ndarray) else bucket  # the sampler takes Python ints
+        buffer = update_buffer(buffer, bucket, cfg.alpha_policy, sampler_rng)
         if event_log is not None:
             event_log.append(Event(kind="train", step=i, bucket=i))
         first = i + 1 if streaming else 0
@@ -242,14 +245,13 @@ def run_iid_protocol(
     if cfg.train_fraction is None:
         raise ValueError("iid protocol requires train_fraction")
     bounds = stream.offsets.tolist()
-    splits = [
-        split_iid(np.arange(lo, hi), cfg.train_fraction, seed + SPLIT_SEED_OFFSET + t)
-        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    ]
-    test_rows = np.concatenate([test for _, test in splits])
-    test_offsets = np.cumsum([0] + [len(test) for _, test in splits])
-    targets = (test_rows, test_offsets)
-    train_rows = [train.tolist() for train, _ in splits]
+    train_rows, tests = [], []
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        train, test = split_iid(np.arange(lo, hi), cfg.train_fraction, seed + SPLIT_SEED_OFFSET + t)
+        train_rows.append(train)
+        tests.append(test)
+    targets = (np.concatenate(tests), np.cumsum([0, *map(len, tests)]))
+    del tests  # the test rows are held once, in the target table
     return _run_protocol(ProtocolKind.IID, stream, train_rows, targets, cfg, seed, event_log)
 
 

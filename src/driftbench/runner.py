@@ -19,10 +19,10 @@ from .corpus import (
     _exit_text,
     _fork_shares,
     _process_count,
-    atomic_write,
     bucketize,
     generate_drift_stream,
     read_feature_file,
+    read_text,
     stream_manifest,
 )
 from .curate import CurationSpec
@@ -393,8 +393,9 @@ class CurationConfig:
 
 def read_curation_spec(path: str) -> CurationConfig:
     """Read and type-check a curation spec, a run config without sections; errors name the file."""
+    text = read_text(path, ConfigError)
     try:
-        section, *extra = _parse_sections(Path(path).read_text(encoding="utf-8"))
+        section, *extra = _parse_sections(text)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     diags = [f"line {s.lineno}: unexpected section [{s.name}]" for s in extra]
@@ -417,8 +418,8 @@ def load_stream(spec: StreamSpec) -> TemporalStream:
 
 
 def _write_artifact(path: Path, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` to ``path`` atomically, each as it comes, so none is joined first."""
-    with atomic_write(path) as fh:
+    """Write the text ``chunks`` to ``path`` in the staged run tree, each as it comes; a file cut short goes with its failed seed's files or with the staged tree."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(chunks)
 
 
@@ -592,6 +593,7 @@ def _run_grid(grid: ExperimentGrid, out_dir: Path, env_base: int | None) -> Expe
                 _write_artifact(cell_dir / "report.txt", [report_text(agg)])
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 error = f"{type(exc).__name__}: {exc}"
+                (cell_dir / "report.txt").unlink(missing_ok=True)
             else:
                 reports[cell.name] = agg
                 lines.extend(csv_rows(cell.name, agg))

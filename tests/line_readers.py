@@ -14,8 +14,23 @@ import math
 
 import numpy as np
 
-from driftbench.corpus import FeatureFileError, _parse_header, parse_int64
+from driftbench.corpus import FeatureFileError, parse_int64
 from driftbench.curate import EmbeddingFileError
+
+
+def _parse_header(line, path):
+    """``(d, C)`` of a feature file's ``#d=<d> C=<C>`` header line."""
+    if not line.startswith("#"):
+        raise FeatureFileError(f"{path}:1: missing '#d=<d> C=<C>' header")
+    parts = line.strip().lstrip("#").split()
+    try:
+        fields = dict(p.split("=", 1) for p in parts)
+        d, c = int(fields["d"]), int(fields["C"])
+    except (ValueError, KeyError) as exc:
+        raise FeatureFileError(f"{path}:1: expected header '#d=<d> C=<C>', got {line!r}") from exc
+    if d < 1 or c < 1:
+        raise FeatureFileError(f"{path}:1: d and C must be >= 1")
+    return d, c
 
 
 def _text(path, error, lineno, raw):
@@ -44,8 +59,8 @@ def _records(path, error, lines, n_ints, k, normalize):
         try:
             ints = [parse_int64(text) for text in parts[:-1]]
             vector = np.loadtxt([parts[-1]], delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            raise error(f"{path}:{lineno}: {exc}") from exc
+        except ValueError as exc:  # numpy counts rows of the one-line parse; only the column is kept
+            raise error(f"{path}:{lineno}: {str(exc).replace(' at row 0, column ', ' at column ')}") from exc
         if vector.shape != (k,):
             raise error(f"{path}:{lineno}: expected {k} components, got {len(vector)}")
         if not np.all(np.isfinite(vector)):
@@ -88,6 +103,8 @@ def load_embedding_lines(path):
         m = int(header[3:])
     except ValueError as exc:
         raise EmbeddingFileError(f"{path}:1: bad dimension in header") from exc
+    if m < 1:
+        raise EmbeddingFileError(f"{path}:1: m must be >= 1")
     records = _records(path, EmbeddingFileError, lines, 1, m, True)
     seen = set()
     for lineno, (rid,), _ in records:

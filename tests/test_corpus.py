@@ -580,6 +580,21 @@ def test_a_value_only_float_accepts_is_rejected_at_its_line(tmp_path, kind, valu
         read(path)
 
 
+@pytest.mark.parametrize("kind", ["features", "embeddings", "queries"])
+def test_a_rejected_value_is_named_by_its_line_and_column(tmp_path, kind):
+    # numpy counts the rows of the one-line parse, whose "row 0" would sit beside the line number.
+    header, lead, read, error = {
+        "features": ("#d=2 C=1\n", "0\t0\t", read_feature_file, FeatureFileError),
+        "embeddings": ("#m=2\n", "", load_embedding_file, EmbeddingFileError),
+        "queries": ("", "", load_query_file, EmbeddingFileError),
+    }[kind]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text(f"{header}{lead}0\t1.0,2.0\n{lead}1\t3.0,1_0\n", encoding="utf-8")
+    with pytest.raises(error) as caught:
+        read(path)
+    assert str(caught.value) == f"{path}:{2 + bool(header)}: could not convert string '1_0' to float64 at column 2."
+
+
 @pytest.mark.parametrize("fault", ["parse", "label", "label_then_parse"])
 def test_a_bad_record_in_a_later_range_and_chunk_is_named_by_its_line(tmp_path, monkeypatch, fault):
     # Two workers parse a byte range each, in chunks of about 256 bytes.  Bad

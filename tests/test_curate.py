@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import driftbench.corpus as corpus_module
 import driftbench.curate as curate_module
+from driftbench.cli import main
 from driftbench.curate import (
     BACKGROUND_CLASS,
     CurationSpec,
@@ -200,6 +201,39 @@ def test_scores_do_not_depend_on_the_blas_kernel():
         done = subprocess.run([sys.executable, "-c", SCORES_DIGEST], env=env, capture_output=True, text=True, check=True)
         digests[core] = done.stdout.strip()
     assert len(set(digests.values())) == 1, digests
+
+
+def outputs_under_each_blas_kernel(script):
+    """``script``'s stdout in a Python subprocess under each OpenBLAS kernel that ``OPENBLAS_CORETYPE`` forces, by kernel.
+
+    Skips the calling test, saying why, when numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so no kernel can be forced: {blas}")
+    src = str(Path(curate_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {core: subprocess.run([sys.executable, "-c", script], env={**env, "OPENBLAS_CORETYPE": core},
+                                 capture_output=True, text=True, check=True).stdout.strip()
+            for core in ("SkylakeX", "Haswell", "Prescott")}
+
+
+# Prints how many query-like vectors, each passed as a one-row matrix as
+# load_query_file passes it, unit_rows scales to other bits than v / norm(v).
+UNIT_ROWS_MISMATCHES = """
+import numpy as np
+from driftbench.corpus import unit_rows
+rng = np.random.default_rng(11)
+vectors = [rng.standard_normal(m) * scale for m in (2, 3, 7, 16, 63, 64, 100, 128, 512)
+           for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150) for _ in range(20)]
+print(sum(not np.array_equal(unit_rows(v[None].copy())[0], v / np.linalg.norm(v)) for v in vectors))
+"""
+
+
+def test_unit_rows_matches_the_query_norm_under_every_blas_kernel():
+    # unit_rows' vecdot and np.linalg.norm each compute one ddot, so they agree bit for bit under any kernel.
+    mismatches = outputs_under_each_blas_kernel(UNIT_ROWS_MISMATCHES)
+    assert set(mismatches.values()) == {"0"}, mismatches
 
 
 class TestSelectLabeled:
@@ -431,6 +465,23 @@ class TestFiles:
                 embedding_dimension(p)
         else:
             assert embedding_dimension(p) == 2
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_a_dimension_below_one_is_named_at_the_header(self, tmp_path, capsys, m):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text(f"#m={m}\n0\t1.0,0.0\n")
+        message = rf"emb\.tsv:1: m must be >= 1$"
+        with pytest.raises(EmbeddingFileError, match=message):
+            load_embedding_file(emb)
+        with open(emb, "rb") as fh, pytest.raises(EmbeddingFileError, match=message):
+            score_embedding_file(fh, CurationSpec((("a", unit([1.0, 0.0])),), 1, 1, 1))
+        with pytest.raises(EmbeddingFileError, match=message):
+            embedding_dimension(emb)
+        (tmp_path / "q.tsv").write_text("a\t1.0,0.0\n")
+        (tmp_path / "cur.cfg").write_text("per_class_top = 1\nbackground_low = 1\nfinal_per_class = 1\n")
+        assert main(["curate", "--embeddings", str(emb), "--queries", str(tmp_path / "q.tsv"),
+                     "--spec", str(tmp_path / "cur.cfg"), "--out", str(tmp_path / "curated")]) == 2
+        assert capsys.readouterr().err == f"driftbench: error: {emb}:1: m must be >= 1\n"
 
     def test_query_file(self, tmp_path):
         p = tmp_path / "q.tsv"

@@ -70,6 +70,16 @@ def test_iid_run_scores_test_rows_in_place(stream):
     assert peaks[0.7] <= peaks[0.3], peaks
 
 
+def test_iid_run_lists_one_train_split_at_a_time(stream):
+    # The sampler takes a split's train rows as Python ints, about 36 bytes
+    # each.  Listed for every bucket before step 0, they would grow the peak
+    # by that much per train row of the stream; listed at each bucket's own
+    # step, by at most one bucket's.
+    peaks = {share: traced_peak(run_iid_protocol, stream, run_config(stream, share), 0) for share in (0.1, 0.9)}
+    bucket = len(stream.y) // stream.n_buckets
+    assert peaks[0.9] - peaks[0.1] <= (0.9 - 0.1) * bucket * 36, peaks
+
+
 def test_streaming_run_scores_a_large_bucket_in_chunks(stream):
     # Two buckets, the second of 10,000 rows: scored in one call, its hidden
     # activations alone would exceed the budget.

@@ -532,14 +532,14 @@ class TestRunExperiment:
         out = tmp_path / "out"
         run_experiment(validate_config(GOOD_CONFIG, out))
         before = (out / "summary.csv").read_bytes()
-        real_replace = os.replace
+        real_write = runner_module._write_artifact
 
-        def interrupted(src, dst):
-            if Path(dst).name == "summary.csv":
+        def interrupted(path, chunks):
+            if Path(path).name == "summary.csv":
                 raise OSError("interrupted")
-            real_replace(src, dst)
+            real_write(path, chunks)
 
-        monkeypatch.setattr(os, "replace", interrupted)
+        monkeypatch.setattr(runner_module, "_write_artifact", interrupted)
         with pytest.raises(OSError, match="interrupted"):
             run_experiment(validate_config(GOOD_CONFIG.replace("lr = 0.5", "lr = 0.1"), out))
         assert (out / "summary.csv").read_bytes() == before
@@ -874,6 +874,41 @@ class TestReusedOut:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_worker_killed_mid_write_leaves_a_tree_a_rerun_replaces(self, tmp_path, monkeypatch):
+        # The worker runs ft-fast seed 1 and is killed once the first chunk of its matrix is taken.
+        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
+        use_processes(monkeypatch, 2)
+        out = tmp_path / "out"
+        caller, real = os.getpid(), runner_module._write_artifact
+
+        def first_chunk_then_die(chunks):
+            yield next(chunks)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def killed(path, chunks):
+            if os.getpid() != caller and path.name.startswith("matrix"):
+                chunks = first_chunk_then_die(iter(chunks))
+            real(path, chunks)
+
+        def hung(signum, frame):
+            raise TimeoutError("the run waited on its killed worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(runner_module, "_write_artifact", killed)
+                assert set(run_experiment(validate_config(TWO_SEED_CONFIG, out)).failures) == {"ft-fast"}
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert f"killed by signal {int(signal.SIGKILL)}" in (out / "ft-fast" / "error.txt").read_text()
+        assert sorted(os.listdir(out / "ft-fast")) == ["error.txt", "events_seed0.log", "matrix_seed0.txt"]
+        assert run_experiment(validate_config(TWO_SEED_CONFIG, out)).ok
+        assert os.listdir(tmp_path) == ["out"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("foreign, named", [
         ("notes.txt", "notes.txt"),
         ("ft-fast/plot.png", "ft-fast/plot.png"),
@@ -953,6 +988,25 @@ class TestCli:
         assert main(["metrics", "--matrix", str(matrix_path)]) == 0
         out = capsys.readouterr().out
         assert "next_domain=" in out and "in_domain=" not in out
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("kind", ["config", "spec", "queries", "rejections"])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_file_and_line(self, tmp_path, capsys, kind, end):
+        # Line 2 of one text input holds 0xff; its lines end in ``end``, which a text-mode file splits at.
+        args = write_curation(tmp_path, seed=3)
+        (tmp_path / "reject.txt").write_text("3\n17\n")
+        with open(tmp_path / "cur.cfg", "a") as fh:
+            fh.write(f"reject_file = {tmp_path / 'reject.txt'}\n")
+        (tmp_path / "grid.cfg").write_text(GOOD_CONFIG)
+        if kind == "config":
+            args = ["run", "--config", str(tmp_path / "grid.cfg"), "--out", str(tmp_path / "out")]
+        path = tmp_path / {"config": "grid.cfg", "spec": "cur.cfg", "queries": "q.tsv", "rejections": "reject.txt"}[kind]
+        lines = path.read_bytes().splitlines()
+        lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+        path.write_bytes(end.encode().join(lines))
+        assert main(args) == 2
+        why = "'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
+        assert capsys.readouterr().err == f"driftbench: error: {path}:2: {why}\n"
 
     def test_run_reports_config_errors(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
