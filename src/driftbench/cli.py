@@ -58,7 +58,7 @@ def _cmd_curate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    matrix = matrix_from_text(Path(args.matrix).read_text(encoding="utf-8"))
+    matrix = matrix_from_text(read_text(args.matrix, ValueError))
     report = compute_metrics(matrix)
     print(f"protocol={matrix.protocol.value}")
     print(f"N={matrix.n}")

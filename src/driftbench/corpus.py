@@ -132,8 +132,8 @@ def bucketize(
     size, dropped = bucket_shape(len(ids), n_buckets)
     if len(np.unique(ids)) != len(ids):
         raise ValueError("sample ids must be unique within a stream")
-    if y.max() >= C:
-        raise ValueError(f"label {y.max()} out of range for class_count={C}")
+    if y.min() < 0 or y.max() >= C:
+        raise ValueError(f"label {y.min() if y.min() < 0 else y.max()} out of range for class_count={C}")
     later, tied = timestamps[1:] > timestamps[:-1], timestamps[1:] == timestamps[:-1]
     if (later | tied & (ids[1:] > ids[:-1])).all():
         kept = slice(0, size * n_buckets)
@@ -327,27 +327,20 @@ def record_fault(fd: int, start: int, stop: int, n_ints: int, k: int, normalize:
     return None
 
 
-def header_line(fh: BinaryIO) -> str:
-    """The first line of ``fh``, decoded, leaving ``fh`` at the second; bytes that are not UTF-8 raise :class:`LineError`.
+def header_ints(fh: BinaryIO, names: Sequence[str]) -> tuple[int, ...]:
+    """The values of ``names`` in a vector file's first line, ``#`` then ``key=value`` pairs; ``fh`` is left at line 2.
 
-    The line ends where :func:`record_lines` would end it, so also at a lone carriage return.
+    The line ends where :func:`record_lines` would end it.  Each of
+    ``names`` must be there with an integer value >= 1, and other keys are
+    ignored; a bad header, or one not UTF-8, raises :class:`LineError` at 0.
     """
     fh.seek(0)
-    line = fh.readline().splitlines(keepends=True)[:1] or [b""]
-    fh.seek(len(line[0]))
+    raw = fh.readline().splitlines(keepends=True)[:1] or [b""]
+    fh.seek(len(raw[0]))
     try:
-        return line[0].decode("utf-8")
+        line = raw[0].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LineError(0, str(exc)) from None
-
-
-def header_ints(fh: BinaryIO, names: Sequence[str]) -> tuple[int, ...]:
-    """The values of ``names`` in a vector file's :func:`header_line`, ``#`` then ``key=value`` pairs; ``fh`` is left at line 2.
-
-    Each of ``names`` must be there with an integer value >= 1, and other
-    keys are ignored; a bad header raises :class:`LineError` at offset 0.
-    """
-    line = header_line(fh)
     form = "#" + " ".join(f"{name}=<{name}>" for name in names)
     if not line.startswith("#"):
         raise LineError(0, f"missing '{form}' header")
@@ -379,21 +372,31 @@ def read_text(path: str | Path, error: type[ValueError]) -> str:
         raise
 
 
-def reject_first(fh: BinaryIO, bad: np.ndarray, why: Callable[[int], str]) -> None:
-    """Raise :class:`LineError` at the first record of ``fh``, after its header line, whose ``bad`` entry is set.
+def text_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of ``text`` and their 1-based numbers, split at ``\\n``, ``\\r\\n`` or a lone ``\\r`` as a text-mode file splits them."""
+    lines = io.StringIO(text, newline=None).getvalue().split("\n")
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
 
-    ``why(i)`` says what is wrong with record ``i``; only a rejected file is read again to find its line.
+
+def reject_first(starts: np.ndarray, ids: np.ndarray, labels: np.ndarray | None = None, C: int = 0) -> None:
+    """Raise :class:`LineError` at ``starts[i]`` for the first record ``i`` that fails a whole-file check.
+
+    Record ``i`` has id ``ids[i]`` and, if ``labels`` is given, label
+    ``labels[i]``.  It fails if its id is negative, else if its label is
+    outside ``[0, C)``, else if its id repeats an earlier record's.
     """
-    if not bad.any():
-        return
-    i = first = int(bad.argmax())
-    header_line(fh)
-    for base, chunk in line_chunks(fh.fileno(), fh.tell(), os.fstat(fh.fileno()).st_size):
-        starts = record_lines(base, chunk)[1][0]
-        if i < len(starts):
-            raise LineError(int(starts[i]), why(first))
-        i -= len(starts)
-    raise ValueError(f"{fh.name}: records changed since the file was read")
+    by_id = np.argsort(ids, kind="stable")  # equal ids stay in file order
+    sorted_ids = ids[by_id]
+    bad = ids < 0
+    bad[by_id[1:][sorted_ids[1:] == sorted_ids[:-1]]] = True  # each later record of an id
+    if labels is not None:
+        bad |= (labels < 0) | (labels >= C)
+    if bad.any():
+        i = int(bad.argmax())
+        why = ("id must be non-negative" if ids[i] < 0
+               else f"label {labels[i]} outside [0, {C})" if labels is not None and not 0 <= labels[i] < C
+               else f"duplicate id {ids[i]}")
+        raise LineError(int(starts[i]), why)
 
 
 @contextmanager
@@ -452,16 +455,26 @@ def read_ranges(
 def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
     """:func:`parse_records` of the :func:`record_lines` from ``fh``'s position on, through :func:`read_ranges`.
 
-    A byte range that does not parse raises the :func:`record_fault` of its first bad line.
+    The ints have one more row than ``n_ints``: each record's start offset,
+    as :func:`record_lines` gives it.  A byte range that does not parse
+    raises the :func:`record_fault` of its first bad line.
     """
     def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        chunks = line_chunks(fh.fileno(), start, stop)
+        starts = [np.empty(0, dtype=np.int64)]
+
+        def lines() -> Iterator[str]:
+            for chunk in line_chunks(fh.fileno(), start, stop):
+                text, spans = record_lines(*chunk)
+                starts.append(spans[0])
+                yield from text
+
         try:
-            return parse_records(chain.from_iterable(record_lines(*chunk)[0] for chunk in chunks), n_ints, k, normalize)
+            ints, x = parse_records(lines(), n_ints, k, normalize)
         except ValueError as exc:
             raise record_fault(fh.fileno(), start, stop, n_ints, k, normalize) or exc
+        return np.vstack([ints, np.concatenate(starts)]), x
 
-    return read_ranges(fh, n_ints, k, parse)
+    return read_ranges(fh, n_ints + 1, k, parse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,14 +531,13 @@ def read_feature_file(path: str | Path, normalize: bool = False) -> FeatureArray
     set, each row is scaled to unit L2 norm; rows that are zero or whose
     squared norm overflows are rejected.  A malformed file raises
     :class:`FeatureFileError` naming its first bad line: the first record
-    that does not parse, else the first with a negative id or a label
-    outside ``[0, C)``.
+    that does not parse, else the first that :func:`reject_first` rejects
+    (a negative id, a label outside ``[0, C)`` or a repeated id).
     """
     with open(path, "rb") as fh, named_lines(fh, FeatureFileError):
         d, c = header_ints(fh, ("d", "C"))
-        (ids, timestamps, labels), x = read_records(fh, 3, d, normalize)
-        reject_first(fh, (ids < 0) | (labels < 0) | (labels >= c),
-                     lambda i: "id must be non-negative" if ids[i] < 0 else f"label {labels[i]} outside [0, {c})")
+        (ids, timestamps, labels, starts), x = read_records(fh, 3, d, normalize)
+        reject_first(starts, ids, labels, c)
     return ids, timestamps, labels, x, c
 
 

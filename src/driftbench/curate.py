@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import (FieldValueError, FileRows, atomic_write, header_ints, line_chunks, line_reason,
                      named_lines, parse_int64, parse_records, read_ranges, read_records, read_text,
-                     record_fault, record_lines, reject_first, unit_rows)
+                     record_fault, record_lines, reject_first, text_lines, unit_rows)
 
 
 class ShortageError(ValueError):
@@ -82,23 +82,14 @@ def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     Rows are in file order, read by :func:`~driftbench.corpus.read_records`,
     each vector scaled to unit L2 norm.  A malformed file raises
     :class:`EmbeddingFileError` naming its first bad line: the first record
-    that does not parse, else the first whose id is negative or repeats an
-    earlier one.
+    that does not parse, else the first that
+    :func:`~driftbench.corpus.reject_first` rejects (a negative or repeated id).
     """
     with open(path, "rb") as fh, named_lines(fh, EmbeddingFileError):
         (m,) = header_ints(fh, ("m",))
-        (ids,), x = read_records(fh, 1, m, normalize=True)
-        _check_ids(fh, ids)
+        (ids, starts), x = read_records(fh, 1, m, normalize=True)
+        reject_first(starts, ids)
     return ids, x
-
-
-def _check_ids(fh: BinaryIO, ids: np.ndarray) -> None:
-    """:func:`~driftbench.corpus.reject_first` of the records whose id is negative or repeats an earlier one."""
-    if len(np.unique(ids)) != len(ids) or ids.min(initial=0) < 0:
-        repeated = np.ones(len(ids), dtype=bool)
-        repeated[np.unique(ids, return_index=True)[1]] = False
-        reject_first(fh, (ids < 0) | repeated,
-                     lambda i: "id must be non-negative" if ids[i] < 0 else f"duplicate id {ids[i]}")
 
 
 def score_embedding_file(fh: BinaryIO, spec: CurationSpec) -> tuple[np.ndarray, Iterable[np.ndarray], FileRows]:
@@ -133,7 +124,7 @@ def score_embedding_file(fh: BinaryIO, spec: CurationSpec) -> tuple[np.ndarray, 
             return np.concatenate(ints, axis=1), np.concatenate(scores)
 
         ints, scores = read_ranges(fh, 3, len(queries), parse)
-        _check_ids(fh, ints[0])
+        reject_first(ints[1], ints[0])
     return ints[0], scores.T, FileRows(fh, ints[0], ints[1:], 1, m, normalize=True)
 
 
@@ -145,9 +136,9 @@ def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
     """
     queries: list[tuple[str, np.ndarray]] = []
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(read_text(path, EmbeddingFileError).split("\n"), start=1):
+    for lineno, line in text_lines(read_text(path, EmbeddingFileError)):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -173,10 +164,8 @@ def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
 def load_rejection_list(path: str | Path) -> set[int]:
     """One id per line; ids to drop before finalization.  An id outside int64 names its line."""
     rejected: set[int] = set()
-    for lineno, line in enumerate(read_text(path, EmbeddingFileError).split("\n"), start=1):
+    for lineno, line in text_lines(read_text(path, EmbeddingFileError)):
         line = line.strip()
-        if not line:
-            continue
         try:
             rejected.add(parse_int64(line))
         except ValueError as exc:

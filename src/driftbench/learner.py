@@ -190,7 +190,7 @@ def forward_loss_grad(
         raise ValueError(f"expected dimension {state.architecture.d}, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite feature value in batch")
-    if y.max() >= state.architecture.C:
+    if y.min() < 0 or y.max() >= state.architecture.C:
         raise ValueError("label out of range for this learner")
     return _loss_grad_arrays(state, x, y)
 

@@ -8,7 +8,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Sample, TemporalStream, as_arrays, split_iid
+from .corpus import Sample, TemporalStream, as_arrays, split_iid, text_lines
 from .learner import Architecture, Hyperparams, LearnerState, Strategy, predict_batch, strategy_step
 from .sampler import AlphaPolicy, ReplayBuffer, update_buffer
 
@@ -98,7 +98,7 @@ def _matrix_lines(matrix: AccuracyMatrix) -> Iterator[str]:
 
 def matrix_from_text(text: str) -> AccuracyMatrix:
     """Parse the grid format written by :func:`matrix_to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for _, ln in text_lines(text)]
     if not lines:
         raise ValueError("empty matrix text")
     try:
@@ -333,7 +333,7 @@ def parse_event_log(text: str) -> tuple[ProtocolKind, list[Event]]:
 
     Raises ``ValueError`` naming the 1-based line of the first malformed event.
     """
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = text_lines(text)
     if not lines or not lines[0][1].startswith("protocol="):
         raise ValueError("event log must start with a protocol= header")
     header_no, name = lines[0][0], lines[0][1].split("=", 1)[1]

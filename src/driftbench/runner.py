@@ -24,6 +24,7 @@ from .corpus import (
     read_feature_file,
     read_text,
     stream_manifest,
+    text_lines,
 )
 from .curate import CurationSpec
 from .learner import Hyperparams, Strategy, parse_architecture, parse_strategy
@@ -184,9 +185,9 @@ def _parse_sections(text: str) -> list[_Section]:
     """The sections of a ``key = value`` text; the first, named ``""``, holds keys before any header."""
     current = _Section(name="", lineno=0, entries={})
     sections = [current]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in text_lines(text):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         if line.startswith("["):
             if not line.endswith("]"):

@@ -6,8 +6,8 @@ and are the oracles that the array readers (``corpus.read_feature_file`` and
 same error type and message.  Vector values follow ``np.loadtxt``'s grammar
 and integer fields ``int()``'s, within int64.  The first record that does not
 parse on its own is reported; only when every record parses is the first
-record with a negative id, a label outside ``[0, C)`` or, in an embedding
-file, a repeated id reported.
+record with a negative id, a label outside ``[0, C)`` or a repeated id
+reported.
 """
 
 import math
@@ -83,11 +83,15 @@ def load_feature_lines(path, normalize=False):
     header, *lines = _lines(path)
     d, c = _parse_header(_text(path, FeatureFileError, 1, header), path)
     records = _records(path, FeatureFileError, lines, 3, d, normalize)
+    seen = set()
     for lineno, (sid, _, label), _ in records:
         if sid < 0:
             raise FeatureFileError(f"{path}:{lineno}: id must be non-negative")
         if not 0 <= label < c:
             raise FeatureFileError(f"{path}:{lineno}: label {label} outside [0, {c})")
+        if sid in seen:
+            raise FeatureFileError(f"{path}:{lineno}: duplicate id {sid}")
+        seen.add(sid)
     ids, timestamps, labels = np.array([ints for _, ints, _ in records], dtype=np.int64).reshape(-1, 3).T.copy()
     return ids, timestamps, labels, np.array([row for *_, row in records]).reshape(len(records), d), c
 

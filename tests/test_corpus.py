@@ -25,7 +25,8 @@ from driftbench.corpus import (
     stream_manifest,
     write_feature_file,
 )
-from driftbench.curate import EmbeddingFileError, load_embedding_file, load_query_file
+from driftbench.curate import (CurationSpec, EmbeddingFileError, load_embedding_file, load_query_file,
+                               score_embedding_file)
 from line_readers import load_feature_lines
 
 
@@ -99,6 +100,11 @@ class TestBucketize:
             bucketize(*make_rows(3), 4, C=1)
         with pytest.raises(ValueError, match="label 2 out of range for class_count=2"):
             bucketize(*make_rows(4, labels=[0, 2, 1, 0]), 2, C=2)
+
+    def test_a_negative_label_is_rejected(self):
+        # Unchecked, fit trains label -1 as class C - 1.
+        with pytest.raises(ValueError, match="^label -1 out of range for class_count=3$"):
+            bucketize(*make_rows(4, labels=[0, 2, -1, 1]), 2, C=3)
 
     def test_duplicate_ids_rejected(self):
         ids, ts, x, y = make_rows(4)
@@ -630,6 +636,40 @@ def test_a_bad_record_in_a_later_range_and_chunk_is_named_by_its_line(tmp_path, 
     with pytest.raises(FeatureFileError, match=f"^{re.escape(str(path))}:{len(before.splitlines()) + 1}: {re.escape(message)}"):
         read_feature_file(path)
     assert forked == [3]
+
+
+def test_a_repeated_id_in_a_later_range_and_chunk_is_named_by_its_line(tmp_path, monkeypatch):
+    # Record 50 of 60 repeats record 3's id.  It sits in the second of two
+    # workers' byte ranges, past its first chunk, after blank lines and CRLF,
+    # CR and LF line ends.  Each reader names it from the offset its worker
+    # recorded: this process reads only the bytes before it, to count lines.
+    _, ts, x, _ = make_rows(60)
+    ends = ["\n", "\r\n", "\r", "\n\n", "\n  \t \r\n"]
+    records = [(3 if i == 50 else i, f"{t}\t0\t", ",".join(map(repr, row)) + ends[i % len(ends)])
+               for i, (t, row) in enumerate(zip(ts.tolist(), x.tolist()))]
+    spec = CurationSpec((("a", np.eye(3)[0]),), 1, 1, 1)
+
+    def score(path):
+        with open(path, "rb") as fh:
+            score_embedding_file(fh, spec)
+
+    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 256)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, 2))
+    real, counted = corpus_module.line_chunks, []
+    monkeypatch.setattr(corpus_module, "line_chunks",
+                        lambda fd, start, stop: counted.append((start, stop)) or real(fd, start, stop))
+    for header, lead, read, error in [("#d=3 C=1\n", True, read_feature_file, FeatureFileError),
+                                      ("#m=3\n", False, load_embedding_file, EmbeddingFileError),
+                                      ("#m=3\n", False, score, EmbeddingFileError)]:
+        lines = [header] + [f"{ident}\t{fields if lead else ''}{vector}" for ident, fields, vector in records]
+        path = tmp_path / "vectors.tsv"
+        path.write_bytes("".join(lines).encode())
+        before = "".join(lines[:51])
+        counted.clear()
+        with pytest.raises(error) as caught:
+            read(path)
+        assert str(caught.value) == f"{path}:{len(before.splitlines()) + 1}: duplicate id 3"
+        assert counted == [(0, len(before.encode()))]
 
 
 def test_stream_manifest_format():

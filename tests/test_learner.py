@@ -129,6 +129,11 @@ class TestForwardLossGrad:
         with pytest.raises(ValueError, match="dimension"):
             forward_loss_grad(state, make_batch([[1.0, 2.0, 3.0]], [0]))
 
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_rejects_a_label_outside_the_classes(self, label):
+        with pytest.raises(ValueError, match="^label out of range for this learner$"):
+            forward_loss_grad(zero_state(LINEAR_2_2), make_batch([[1.0, 2.0]], [label]))
+
 
 class TestTrain:
     def test_zero_lr_keeps_parameters(self):

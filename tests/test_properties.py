@@ -3,8 +3,8 @@ matrix validation against their whole-array references, the replay buffer, ``fit
 row indices against ``fit`` on the gathered rows,
 the runner's event logs against the protocol's events, the array readers of feature and
 embedding files against their line-by-line references, the readers' record splitter
-against a text-mode file's lines, and ``bucketize`` against the sorted-sample version it
-replaced."""
+against a text-mode file's lines, the text inputs' line numbers against a text-mode
+file's, and ``bucketize`` against the sorted-sample version it replaced."""
 
 import io
 import math
@@ -24,9 +24,10 @@ from driftbench.corpus import (
     bucket_shape,
     bucketize,
     read_feature_file,
+    read_text,
     record_lines,
 )
-from driftbench.curate import load_embedding_file
+from driftbench.curate import load_embedding_file, load_query_file, load_rejection_list
 from driftbench.learner import Hyperparams, Strategy, fit, init_learner, parse_architecture
 from driftbench.metrics import METRIC_NAMES, compute_metrics
 from driftbench.protocol import (
@@ -41,7 +42,7 @@ from driftbench.protocol import (
     run_iid_protocol,
     run_streaming_protocol,
 )
-from driftbench.runner import ConfigError, load_stream, run_experiment, validate_config
+from driftbench.runner import ConfigError, load_stream, read_curation_spec, run_experiment, validate_config
 from driftbench.sampler import AlphaPolicy, PolicyKind, ReplayBuffer, update_buffer
 from line_readers import load_embedding_lines, load_feature_lines
 
@@ -565,6 +566,46 @@ def test_feature_reader_matches_line_reference(
 # ``str.strip`` removes but text-mode files do not split at, and non-ASCII letters.
 line_text = st.text(st.one_of(st.sampled_from(" \t\x0b\x0c\x1c\x85\u2028\u3000,0é中"),
                               st.characters(blacklist_categories=("Cs",))), max_size=6)
+
+
+# Text inputs: lines end in "\n", "\r\n" or "\r", and blank and good lines hold the
+# breaks that ``str.splitlines`` splits at but a text-mode file does not.  Per
+# input: the lines before the drawn ones, a good line ("{i}" is its index), how
+# the input is read, and the start of the error for a bad line ``n``.
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+blank_text = st.text(st.sampled_from(SPLITLINES_ONLY + " \t"), min_size=1, max_size=3)
+comment = st.builds("#{}note{}".format, blank_text, blank_text)
+TEXT_INPUTS = {
+    "config": ([], comment, lambda path: validate_config(read_text(path, ConfigError), path.parent),
+               "line {n}: expected 'key = value', got 'oops'"),
+    "spec": ([], comment, read_curation_spec, "{path}: line {n}: expected 'key = value', got 'oops'"),
+    "queries": ([], st.one_of(comment, st.builds("{}q{{i}}\t1.0,2.0{}".format, blank_text, blank_text)),
+                load_query_file, "{path}:{n}: expected 'name<TAB>vector'"),
+    "rejections": ([], st.builds("{}7{}".format, blank_text, blank_text), load_rejection_list,
+                   "{path}:{n}: bad id 'oops'"),
+    "event log": (["protocol=iid"], st.just("train\t0\t0"), lambda path: parse_event_log(read_text(path, ValueError)),
+                  "line {n}: expected 3 tab-separated fields, got 1"),
+}
+
+
+@pytest.fixture(scope="module")
+def text_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("text") / "input.txt"
+
+
+@pytest.mark.parametrize("kind", TEXT_INPUTS)
+@SETTINGS
+@given(data=st.data())
+def test_text_inputs_name_a_bad_line_by_its_text_mode_number(text_path, kind, data):
+    first, good, read, message = TEXT_INPUTS[kind]
+    lines = first + data.draw(st.lists(st.one_of(blank_text, good), max_size=6)) + ["oops"]
+    lines += data.draw(st.lists(st.one_of(blank_text, good), max_size=2))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line.replace("{i}", str(i)) + end for i, (line, end) in enumerate(zip(lines, ends)))
+    text_path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError) as caught:
+        read(text_path)
+    assert str(caught.value).startswith(message.format(path=text_path, n=lines.index("oops") + 1))
 
 
 @SETTINGS

@@ -1088,6 +1088,25 @@ class TestCli:
         assert f"feats.tsv:3: integer {2**70} outside the int64 range" in err
         assert "Traceback" not in err
 
+    def test_run_names_a_repeated_feature_id_by_its_line(self, tmp_path, capsys):
+        # The reader names it; bucketize, left to catch it, would name no file and no line.
+        path = tmp_path / "f.tsv"
+        path.write_text("#d=2 C=1\n0\t0\t0\t1.0,2.0\n1\t1\t0\t2.0,1.0\n0\t2\t0\t1.0,1.0\n3\t3\t0\t0.5,1.0\n")
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"[stream]\nsource = file\npath = {path}\nbuckets = 2\n"
+                       "[cell:c]\nprotocol = streaming\nstrategy = finetuning\nalpha = fixed:1.0\n"
+                       "buffer_capacity = 2\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"driftbench: error: {path}:4: duplicate id 0\n"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_metrics_names_a_byte_that_is_not_utf8_by_its_line(self, tmp_path, capsys, end):
+        path = tmp_path / "m.txt"
+        path.write_bytes(end.join(["N=2 protocol=iid", "0.5,0.5", "0.5,\xff0.5", ""]).encode("latin-1"))
+        assert main(["metrics", "--matrix", str(path)]) == 2
+        why = "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+        assert capsys.readouterr().err == f"driftbench: error: {path}:3: {why}\n"
+
     def test_curate_then_run_build_no_per_row_objects(self, tmp_path, monkeypatch):
         # Per-row objects here would be one EmbeddingRecord per embedding (600)
         # and one Sample per curated row, once written and once read (2 x 120).
