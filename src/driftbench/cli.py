@@ -18,7 +18,11 @@ from .runner import read_curation_spec as _parse_curation_spec  # the name bench
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    grid = validate_config(read_text(args.config, ConfigError), args.out)
+    text = read_text(args.config, ConfigError)
+    try:
+        grid = validate_config(text, args.out)
+    except ConfigError as exc:
+        raise ConfigError("\n".join(f"{args.config}: {diag}" for diag in str(exc).splitlines())) from None
     result = run_experiment(grid)
     for name in sorted(result.reports):
         print(f"cell {name}: ok")
@@ -58,7 +62,11 @@ def _cmd_curate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    matrix = matrix_from_text(read_text(args.matrix, ValueError))
+    text = read_text(args.matrix, ValueError)
+    try:
+        matrix = matrix_from_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{args.matrix}: {exc}") from None
     report = compute_metrics(matrix)
     print(f"protocol={matrix.protocol.value}")
     print(f"N={matrix.n}")

@@ -309,21 +309,14 @@ def line_reason(exc: ValueError) -> str:
     return str(exc).replace(" at row 0, column ", " at column ")
 
 
-def record_fault(fd: int, start: int, stop: int, n_ints: int, k: int, normalize: bool) -> LineError | None:
-    """The first line in bytes ``start:stop`` of ``fd`` that :func:`parse_records` or UTF-8 rejects alone, or None.
-
-    Only a chunk that :func:`parse_records` rejects whole is parsed again a line at a time.
-    """
-    for base, chunk in line_chunks(fd, start, stop):
+def record_fault(base: int, chunk: bytes, n_ints: int, k: int, normalize: bool) -> LineError | None:
+    """The first line of ``chunk``, at file offset ``base``, that :func:`parse_records` or UTF-8 rejects alone, or None."""
+    for line in chunk.splitlines(keepends=True):
         try:
-            parse_records(record_lines(base, chunk)[0], n_ints, k, normalize)
-        except ValueError:
-            for line in chunk.splitlines(keepends=True):
-                try:
-                    parse_records([line.decode("utf-8")], n_ints, k, normalize)
-                except ValueError as exc:
-                    return LineError(base, line_reason(exc))
-                base += len(line)
+            parse_records([line.decode("utf-8")], n_ints, k, normalize)
+        except ValueError as exc:
+            return LineError(base, line_reason(exc))
+        base += len(line)
     return None
 
 
@@ -410,20 +403,41 @@ def named_lines(fh: BinaryIO, error: type[ValueError]) -> Iterator[None]:
         raise error(f"{fh.name}:{line}: {why}") from None
 
 
-def read_ranges(
-    fh: BinaryIO, n_ints: int, k: int, parse: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+def read_records(
+    fh: BinaryIO, n_ints: int, k: int, normalize: bool,
+    reduce: Callable[[np.ndarray], np.ndarray] = lambda x: x,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``parse(start, stop)`` over the bytes from ``fh``'s position on, in forked workers where that pays.
+    """:func:`parse_records` of the :func:`record_lines` from ``fh``'s position on, a chunk at a time.
 
-    ``parse`` returns its byte range's records as ``(n_ints, rows)`` int64s
-    and a ``(rows, k)`` float64 matrix.  With P = :func:`_process_count` (a
-    unit per ``FORK_MIN_BYTES`` bytes) above 1, the bytes are cut at line
-    ends into P ranges, each parsed by a worker of :func:`_fork_shares`
-    (share 0, here, parses nothing); once they are reaped, this process
-    places the rows from their files into arrays allocated at their final
-    size.  The result, and the ``ValueError`` of a malformed record, are
-    those of one process.
+    Returns ``(n_ints + 2, rows)`` int64s, the integer fields and then each
+    record's start and stop offsets as :func:`record_lines` gives them, and
+    the ``reduce`` of each chunk's ``(rows, k)`` matrix, one float64 row per
+    record, stacked; the default keeps the matrix.  Only the reduction of a
+    chunk's matrix is kept once the next chunk is parsed.  A chunk that does
+    not parse raises the :func:`record_fault` of its first bad line.
+
+    With P = :func:`_process_count` (a unit per ``FORK_MIN_BYTES`` bytes)
+    above 1, the bytes are cut at line ends into P ranges, each read by a
+    worker of :func:`_fork_shares` (share 0, here, reads nothing); once they
+    are reaped, this process places the rows from their files into arrays
+    allocated at their final size.  The result, and the ``ValueError`` of a
+    malformed record, are those of one process.
     """
+    empty = reduce(np.empty((0, k)))
+
+    def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        ints, out = [np.empty((n_ints + 2, 0), dtype=np.int64)], [empty]
+        for base, chunk in line_chunks(fh.fileno(), start, stop):
+            try:
+                lines, spans = record_lines(base, chunk)
+                fields, x = parse_records(lines, n_ints, k, normalize)
+            except ValueError as exc:
+                raise record_fault(base, chunk, n_ints, k, normalize) or exc
+            ints.append(np.vstack([fields, spans]))
+            out.append(reduce(x))
+            del x  # before the next chunk is parsed
+        return np.concatenate(ints, axis=1), np.concatenate(out)
+
     body, size = fh.tell(), os.fstat(fh.fileno()).st_size
     processes = _process_count(max(1, (size - body) // FORK_MIN_BYTES))
     if processes == 1:
@@ -444,37 +458,12 @@ def read_ranges(
         if code := next((code for code, _ in workers if code), 0):
             raise ChildProcessError(f"a worker process reading {fh.name} {_exit_text(code)}")
         counts = [int.from_bytes(file.read(8), "little", signed=True) for _, file in workers]
-        ints, x = np.empty((n_ints, sum(counts)), dtype=np.int64), np.empty((sum(counts), k))
+        ints, x = np.empty((n_ints + 2, sum(counts)), dtype=np.int64), np.empty((sum(counts), empty.shape[1]))
         for (_, file), start, count in zip(workers, np.cumsum([0, *counts]), counts):
             for column in ints:
                 file.readinto(column[start : start + count])
             file.readinto(x[start : start + count])
     return ints, x
-
-
-def read_records(fh: BinaryIO, n_ints: int, k: int, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`parse_records` of the :func:`record_lines` from ``fh``'s position on, through :func:`read_ranges`.
-
-    The ints have one more row than ``n_ints``: each record's start offset,
-    as :func:`record_lines` gives it.  A byte range that does not parse
-    raises the :func:`record_fault` of its first bad line.
-    """
-    def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        starts = [np.empty(0, dtype=np.int64)]
-
-        def lines() -> Iterator[str]:
-            for chunk in line_chunks(fh.fileno(), start, stop):
-                text, spans = record_lines(*chunk)
-                starts.append(spans[0])
-                yield from text
-
-        try:
-            ints, x = parse_records(lines(), n_ints, k, normalize)
-        except ValueError as exc:
-            raise record_fault(fh.fileno(), start, stop, n_ints, k, normalize) or exc
-        return np.vstack([ints, np.concatenate(starts)]), x
-
-    return read_ranges(fh, n_ints + 1, k, parse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,7 +525,7 @@ def read_feature_file(path: str | Path, normalize: bool = False) -> FeatureArray
     """
     with open(path, "rb") as fh, named_lines(fh, FeatureFileError):
         d, c = header_ints(fh, ("d", "C"))
-        (ids, timestamps, labels, starts), x = read_records(fh, 3, d, normalize)
+        (ids, timestamps, labels, starts, _), x = read_records(fh, 3, d, normalize)
         reject_first(starts, ids, labels, c)
     return ids, timestamps, labels, x, c
 

@@ -9,9 +9,8 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (FieldValueError, FileRows, atomic_write, header_ints, line_chunks, line_reason,
-                     named_lines, parse_int64, parse_records, read_ranges, read_records, read_text,
-                     record_fault, record_lines, reject_first, text_lines, unit_rows)
+from .corpus import (FieldValueError, FileRows, atomic_write, header_ints, line_reason, named_lines,
+                     parse_int64, read_records, read_text, reject_first, text_lines, unit_rows)
 
 
 class ShortageError(ValueError):
@@ -87,7 +86,7 @@ def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """
     with open(path, "rb") as fh, named_lines(fh, EmbeddingFileError):
         (m,) = header_ints(fh, ("m",))
-        (ids, starts), x = read_records(fh, 1, m, normalize=True)
+        (ids, starts, _), x = read_records(fh, 1, m, normalize=True)
         reject_first(starts, ids)
     return ids, x
 
@@ -97,33 +96,18 @@ def score_embedding_file(fh: BinaryIO, spec: CurationSpec) -> tuple[np.ndarray, 
 
     ``fh`` is binary.  ``scores`` yields each class's score vector in spec
     order, as :func:`curate_scores` takes them.  The records are parsed as
-    :func:`load_embedding_file` parses them, a chunk at a time, in the
-    processes :func:`~driftbench.corpus.read_ranges` forks;
-    :func:`~driftbench.corpus.record_lines` splits each chunk and gives each
-    record's byte span, and each chunk's matrix is dropped once it is scored.  ``x``, for :func:`~driftbench.corpus.write_feature_file`,
+    :func:`load_embedding_file` parses them, by
+    :func:`~driftbench.corpus.read_records`, which scores each chunk's matrix
+    and drops it.  ``x``, for :func:`~driftbench.corpus.write_feature_file`,
     is a :class:`~driftbench.corpus.FileRows` that parses the selected
-    records again from those spans through ``fh`` while it is open.  A
+    records again from their byte spans through ``fh`` while it is open.  A
     malformed file raises :class:`EmbeddingFileError` naming the line that
     :func:`load_embedding_file` names, and no embedding matrix is built.
     """
     queries = [q for _, q in spec.queries]
     with named_lines(fh, EmbeddingFileError):
         (m,) = header_ints(fh, ("m",))
-
-        def parse(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            ints, scores = [np.empty((3, 0), dtype=np.int64)], [np.empty((0, len(queries)))]
-            for base, chunk in line_chunks(fh.fileno(), start, stop):
-                try:
-                    lines, spans = record_lines(base, chunk)
-                    (ids,), x = parse_records(lines, 1, m, normalize=True)
-                except ValueError as exc:
-                    raise record_fault(fh.fileno(), base, base + len(chunk), 1, m, True) or exc
-                ints.append(np.vstack([ids, spans]))
-                scores.append(np.column_stack([_scores(x, q) for q in queries]))
-                del x  # before the next chunk is parsed
-            return np.concatenate(ints, axis=1), np.concatenate(scores)
-
-        ints, scores = read_ranges(fh, 3, len(queries), parse)
+        ints, scores = read_records(fh, 1, m, True, lambda x: np.column_stack([_scores(x, q) for q in queries]))
         reject_first(ints[1], ints[0])
     return ints[0], scores.T, FileRows(fh, ints[0], ints[1:], 1, m, normalize=True)
 

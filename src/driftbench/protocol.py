@@ -97,31 +97,32 @@ def _matrix_lines(matrix: AccuracyMatrix) -> Iterator[str]:
 
 
 def matrix_from_text(text: str) -> AccuracyMatrix:
-    """Parse the grid format written by :func:`matrix_to_text`."""
-    lines = [ln for _, ln in text_lines(text)]
+    """Parse the grid format written by :func:`matrix_to_text`; a bad row or cell is named by its line."""
+    lines = text_lines(text)
     if not lines:
         raise ValueError("empty matrix text")
+    (_, head), *rows = lines
     try:
-        header = dict(part.split("=", 1) for part in lines[0].split())
+        header = dict(part.split("=", 1) for part in head.split())
         n = int(header["N"])
         protocol = ProtocolKind(header["protocol"])
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad matrix header: {lines[0]!r}") from exc
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} rows, got {len(lines) - 1}")
+        raise ValueError(f"bad matrix header: {head!r}") from exc
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, got {len(rows)}")
     cells = np.full((n, n), np.nan)
-    for i, line in enumerate(lines[1:]):
+    for i, (lineno, line) in enumerate(rows):
         parts = line.split(",")
         if len(parts) != n:
-            raise ValueError(f"row {i}: expected {n} cells, got {len(parts)}")
+            raise ValueError(f"line {lineno}: row {i}: expected {n} cells, got {len(parts)}")
         for j, part in enumerate(parts):
             if part != "NA":
                 try:
                     cells[i, j] = float(part)
                 except ValueError as exc:
-                    raise ValueError(f"row {i}, column {j}: bad cell {part!r}") from exc
+                    raise ValueError(f"line {lineno}: row {i}, column {j}: bad cell {part!r}") from exc
                 if not np.isfinite(cells[i, j]):
-                    raise ValueError(f"row {i}, column {j}: non-finite cell {part!r}")
+                    raise ValueError(f"line {lineno}: row {i}, column {j}: non-finite cell {part!r}")
     return AccuracyMatrix(cells=cells, protocol=protocol)
 
 

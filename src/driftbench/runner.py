@@ -415,7 +415,10 @@ def load_stream(spec: StreamSpec) -> TemporalStream:
         return generate_drift_stream(spec.drift)
     assert spec.path is not None
     ids, timestamps, labels, x, class_count = read_feature_file(spec.path, spec.normalize)
-    return bucketize(ids, timestamps, x, labels, spec.n_buckets, class_count)
+    try:
+        return bucketize(ids, timestamps, x, labels, spec.n_buckets, class_count)
+    except ValueError as exc:
+        raise ValueError(f"{spec.path}: {exc}") from None
 
 
 def _write_artifact(path: Path, chunks: Iterable[str]) -> None:

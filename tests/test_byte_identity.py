@@ -319,7 +319,7 @@ def test_messy_embedding_file_curates_as_the_library_path(processes, tmp_path, m
     monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 512)
     monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
     # The scoring reader parses each chunk once: no chunk is parsed again a line at a time.
-    monkeypatch.setattr(curate_module, "record_fault", lambda *args: pytest.fail("parsed again a line at a time"))
+    monkeypatch.setattr(corpus_module, "record_fault", lambda *args: pytest.fail("parsed again a line at a time"))
     assert main(args) == 0
     assert (tmp_path / "curated" / "features.tsv").read_bytes() == reference.read_bytes()
 

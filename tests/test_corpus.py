@@ -672,6 +672,46 @@ def test_a_repeated_id_in_a_later_range_and_chunk_is_named_by_its_line(tmp_path,
         assert counted == [(0, len(before.encode()))]
 
 
+@pytest.mark.parametrize("processes", [1, 2])
+def test_a_rejected_file_parses_no_record_twice_in_a_multi_line_call(tmp_path, monkeypatch, processes):
+    # Record 50 of 60 has a bad value, past the first chunk of its byte
+    # range.  Each chunk before it is parsed once; the rejected chunk is then
+    # searched a line at a time, in the bytes already read.
+    _, ts, x, _ = make_rows(60)
+    vectors = [",".join(map(repr, row)) for row in x.tolist()]
+    first, _, third = vectors[50].split(",")
+    vectors[50] = f"{first},x,{third}"
+    spec = CurationSpec((("a", np.eye(3)[0]),), 1, 1, 1)
+    real = corpus_module.parse_records
+
+    def parse(lines, *args):
+        lines = list(lines)
+        if len(lines) > 1:  # each process, the forked workers too, logs to its own file
+            with open(tmp_path / f"parsed.{os.getpid()}", "a", encoding="utf-8") as log:
+                log.writelines(line.strip() + "\n" for line in lines)
+        return real(lines, *args)
+
+    def score(path):
+        with open(path, "rb") as fh:
+            score_embedding_file(fh, spec)
+
+    monkeypatch.setattr(corpus_module, "FORK_MIN_BYTES", 256)
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
+    monkeypatch.setattr(corpus_module, "parse_records", parse)
+    for header, fields, read, error in [("#d=3 C=1\n", "{i}\t{t}\t0", read_feature_file, FeatureFileError),
+                                        ("#m=3\n", "{i}", load_embedding_file, EmbeddingFileError),
+                                        ("#m=3\n", "{i}", score, EmbeddingFileError)]:
+        path = tmp_path / "vectors.tsv"
+        path.write_text(header + "".join(f"{fields.format(i=i, t=t)}\t{vector}\n"
+                                         for i, (t, vector) in enumerate(zip(ts.tolist(), vectors))))
+        for log in tmp_path.glob("parsed.*"):
+            log.unlink()
+        with pytest.raises(error, match=rf"^{re.escape(str(path))}:52: could not convert string 'x' to float64 at column 2\b"):
+            read(path)
+        parsed = [line for log in tmp_path.glob("parsed.*") for line in log.read_text().splitlines()]
+        assert parsed and len(parsed) == len(set(parsed))
+
+
 def test_stream_manifest_format():
     cfg = DriftConfig(C=2, d=2, N=3, n_per_class=4, radius=1.0, drift_rate=0.0, noise=0.1, seed=0)
     stream = generate_drift_stream(cfg)

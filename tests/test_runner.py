@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import driftbench.corpus as corpus_module
-import driftbench.curate as curate_module
 import driftbench.learner as learner_module
 import driftbench.protocol as protocol_module
 import driftbench.runner as runner_module
@@ -1107,6 +1106,29 @@ class TestCli:
         why = "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
         assert capsys.readouterr().err == f"driftbench: error: {path}:3: {why}\n"
 
+    @pytest.mark.parametrize("cell, why", [("x", "bad cell 'x'"), ("inf", "non-finite cell 'inf'")])
+    def test_metrics_names_a_bad_cell_by_file_and_line(self, tmp_path, capsys, cell, why):
+        path = tmp_path / "m.txt"
+        path.write_text(f"N=2 protocol=iid\n\n0.5,0.5\n0.5,{cell}\n")
+        assert main(["metrics", "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err == f"driftbench: error: {path}: line 4: row 1, column 1: {why}\n"
+
+    def test_run_names_the_config_file_on_every_diagnostic(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(FILE_CONFIG.replace("buckets = 2", "buckets = 0\nbukets = 2"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"driftbench: error: {cfg}: line 5: unknown key 'bukets' (did you mean 'buckets'?)\n"
+                                           f"{cfg}: line 4: key 'buckets' must be >= 1\n")
+
+    def test_run_names_a_feature_file_with_fewer_records_than_buckets(self, tmp_path, capsys):
+        path = tmp_path / "empty.tsv"
+        path.write_text("#d=2 C=1\n")
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(FILE_CONFIG.replace("path = feats.tsv", f"path = {path}"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"driftbench: error: {path}: need at least 2 samples, got 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_curate_then_run_build_no_per_row_objects(self, tmp_path, monkeypatch):
         # Per-row objects here would be one EmbeddingRecord per embedding (600)
         # and one Sample per curated row, once written and once read (2 x 120).
@@ -1240,7 +1262,7 @@ class TestCli:
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(FILE_CONFIG.replace("buckets = 2", "buckets = 0"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "driftbench: error: line 4: key 'buckets' must be >= 1\n"
+        assert capsys.readouterr().err == f"driftbench: error: {cfg}: line 4: key 'buckets' must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
     def test_curate_names_both_files_on_dimension_mismatch(self, tmp_path, capsys):
@@ -1263,7 +1285,7 @@ class TestCli:
         def parse(*args, **kwargs):
             raise AssertionError("records parsed before the dimension check")
 
-        monkeypatch.setattr(curate_module, "parse_records", parse)
+        monkeypatch.setattr(corpus_module, "parse_records", parse)
         emb = tmp_path / "emb.tsv"
         emb.write_text("#m=3\n0\t1.0,0.0,0.0\n")
         queries = tmp_path / "q.tsv"
