@@ -46,6 +46,7 @@ def _cmd_curate(args: argparse.Namespace) -> int:
         # The file's scores, not its matrix: the selected records are parsed again for the write.
         ids, scores, x = cur.score_embedding_file(fh, spec)
         labeled, background = cur.curate_scores(ids, scores, spec)
+        del scores  # (classes, ids) floats that nothing after the ranking reads
         if "reject_file" in config.values:
             rejected = cur.load_rejection_list(config.values["reject_file"])
             labeled = {name: chosen - rejected for name, chosen in labeled.items()}
@@ -120,6 +121,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_freed_heap() -> None:
+    """Hand the heap pages freed so far back to the OS: glibc's ``malloc_trim(0)``; elsewhere nothing.
+
+    glibc keeps freed heap resident, so a process that runs several commands
+    (``curate`` then ``run`` through :func:`main`) would start each on top of
+    the heap its predecessors freed, and its peak would depend on how that
+    heap happened to be laid out.
+    """
+    import ctypes  # here, since only a finished command needs it
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -128,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"driftbench: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _release_freed_heap()
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import driftbench.cli as cli_module
 import driftbench.corpus as corpus_module
 from driftbench.cli import main
 from driftbench.corpus import DriftConfig, generate_drift_stream, read_feature_file, write_feature_file
@@ -240,6 +241,34 @@ def test_curate_command_holds_no_embedding_matrix(tmp_path, monkeypatch):
     # A chunk's matrix is about twice its text here, some 2 MiB; holding the
     # file's matrix, as load_embedding_file does, would take four times the bound.
     assert peak <= n * m * 8 // 4, (peak, n * m * 8)
+
+
+def test_curate_command_writes_without_the_scores(tmp_path, monkeypatch):
+    # 20,000 ids scored for 16 classes: 2.6 MB of scores that nothing after
+    # the ranking reads.  At the write, the ids and the byte spans of the
+    # records to parse again hold 0.6 MB.
+    n, m = 20_000, 16
+    monkeypatch.setattr(corpus_module, "_process_count", lambda units: 1)
+    with open(tmp_path / "emb.tsv", "wb") as fh:
+        fh.write(f"#m={m}\n".encode())
+        fh.writelines(f"{i}\t".encode() + row.tobytes() for i, row in enumerate(vector_text(n, m)))
+    (tmp_path / "q.tsv").write_text("".join(f"c{k}\t" + ",".join("1" if j == k else "0" for j in range(m)) + "\n"
+                                            for k in range(m)))
+    (tmp_path / "cur.cfg").write_text("per_class_top = 20\nbackground_low = 20\nfinal_per_class = 10\n")
+    held = []
+
+    def write(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return write_feature_file(*args)
+
+    monkeypatch.setattr(cli_module, "write_feature_file", write)
+    tracemalloc.start()
+    try:
+        assert main(["curate", "--embeddings", str(tmp_path / "emb.tsv"), "--queries", str(tmp_path / "q.tsv"),
+                     "--spec", str(tmp_path / "cur.cfg"), "--out", str(tmp_path / "curated")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] <= m * n * 8 // 2, (held, m * n * 8)
 
 
 @pytest.mark.parametrize("fault", ["1_0", "duplicate id"])

@@ -1,3 +1,4 @@
+import ctypes
 import multiprocessing
 import os
 import pickle
@@ -987,6 +988,24 @@ class TestCli:
         assert main(["metrics", "--matrix", str(matrix_path)]) == 0
         out = capsys.readouterr().out
         assert "next_domain=" in out and "in_domain=" not in out
+
+    @pytest.mark.parametrize("config", ["grid.cfg", "missing.cfg"])
+    def test_every_command_hands_its_freed_heap_back(self, tmp_path, monkeypatch, config):
+        # A process that runs curate then run must not start the run on the heap curate freed.
+        trims = []
+
+        class Libc:
+            def malloc_trim(self, pad):
+                trims.append(pad)
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        (tmp_path / "grid.cfg").write_text(GOOD_CONFIG)
+        code = main(["run", "--config", str(tmp_path / config), "--out", str(tmp_path / "out")])
+        assert (code, trims) == (0 if config == "grid.cfg" else 2, [0])
+
+    def test_a_libc_without_malloc_trim_is_left_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert main(["run", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("kind", ["config", "spec", "queries", "rejections"])
