@@ -324,8 +324,8 @@ def header_ints(fh: BinaryIO, names: Sequence[str]) -> tuple[int, ...]:
     """The values of ``names`` in a vector file's first line, ``#`` then ``key=value`` pairs; ``fh`` is left at line 2.
 
     The line ends where :func:`record_lines` would end it.  Each of
-    ``names`` must be there with an integer value >= 1, and other keys are
-    ignored; a bad header, or one not UTF-8, raises :class:`LineError` at 0.
+    ``names`` must be there once with an integer value >= 1, and other keys
+    are ignored; a bad header, or one not UTF-8, raises :class:`LineError` at 0.
     """
     fh.seek(0)
     raw = fh.readline().splitlines(keepends=True)[:1] or [b""]
@@ -338,24 +338,29 @@ def header_ints(fh: BinaryIO, names: Sequence[str]) -> tuple[int, ...]:
     if not line.startswith("#"):
         raise LineError(0, f"missing '{form}' header")
     try:
-        fields = dict(part.split("=", 1) for part in line.strip().lstrip("#").split())
+        pairs = [part.split("=", 1) for part in line.strip().lstrip("#").split()]
+        fields = dict(pairs)
         values = tuple(int(fields[name]) for name in names)
     except (ValueError, KeyError):
         raise LineError(0, f"expected header '{form}', got {line!r}") from None
+    keys = [key for key, _ in pairs]
+    for name in names:
+        if keys.count(name) > 1:
+            raise LineError(0, f"header key {name!r} given twice")
     if min(values) < 1:
         raise LineError(0, f"{' and '.join(names)} must be >= 1")
     return values
 
 
 def read_text(path: str | Path, error: type[ValueError]) -> str:
-    """The UTF-8 text of the file at ``path``, as a text-mode file reads it; a byte that is not UTF-8 raises ``error``.
+    """The UTF-8 text of the file at ``path``, line ends as written, for :func:`text_lines`; a byte that is not UTF-8 raises ``error``.
 
     The error names the byte's line as ``path:line``, counting lines as
     :func:`record_lines` does, with that line's own decode error.
     """
     data = Path(path).read_bytes()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=None).getvalue()
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         for line, raw in enumerate(data.splitlines(keepends=True), start=1):
             try:

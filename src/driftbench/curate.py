@@ -62,12 +62,6 @@ class CosineRanking:
     ids: np.ndarray
     scores: np.ndarray
 
-    def score(self, record_id: int) -> float:
-        at = np.flatnonzero(self.ids == record_id)
-        if not len(at):
-            raise KeyError(record_id)
-        return float(self.scores[at[0]])
-
 
 def embedding_dimension(path: str | Path) -> int:
     """The ``m`` of an embedding file's ``#m=<m>`` header, read without its records."""
@@ -75,34 +69,21 @@ def embedding_dimension(path: str | Path) -> int:
         return header_ints(fh, ("m",))[0]
 
 
-def load_embedding_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Load ``#m=<m>`` header plus ``id<TAB>v1,...,vm`` records as (int64 ids, (rows, m) matrix).
-
-    Rows are in file order, read by :func:`~driftbench.corpus.read_records`,
-    each vector scaled to unit L2 norm.  A malformed file raises
-    :class:`EmbeddingFileError` naming its first bad line: the first record
-    that does not parse, else the first that
-    :func:`~driftbench.corpus.reject_first` rejects (a negative or repeated id).
-    """
-    with open(path, "rb") as fh, named_lines(fh, EmbeddingFileError):
-        (m,) = header_ints(fh, ("m",))
-        (ids, starts, _), x = read_records(fh, 1, m, normalize=True)
-        reject_first(starts, ids)
-    return ids, x
-
-
 def score_embedding_file(fh: BinaryIO, spec: CurationSpec) -> tuple[np.ndarray, Iterable[np.ndarray], FileRows]:
     """Score the embedding file open as ``fh`` against each query class without its matrix: ``(ids, scores, x)``.
 
-    ``fh`` is binary.  ``scores`` yields each class's score vector in spec
-    order, as :func:`curate_scores` takes them.  The records are parsed as
-    :func:`load_embedding_file` parses them, by
+    ``fh`` is binary and holds an ``#m=<m>`` header, then
+    ``id<TAB>v1,...,vm`` records, each vector scaled to unit L2 norm before
+    it is scored.  ``scores`` yields each class's score vector in spec order,
+    as :func:`curate_scores` takes them.  The records are parsed by
     :func:`~driftbench.corpus.read_records`, which scores each chunk's matrix
     and drops it.  ``x``, for :func:`~driftbench.corpus.write_feature_file`,
     is a :class:`~driftbench.corpus.FileRows` that parses the selected
     records again from their byte spans through ``fh`` while it is open.  A
-    malformed file raises :class:`EmbeddingFileError` naming the line that
-    :func:`load_embedding_file` names, and no embedding matrix is built.
+    malformed file raises :class:`EmbeddingFileError` naming its first bad
+    line: the first record that does not parse, else the first that
+    :func:`~driftbench.corpus.reject_first` rejects (a negative or repeated
+    id); no embedding matrix is built.
     """
     queries = [q for _, q in spec.queries]
     with named_lines(fh, EmbeddingFileError):
@@ -315,13 +296,6 @@ def curate_scores(
     labeled = _select_positions(universe, positions, spec)
     lowest = [_lowest(name, pos, spec) for name, pos in zip(spec.class_names, positions)]
     return labeled, set(universe[np.concatenate(lowest)].tolist()).difference(*labeled.values())
-
-
-def curate_ids(
-    ids: np.ndarray, matrix: np.ndarray, spec: CurationSpec
-) -> tuple[dict[str, set[int]], set[int]]:
-    """:func:`curate_scores` of :func:`rank_rows`' scores: one class's score vector at a time."""
-    return curate_scores(ids, (_scores(matrix, q) for _, q in spec.queries), spec)
 
 
 @dataclass(frozen=True)

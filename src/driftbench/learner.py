@@ -11,8 +11,6 @@ import numpy as np
 
 from .corpus import FieldValueError, Sample, as_arrays
 
-DEFAULT_HIDDEN = 64
-
 
 class Strategy(Enum):
     """Learner-update rule applied at each timestamp."""
@@ -23,9 +21,8 @@ class Strategy(Enum):
 
 
 def parse_strategy(text: str) -> Strategy:
-    canon = text.strip().lower().replace("-", "_")
     try:
-        return Strategy(canon)
+        return Strategy(text)
     except ValueError as exc:
         options = ", ".join(s.value for s in Strategy)
         raise ValueError(f"unknown strategy {text!r}; expected one of: {options}") from exc
@@ -48,17 +45,11 @@ class Architecture:
         if self.kind == "mlp" and (self.hidden is None or self.hidden < 1):
             raise ValueError("mlp requires hidden >= 1")
 
-    def __str__(self) -> str:
-        return "linear" if self.kind == "linear" else f"mlp:{self.hidden}"
-
 
 def parse_architecture(text: str, d: int, C: int) -> Architecture:
     """Parse the ``linear`` / ``mlp:<hidden>`` architecture syntax."""
-    text = text.strip().lower()
     if text == "linear":
         return Architecture(kind="linear", d=d, C=C)
-    if text == "mlp":
-        return Architecture(kind="mlp", d=d, C=C, hidden=DEFAULT_HIDDEN)
     if text.startswith("mlp:"):
         try:
             hidden = int(text.split(":", 1)[1])

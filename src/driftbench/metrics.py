@@ -28,9 +28,6 @@ class MetricReport:
     in_domain: float | None
     next_domain: float | None
 
-    def present(self) -> dict[str, float]:
-        return {name: v for name in METRIC_NAMES if (v := getattr(self, name)) is not None}
-
 
 @dataclass(frozen=True)
 class AggregateReport:

@@ -351,7 +351,10 @@ def parse_event_log(text: str) -> tuple[ProtocolKind, list[Event]]:
         if kind not in ("train", "evaluate"):
             raise ValueError(f"line {lineno}: unknown event kind {kind!r}")
         try:
-            events.append(Event(kind=kind, step=int(step), bucket=int(bucket)))
+            event = Event(kind=kind, step=int(step), bucket=int(bucket))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: step and bucket must be integers, got {ln!r}") from exc
+        if min(event.step, event.bucket) < 0:
+            raise ValueError(f"line {lineno}: step and bucket must be >= 0, got {ln!r}")
+        events.append(event)
     return protocol, events

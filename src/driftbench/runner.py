@@ -215,9 +215,9 @@ def _at(section: _Section, key: str) -> str:
 
 def _convert(convert: Callable[[str], Any], text: str) -> Any:
     if convert is bool:
-        if text.lower() not in ("true", "false"):
+        if text not in ("true", "false"):
             raise ValueError(text)
-        return text.lower() == "true"
+        return text == "true"
     return convert(text)
 
 

@@ -32,9 +32,6 @@ class AlphaPolicy:
         if not (math.isfinite(self.value) and self.value > 0):
             raise ValueError(f"alpha value must be finite and > 0, got {self.value}")
 
-    def __str__(self) -> str:
-        return f"{self.kind.value}:{self.value:g}"
-
 
 def parse_policy(text: str) -> AlphaPolicy:
     """Parse the ``fixed:<value>`` / ``dynamic:<coefficient>`` policy syntax."""

@@ -2,9 +2,9 @@
 
 They read a file one line at a time, split as a text-mode file splits it,
 and are the oracles that the array readers (``corpus.read_feature_file`` and
-``curate.load_embedding_file``) are checked against: the same arrays, or the
-same error type and message.  Vector values follow ``np.loadtxt``'s grammar
-and integer fields ``int()``'s, within int64.  The first record that does not
+``matrix_curation.load_embedding_file``) are checked against: the same
+arrays, or the same error type and message.  Vector values follow
+``np.loadtxt``'s grammar and integer fields ``int()``'s, within int64.  The first record that does not
 parse on its own is reported; only when every record parses is the first
 record with a negative id, a label outside ``[0, C)`` or a repeated id
 reported.

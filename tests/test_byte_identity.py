@@ -16,10 +16,10 @@ The curated feature file is written in one, two and three processes the same
 way, through ``corpus._process_count``, also with the embedding file cut into
 chunks of about 512 bytes and up to three byte ranges.  ``driftbench curate``
 scores the embedding file without its matrix and parses the selected records
-again for the write: a messy file gives the bytes of the library path
-(``load_embedding_file``, ``curate_ids``, ``write_feature_file``), a bad
-record is still named by its line, and a file changed between the two reads
-leaves the previous output.
+again for the write: a messy file gives the bytes of curation from the whole
+matrix (``matrix_curation``, then ``write_feature_file``), a bad record is
+still named by its line, and a file changed between the two reads leaves the
+previous output.
 """
 
 import hashlib
@@ -35,6 +35,7 @@ import driftbench.protocol as protocol_module
 import driftbench.runner as runner_module
 from driftbench.cli import main
 from driftbench.runner import read_curation_spec, run_experiment, validate_config
+from matrix_curation import curate_ids, load_embedding_file
 
 DIGESTS = Path(__file__).with_name("byte_identity_digests.json")
 
@@ -307,8 +308,8 @@ def test_messy_embedding_file_curates_as_the_library_path(processes, tmp_path, m
     write_messy_embeddings(tmp_path)
     spec = read_curation_spec(tmp_path / "cur.cfg")
     curation = spec.spec(curate_module.load_query_file(tmp_path / "q.tsv"))
-    ids, x = curate_module.load_embedding_file(tmp_path / "emb.tsv")
-    labeled, background = curate_module.curate_ids(ids, x, curation)
+    ids, x = load_embedding_file(tmp_path / "emb.tsv")
+    labeled, background = curate_ids(ids, x, curation)
     rejected = curate_module.load_rejection_list(tmp_path / "reject.txt")
     labeled = {name: chosen - rejected for name, chosen in labeled.items()}
     dataset = curate_module.finalize_bucket(labeled, background - rejected, curation, seed=spec.values["seed"])

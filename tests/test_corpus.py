@@ -25,9 +25,9 @@ from driftbench.corpus import (
     stream_manifest,
     write_feature_file,
 )
-from driftbench.curate import (CurationSpec, EmbeddingFileError, load_embedding_file, load_query_file,
-                               score_embedding_file)
+from driftbench.curate import CurationSpec, EmbeddingFileError, load_query_file, score_embedding_file
 from line_readers import load_feature_lines
+from matrix_curation import load_embedding_file
 
 
 def make_rows(n, timestamps=None, d=3, labels=None):
@@ -323,6 +323,15 @@ class TestFeatureFile:
         with pytest.raises(FeatureFileError, match="header"):
             load_feature_file(p)
 
+    @pytest.mark.parametrize("header, key", [("#d=2 C=3 C=11", "C"), ("#d=2 C=2 d=3", "d")])
+    def test_a_repeated_header_key_is_named_at_the_header(self, tmp_path, header, key):
+        # Not its last value: "C=3 C=11" would run a 3-class file as an 11-class problem.
+        p = self.write(tmp_path, f"{header}\n0\t0\t2\t1.0,2.0\n")
+        with pytest.raises(FeatureFileError, match=rf"features\.tsv:1: header key '{key}' given twice$"):
+            read_feature_file(p)
+        p.write_text("#d=2 x=1 C=3 x=2\n0\t0\t2\t1.0,2.0\n")
+        assert read_feature_file(p)[3].tolist() == [[1.0, 2.0]]  # other keys may repeat
+
     @pytest.mark.parametrize("record", [f"{2**70}\t0\t0\t1.0", f"1\t{-2**63 - 1}\t0\t1.0"])
     def test_integer_beyond_int64_names_line(self, tmp_path, record):
         p = self.write(tmp_path, f"#d=1 C=1\n0\t0\t0\t1.0\n{record}\n")
@@ -355,8 +364,8 @@ class TestFeatureFile:
         write_feature_file(path, ids, ts, y, x, np.arange(len(x)), C=3)
         expected = load_feature_lines(str(path), normalize)
 
-        def no_fallback(fd, start, stop, n_ints, k, normalize):
-            raise AssertionError(f"bytes {start}:{stop} were parsed again a line at a time")
+        def no_fallback(base, chunk, n_ints, k, normalize):
+            raise AssertionError(f"bytes {base}:{base + len(chunk)} were parsed again a line at a time")
 
         monkeypatch.setattr(corpus_module, "record_fault", no_fallback)
         *loaded, c = read_feature_file(path, normalize=normalize)

@@ -21,11 +21,9 @@ from driftbench.curate import (
     ShortageError,
     assemble_background,
     cosine_rank,
-    curate_ids,
     curated_rows,
     embedding_dimension,
     finalize_bucket,
-    load_embedding_file,
     load_query_file,
     load_rejection_list,
     rank_all,
@@ -35,6 +33,7 @@ from driftbench.curate import (
     write_class_table,
 )
 from line_readers import load_embedding_lines
+from matrix_curation import curate_ids, load_embedding_file
 
 
 def unit(v):
@@ -69,12 +68,12 @@ class TestCosineRank:
         query = embeddings[17].vector
         ranking = cosine_rank(embeddings, query)
         assert ranking.ids[0] == 17
-        assert ranking.score(17) == pytest.approx(1.0)
+        assert ranking.scores[0] == pytest.approx(1.0)
 
     def test_orthogonal_scores_zero(self):
         embeddings = [EmbeddingRecord(id=0, vector=np.array([1.0, 0.0]))]
         ranking = cosine_rank(embeddings, np.array([0.0, 1.0]))
-        assert ranking.score(0) == pytest.approx(0.0)
+        assert ranking.scores.tolist() == [pytest.approx(0.0)]
 
     def test_matches_brute_force_sort(self):
         embeddings = random_embeddings(1000, 16, seed=2)
@@ -134,7 +133,8 @@ class TestCosineRank:
             # Bytes, so that dtypes and the sign of a zero score count too.
             assert ranking.ids.tobytes() == np.array([ids[i] for i in order], dtype=np.int64).tobytes()
             assert [float(v).hex() for v in ranking.scores] == [float(raw[i]).hex() for i in order]
-            assert [ranking.score(i).hex() for i in ids] == [float(r).hex() for r in raw]
+            score_of = dict(zip(ranking.ids.tolist(), ranking.scores.tolist()))
+            assert [score_of[i].hex() for i in ids] == [float(r).hex() for r in raw]
             again = cosine_rank(embeddings, query)
             assert (again.ids.tobytes(), again.scores.tobytes()) == (
                 ranking.ids.tobytes(), ranking.scores.tobytes()
@@ -149,9 +149,7 @@ class TestCosineRank:
         ranking = rank_rows(np.array([7, 3, 5]), np.eye(3), np.array([0.0, 1.0, 0.0]))
         assert ranking.ids.tobytes() == np.array([3, 5, 7], dtype=np.int64).tobytes()
         assert ranking.scores.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
-        assert ranking.score(7) == 0.0
-        with pytest.raises(KeyError):
-            ranking.score(4)
+        assert ranking.scores[ranking.ids == 7].tolist() == [0.0]
 
     def test_rank_rows_allocates_a_few_words_per_id(self):
         # Beyond the (U,) product, the negated scores, the order and the two
@@ -438,8 +436,8 @@ class TestFiles:
             np.savetxt(fh, rows, fmt="%d\t" + ",".join(["%.6f"] * 6))
         expected = load_embedding_lines(str(p))
 
-        def no_fallback(fd, start, stop, n_ints, k, normalize):
-            raise AssertionError(f"bytes {start}:{stop} were parsed again a line at a time")
+        def no_fallback(base, chunk, n_ints, k, normalize):
+            raise AssertionError(f"bytes {base}:{base + len(chunk)} were parsed again a line at a time")
 
         monkeypatch.setattr(corpus_module, "record_fault", no_fallback)
         ids, x = load_embedding_file(p)
@@ -482,6 +480,15 @@ class TestFiles:
         assert main(["curate", "--embeddings", str(emb), "--queries", str(tmp_path / "q.tsv"),
                      "--spec", str(tmp_path / "cur.cfg"), "--out", str(tmp_path / "curated")]) == 2
         assert capsys.readouterr().err == f"driftbench: error: {emb}:1: m must be >= 1\n"
+
+    def test_a_repeated_dimension_is_named_at_the_header(self, tmp_path):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("#m=2 m=3\n0\t1.0,0.0\n")
+        message = r"emb\.tsv:1: header key 'm' given twice$"
+        with open(emb, "rb") as fh, pytest.raises(EmbeddingFileError, match=message):
+            score_embedding_file(fh, CurationSpec((("a", unit([1.0, 0.0])),), 1, 1, 1))
+        with pytest.raises(EmbeddingFileError, match=message):
+            embedding_dimension(emb)
 
     def test_query_file(self, tmp_path):
         p = tmp_path / "q.tsv"

@@ -403,15 +403,15 @@ class TestStrategyStep:
 def test_parse_architecture():
     assert parse_architecture("linear", 8, 4) == Architecture("linear", 8, 4)
     assert parse_architecture("mlp:2048", 8, 4).hidden == 2048
-    assert parse_architecture("mlp", 8, 4).hidden == 64
-    with pytest.raises(ValueError):
-        parse_architecture("cnn", 8, 4)
-    with pytest.raises(ValueError):
-        parse_architecture("mlp:x", 8, 4)
+    # One spelling per architecture: no bare "mlp", no case folding, no padding.
+    for bad in ("cnn", "mlp:x", "mlp", "MLP:4", "Linear", " linear"):
+        with pytest.raises(ValueError):
+            parse_architecture(bad, 8, 4)
 
 
 def test_parse_strategy():
-    assert parse_strategy("from-scratch") is Strategy.FROM_SCRATCH
-    assert parse_strategy("Napping") is Strategy.NAPPING
-    with pytest.raises(ValueError):
-        parse_strategy("replay")
+    assert parse_strategy("from_scratch") is Strategy.FROM_SCRATCH
+    assert parse_strategy("napping") is Strategy.NAPPING
+    for bad in ("replay", "from-scratch", "Napping", " finetuning"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            parse_strategy(bad)

@@ -17,11 +17,12 @@ import driftbench.cli as cli_module
 import driftbench.corpus as corpus_module
 from driftbench.cli import main
 from driftbench.corpus import DriftConfig, generate_drift_stream, read_feature_file, write_feature_file
-from driftbench.curate import CurationSpec, EmbeddingFileError, curate_ids, score_embedding_file
+from driftbench.curate import CurationSpec, EmbeddingFileError, score_embedding_file
 from driftbench.learner import Hyperparams, Strategy, fit, init_learner, parse_architecture
 from driftbench.protocol import SCORE_BATCH_ROWS, RunConfig, run_iid_protocol, run_streaming_protocol
 from driftbench.runner import run_experiment, validate_config
 from driftbench.sampler import parse_policy
+from matrix_curation import curate_ids
 
 STREAM = DriftConfig(C=4, d=64, N=6, n_per_class=500, radius=1.0, drift_rate=0.2, noise=0.5, seed=3)
 BATCH = 256
@@ -238,8 +239,8 @@ def test_curate_command_holds_no_embedding_matrix(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # A chunk's matrix is about twice its text here, some 2 MiB; holding the
-    # file's matrix, as load_embedding_file does, would take four times the bound.
+    # A chunk's matrix is about twice its text here, some 2 MiB; holding the file's
+    # matrix, as matrix_curation.load_embedding_file does, would take four times the bound.
     assert peak <= n * m * 8 // 4, (peak, n * m * 8)
 
 

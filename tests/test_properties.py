@@ -26,8 +26,9 @@ from driftbench.corpus import (
     read_feature_file,
     read_text,
     record_lines,
+    write_feature_file,
 )
-from driftbench.curate import load_embedding_file, load_query_file, load_rejection_list
+from driftbench.curate import load_query_file, load_rejection_list
 from driftbench.learner import Hyperparams, Strategy, fit, init_learner, parse_architecture
 from driftbench.metrics import METRIC_NAMES, compute_metrics
 from driftbench.protocol import (
@@ -45,6 +46,7 @@ from driftbench.protocol import (
 from driftbench.runner import ConfigError, load_stream, read_curation_spec, run_experiment, validate_config
 from driftbench.sampler import AlphaPolicy, PolicyKind, ReplayBuffer, update_buffer
 from line_readers import load_embedding_lines, load_feature_lines
+from matrix_curation import load_embedding_file
 
 # Derandomized so the suite replays the same examples on every run.
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -64,8 +66,8 @@ def matrices(draw):
 events = st.builds(
     Event,
     kind=st.sampled_from(["train", "evaluate"]),
-    step=st.integers(-5, 10**6),
-    bucket=st.integers(-5, 10**6),
+    step=st.integers(0, 10**6),
+    bucket=st.integers(0, 10**6),
 )
 
 policies = st.builds(
@@ -396,7 +398,7 @@ def cell_entries(draw, name):
 
     protocol = draw(st.sampled_from(list(ProtocolKind)))
     strategy = draw(st.sampled_from(list(Strategy)))
-    arch = draw(st.sampled_from(["linear", "mlp", "mlp:8", "mlp:64"]))
+    arch = draw(st.sampled_from(["linear", "mlp:8", "mlp:64"]))
     policy = AlphaPolicy(draw(st.sampled_from(list(PolicyKind))), draw(st.floats(0.01, 10.0)))
     entries = [
         ("protocol", protocol.value, protocol, read("protocol"), "bogus"),
@@ -649,3 +651,62 @@ def test_bucketize_matches_sorted_sample_reference(data):
                       (stream.offsets, ref_offsets)]:
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert stream.dropped == ref_dropped
+
+
+@st.composite
+def process_grids(draw, root):
+    """A small grid's config text: a synthetic stream or a feature file, then one to three drawn cells.
+
+    The file's timestamps tie often, its rows are in no order, and its row
+    count need not divide into the buckets, so ``bucketize`` sorts and drops.
+    """
+    n = draw(st.integers(2, 5))
+    classes = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        per_class = draw(st.integers(1, 3))
+        stream = (f"source = synthetic\nclasses = {classes}\ndim = 3\nper_class = {per_class}\n"
+                  f"noise = 0.3\ndrift_rate = 0.4\nstream_seed = {draw(st.integers(0, 9))}\n")
+        rows = classes * per_class * n
+    else:
+        rows = n * draw(st.integers(2, 6)) + draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        path = root / "stream.tsv"
+        write_feature_file(path, rng.permutation(10 * rows)[:rows], rng.integers(0, 4, rows),
+                           rng.integers(0, classes, rows), rng.standard_normal((rows, 3)), np.arange(rows), classes)
+        stream = f"source = file\npath = {path}\nnormalize = {str(draw(st.booleans())).lower()}\n"
+    cells = []
+    for k in range(draw(st.integers(1, 3))):
+        protocol = draw(st.sampled_from(list(ProtocolKind)))
+        epochs = draw(st.integers(1, 2))
+        cells.append(
+            f"[cell:c{k}]\nprotocol = {protocol.value}\nstrategy = {draw(st.sampled_from(list(Strategy))).value}\n"
+            f"architecture = {draw(st.sampled_from(['linear', 'mlp:4']))}\n"
+            f"alpha = {draw(st.sampled_from(list(PolicyKind))).value}:{draw(st.sampled_from([0.5, 1.0, 2.0]))}\n"
+            f"buffer_capacity = {draw(st.integers(1, rows + 2))}\nn_seeds = {draw(st.integers(1, 2))}\n"
+            f"base_seed = {draw(st.integers(0, 3))}\nbatch = {draw(st.integers(1, 8))}\n"
+            f"epochs = {epochs}\ndecay_epoch = {draw(st.integers(1, epochs))}\n"
+            # 0.75 leaves no test rows in a bucket of 3 or fewer: that cell fails, in every process count.
+            + (f"train_fraction = {draw(st.sampled_from([0.5, 0.75]))}\n" if protocol is ProtocolKind.IID else "")
+        )
+    return f"[stream]\nbuckets = {n}\n{stream}\n" + "\n".join(cells)
+
+
+def run_tree(root):
+    """Every file under ``root``, by its path relative to ``root``, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.data())
+def test_run_tree_is_the_same_in_one_two_and_three_processes(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("grid")
+    text = data.draw(process_grids(root))
+    trees = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("DRIFTBENCH_SEED", raising=False)
+        for processes in (1, 2, 3):
+            mp.setattr(runner_module, "_process_count", lambda units, p=processes: min(units, p))
+            run_experiment(validate_config(text, root / f"out{processes}"))
+            trees.append(run_tree(root / f"out{processes}"))
+    assert trees[1] == trees[0]
+    assert trees[2] == trees[0]

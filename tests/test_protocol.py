@@ -452,6 +452,8 @@ class TestStreamingProtocol:
             ("evalute\t0\t1", r"line 3: unknown event kind 'evalute'"),
             ("evaluate\t0", "line 3: expected 3 tab-separated fields, got 2"),
             ("evaluate\t0\tone", "line 3: step and bucket must be integers"),
+            ("train\t-1\t-5", "line 3: step and bucket must be >= 0"),
+            ("evaluate\t2\t-1", "line 3: step and bucket must be >= 0"),
             ("protocol=bogus", "line 1: unknown protocol 'bogus'"),
         ],
     )

@@ -284,6 +284,14 @@ class TestValidateConfig:
                      ["line 14: bad alpha value in 'fixed:x'"], id="alpha-value"),
         pytest.param(FILE_CONFIG.replace("normalize = true", "normalize = maybe"),
                      ["line 5: key 'normalize': expected bool, got 'maybe'"], id="normalize"),
+        # Each value has one spelling: no bare "mlp", no case folding, no "-" for "_".
+        pytest.param(GOOD_CONFIG + "architecture = mlp\n",
+                     ["line 22: expected 'linear' or 'mlp:<hidden>', got 'mlp'"], id="architecture-bare-mlp"),
+        pytest.param(GOOD_CONFIG.replace("strategy = finetuning", "strategy = From-Scratch"),
+                     ["line 13: unknown strategy 'From-Scratch'; expected one of: napping, from_scratch, finetuning"],
+                     id="strategy-spelling"),
+        pytest.param(FILE_CONFIG.replace("normalize = true", "normalize = True"),
+                     ["line 5: key 'normalize': expected bool, got 'True'"], id="normalize-capitalized"),
         pytest.param(FILE_CONFIG.replace("normalize = true", "noise = 0.3"),
                      ["line 5: key 'noise' is not valid for source=file"], id="synthetic-key-in-file"),
         pytest.param(GOOD_CONFIG.replace("stream_seed = 7", "stream_seed = 7\npath = x.tsv"),
