@@ -205,10 +205,23 @@ def generate_drift_stream(cfg: DriftConfig) -> TemporalStream:
 
 
 def parse_int64(text: str) -> int:
-    """``int(text)``, rejecting with ``ValueError`` a value that does not fit in int64."""
+    """The integer that ``text`` spells as ASCII ``-?[0-9]+``; ``ValueError`` for other text or a value outside int64.
+
+    ``int()`` would also read ``1_0``, ``+1``, padded text and non-ASCII digits:
+    every integer of the inputs has one spelling, as every vector value has.
+    """
+    if not (text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit())):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     if -(2**63) <= (value := int(text)) < 2**63:
         return value
     raise ValueError(f"integer {text} outside the int64 range")
+
+
+def parse_float(text: str) -> float:
+    """``float(text)`` for ASCII text without ``_``: one spelling per number, as ``np.loadtxt`` reads vector values."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def parse_records(
@@ -324,8 +337,11 @@ def header_ints(fh: BinaryIO, names: Sequence[str]) -> tuple[int, ...]:
     """The values of ``names`` in a vector file's first line, ``#`` then ``key=value`` pairs; ``fh`` is left at line 2.
 
     The line ends where :func:`record_lines` would end it.  Each of
-    ``names`` must be there once with an integer value >= 1, and other keys
-    are ignored; a bad header, or one not UTF-8, raises :class:`LineError` at 0.
+    ``names`` must be there once with a :func:`parse_int64` value >= 1, and
+    other keys are ignored.  A bad header, or one not UTF-8, raises
+    :class:`LineError` at 0, for the first of: no ``#``; one of ``names``
+    given twice; a part without ``=``, or one of ``names`` missing or not an
+    integer; a value below 1.
     """
     fh.seek(0)
     raw = fh.readline().splitlines(keepends=True)[:1] or [b""]
@@ -337,16 +353,18 @@ def header_ints(fh: BinaryIO, names: Sequence[str]) -> tuple[int, ...]:
     form = "#" + " ".join(f"{name}=<{name}>" for name in names)
     if not line.startswith("#"):
         raise LineError(0, f"missing '{form}' header")
-    try:
-        pairs = [part.split("=", 1) for part in line.strip().lstrip("#").split()]
-        fields = dict(pairs)
-        values = tuple(int(fields[name]) for name in names)
-    except (ValueError, KeyError):
-        raise LineError(0, f"expected header '{form}', got {line!r}") from None
-    keys = [key for key, _ in pairs]
+    pairs = [part.partition("=") for part in line[1:].split()]
+    keys = [key for key, _, _ in pairs]
     for name in names:
         if keys.count(name) > 1:
             raise LineError(0, f"header key {name!r} given twice")
+    fields = {key: value for key, _, value in pairs}
+    try:
+        if not all(sep for _, sep, _ in pairs):
+            raise ValueError("a part without '='")
+        values = tuple(parse_int64(fields[name]) for name in names)
+    except (ValueError, KeyError):
+        raise LineError(0, f"expected header '{form}', got {line!r}") from None
     if min(values) < 1:
         raise LineError(0, f"{' and '.join(names)} must be >= 1")
     return values

@@ -29,6 +29,10 @@ class EmbeddingRecord:
     vector: np.ndarray
 
 
+# The class finalize_bucket adds after the query classes; no query class may take its name.
+BACKGROUND_CLASS = "background"
+
+
 @dataclass(frozen=True)
 class CurationSpec:
     """Curation counts and the ordered (class name, query vector) list."""
@@ -44,6 +48,8 @@ class CurationSpec:
         names = [name for name, _ in self.queries]
         if len(set(names)) != len(names):
             raise ValueError("query class names must be unique")
+        if BACKGROUND_CLASS in names:
+            raise ValueError(f"query class name {BACKGROUND_CLASS!r} is the background class's")
         for field in ("per_class_top", "background_low_per_class", "final_per_class"):
             if getattr(self, field) < 1:
                 raise FieldValueError(field, "must be >= 1")
@@ -97,7 +103,7 @@ def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
     """Load ``class_name<TAB>v1,...,vm`` query lines, unit-normalizing each vector by :func:`~driftbench.corpus.unit_rows`.
 
     The values follow ``np.loadtxt``'s grammar, as the vector files' do.  A
-    repeated class name is rejected at its line.
+    repeated class name, or the background class's, is rejected at its line.
     """
     queries: list[tuple[str, np.ndarray]] = []
     first_line: dict[str, int] = {}
@@ -113,6 +119,8 @@ def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
             raise EmbeddingFileError(
                 f"{path}:{lineno}: duplicate class name {name!r} (first on line {first_line[name]})"
             )
+        if name == BACKGROUND_CLASS:
+            raise EmbeddingFileError(f"{path}:{lineno}: class name {name!r} is the background class's")
         first_line[name] = lineno
         try:
             queries.append((name, unit_rows(np.loadtxt([parts[1]], delimiter=",", comments=None, ndmin=2))[0]))
@@ -304,9 +312,6 @@ class CuratedDataset:
 
     class_names: tuple[str, ...]
     selections: dict[str, tuple[int, ...]]
-
-
-BACKGROUND_CLASS = "background"
 
 
 def finalize_bucket(

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FieldValueError, Sample, as_arrays
+from .corpus import FieldValueError, Sample, as_arrays, parse_int64
 
 
 class Strategy(Enum):
@@ -52,7 +52,7 @@ def parse_architecture(text: str, d: int, C: int) -> Architecture:
         return Architecture(kind="linear", d=d, C=C)
     if text.startswith("mlp:"):
         try:
-            hidden = int(text.split(":", 1)[1])
+            hidden = parse_int64(text.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad hidden width in {text!r}") from exc
         return Architecture(kind="mlp", d=d, C=C, hidden=hidden)

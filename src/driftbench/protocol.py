@@ -8,7 +8,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Sample, TemporalStream, as_arrays, split_iid, text_lines
+from .corpus import Sample, TemporalStream, as_arrays, parse_float, parse_int64, split_iid, text_lines
 from .learner import Architecture, Hyperparams, LearnerState, Strategy, predict_batch, strategy_step
 from .sampler import AlphaPolicy, ReplayBuffer, update_buffer
 
@@ -104,7 +104,7 @@ def matrix_from_text(text: str) -> AccuracyMatrix:
     (_, head), *rows = lines
     try:
         header = dict(part.split("=", 1) for part in head.split())
-        n = int(header["N"])
+        n = parse_int64(header["N"])
         protocol = ProtocolKind(header["protocol"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad matrix header: {head!r}") from exc
@@ -118,7 +118,7 @@ def matrix_from_text(text: str) -> AccuracyMatrix:
         for j, part in enumerate(parts):
             if part != "NA":
                 try:
-                    cells[i, j] = float(part)
+                    cells[i, j] = parse_float(part)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: row {i}, column {j}: bad cell {part!r}") from exc
                 if not np.isfinite(cells[i, j]):
@@ -351,7 +351,7 @@ def parse_event_log(text: str) -> tuple[ProtocolKind, list[Event]]:
         if kind not in ("train", "evaluate"):
             raise ValueError(f"line {lineno}: unknown event kind {kind!r}")
         try:
-            event = Event(kind=kind, step=int(step), bucket=int(bucket))
+            event = Event(kind=kind, step=parse_int64(step), bucket=parse_int64(bucket))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: step and bucket must be integers, got {ln!r}") from exc
         if min(event.step, event.bucket) < 0:

@@ -21,6 +21,8 @@ from .corpus import (
     _process_count,
     bucketize,
     generate_drift_stream,
+    parse_float,
+    parse_int64,
     read_feature_file,
     read_text,
     stream_manifest,
@@ -38,8 +40,6 @@ from .protocol import (
     run_streaming_protocol,
 )
 from .sampler import AlphaPolicy, parse_policy
-
-SEED_ENV_VAR = "DRIFTBENCH_SEED"
 
 
 class ConfigError(ValueError):
@@ -214,11 +214,12 @@ def _at(section: _Section, key: str) -> str:
 
 
 def _convert(convert: Callable[[str], Any], text: str) -> Any:
+    """``convert(text)``, one spelling per value: ``true`` or ``false``, and numbers as :func:`parse_int64` or :func:`parse_float` read them."""
     if convert is bool:
         if text not in ("true", "false"):
             raise ValueError(text)
         return text == "true"
-    return convert(text)
+    return {int: parse_int64, float: parse_float}.get(convert, convert)(text)
 
 
 def _read_keys(
@@ -521,8 +522,8 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
 
     Cells share nothing; a failure in one cell is recorded in its own
     directory and does not disturb the others.  A cell stops at its first
-    failing seed: the seeds before it keep their files.  ``DRIFTBENCH_SEED``
-    overrides every cell's base seed when set.
+    failing seed: the seeds before it keep their files.  A cell's seeds are
+    ``range(base_seed, base_seed + n_seeds)``: the grid alone decides the tree.
 
     The units run in :func:`_process_count` processes, each writing its own
     units' matrices and event logs; the files are the same for any count.
@@ -537,13 +538,6 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
     existing output directory that holds anything a run does not write is
     refused with :class:`FileExistsError` naming that path.
     """
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    try:
-        env_base = None if env_seed is None else int(env_seed)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
-    if env_base is not None and env_base < 0:
-        raise ConfigError(f"{SEED_ENV_VAR} must be >= 0, got {env_seed!r}")
     out = grid.out_dir.resolve()  # a symbolic link keeps pointing at the run
     if (foreign := _foreign_path(out)) is not None:
         raise FileExistsError(f"{foreign}: not written by a driftbench run; refusing to replace {out}")
@@ -551,7 +545,7 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
     staged = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     aside = staged.with_name(staged.name + ".old")
     try:
-        result = _run_grid(grid, staged, env_base)
+        result = _run_grid(grid, staged)
         umask = os.umask(0)
         os.umask(umask)
         staged.chmod(0o777 & ~umask)  # the mode mkdir would give, not mkdtemp's 0o700
@@ -569,7 +563,7 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentResult:
     return result
 
 
-def _run_grid(grid: ExperimentGrid, out_dir: Path, env_base: int | None) -> ExperimentResult:
+def _run_grid(grid: ExperimentGrid, out_dir: Path) -> ExperimentResult:
     """:func:`run_experiment` into the empty directory ``out_dir``."""
     stream = load_stream(grid.stream)
     _write_artifact(out_dir / "stream_manifest.tsv", [stream_manifest(stream)])
@@ -578,8 +572,7 @@ def _run_grid(grid: ExperimentGrid, out_dir: Path, env_base: int | None) -> Expe
     for cell in grid.cells:
         cell_dir = out_dir / cell.name
         cell_dir.mkdir()
-        base = cell.base_seed if env_base is None else env_base
-        units.extend((cell, cell_dir, seed) for seed in range(base, base + cell.n_seeds))
+        units.extend((cell, cell_dir, seed) for seed in range(cell.base_seed, cell.base_seed + cell.n_seeds))
     outcomes = _run_units(stream, units)
 
     reports: dict[str, AggregateReport] = {}

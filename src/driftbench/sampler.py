@@ -9,6 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import parse_float
+
 
 class PolicyKind(Enum):
     FIXED = "fixed"
@@ -39,7 +41,7 @@ def parse_policy(text: str) -> AlphaPolicy:
     if not sep or kind not in ("fixed", "dynamic"):
         raise ValueError(f"expected 'fixed:<value>' or 'dynamic:<coefficient>', got {text!r}")
     try:
-        value = float(raw)
+        value = parse_float(raw)
     except ValueError as exc:
         raise ValueError(f"bad alpha value in {text!r}") from exc
     return AlphaPolicy(kind=PolicyKind(kind), value=value)

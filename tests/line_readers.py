@@ -4,33 +4,57 @@ They read a file one line at a time, split as a text-mode file splits it,
 and are the oracles that the array readers (``corpus.read_feature_file`` and
 ``matrix_curation.load_embedding_file``) are checked against: the same
 arrays, or the same error type and message.  Vector values follow
-``np.loadtxt``'s grammar and integer fields ``int()``'s, within int64.  The first record that does not
-parse on its own is reported; only when every record parses is the first
-record with a negative id, a label outside ``[0, C)`` or a repeated id
-reported.
+``np.loadtxt``'s grammar and integers, in the header as in the records,
+are ASCII ``-?[0-9]+`` within int64.  The header follows README's "Header
+grammar".  The first record that does not parse on its own is reported;
+only when every record parses is the first record with a negative id, a
+label outside ``[0, C)`` or a repeated id reported.
 """
 
 import math
+import re
 
 import numpy as np
 
-from driftbench.corpus import FeatureFileError, parse_int64
+from driftbench.corpus import FeatureFileError
 from driftbench.curate import EmbeddingFileError
 
 
-def _parse_header(line, path):
-    """``(d, C)`` of a feature file's ``#d=<d> C=<C>`` header line."""
+def _int64(text):
+    """The int64 that ``text`` spells as ASCII ``-?[0-9]+``; ``ValueError`` otherwise, with ``int()``'s message."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    if not -(2**63) <= int(text) < 2**63:
+        raise ValueError(f"integer {text} outside the int64 range")
+    return int(text)
+
+
+def _parse_header(line, path, error, names):
+    """The values of ``names`` in a vector file's header line.
+
+    The header is ``#``, then whitespace-separated ``key=value`` pairs that
+    hold each of ``names`` once with an integer value >= 1; other keys are
+    ignored.  The first of these faults is reported: no ``#``; one of
+    ``names`` given twice; a pair without ``=``, or one of ``names`` missing
+    or not an integer; a value below 1.
+    """
+    form = "#" + " ".join(f"{name}=<{name}>" for name in names)
     if not line.startswith("#"):
-        raise FeatureFileError(f"{path}:1: missing '#d=<d> C=<C>' header")
-    parts = line.strip().lstrip("#").split()
+        raise error(f"{path}:1: missing '{form}' header")
+    pairs = [part.split("=", 1) for part in line[1:].split()]
+    for name in names:
+        if [pair[0] for pair in pairs].count(name) > 1:
+            raise error(f"{path}:1: header key {name!r} given twice")
+    fields = {pair[0]: pair[1] for pair in pairs if len(pair) == 2}
     try:
-        fields = dict(p.split("=", 1) for p in parts)
-        d, c = int(fields["d"]), int(fields["C"])
-    except (ValueError, KeyError) as exc:
-        raise FeatureFileError(f"{path}:1: expected header '#d=<d> C=<C>', got {line!r}") from exc
-    if d < 1 or c < 1:
-        raise FeatureFileError(f"{path}:1: d and C must be >= 1")
-    return d, c
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError("a pair without '='")
+        values = [_int64(fields[name]) for name in names]
+    except (ValueError, KeyError):
+        raise error(f"{path}:1: expected header '{form}', got {line!r}") from None
+    if min(values) < 1:
+        raise error(f"{path}:1: {' and '.join(names)} must be >= 1")
+    return values
 
 
 def _text(path, error, lineno, raw):
@@ -57,7 +81,7 @@ def _records(path, error, lines, n_ints, k, normalize):
         if len(parts) != n_ints + 1:
             raise error(f"{path}:{lineno}: expected {n_ints + 1} tab-separated fields")
         try:
-            ints = [parse_int64(text) for text in parts[:-1]]
+            ints = [_int64(text) for text in parts[:-1]]
             vector = np.loadtxt([parts[-1]], delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:  # numpy counts rows of the one-line parse; only the column is kept
             raise error(f"{path}:{lineno}: {str(exc).replace(' at row 0, column ', ' at column ')}") from exc
@@ -81,7 +105,7 @@ def load_feature_lines(path, normalize=False):
     """``read_feature_file(path, normalize)``, a line at a time."""
     path = str(path)
     header, *lines = _lines(path)
-    d, c = _parse_header(_text(path, FeatureFileError, 1, header), path)
+    d, c = _parse_header(_text(path, FeatureFileError, 1, header), path, FeatureFileError, ("d", "C"))
     records = _records(path, FeatureFileError, lines, 3, d, normalize)
     seen = set()
     for lineno, (sid, _, label), _ in records:
@@ -100,15 +124,7 @@ def load_embedding_lines(path):
     """``load_embedding_file(path)``, a line at a time."""
     path = str(path)
     header, *lines = _lines(path)
-    header = _text(path, EmbeddingFileError, 1, header).strip()
-    if not header.startswith("#m="):
-        raise EmbeddingFileError(f"{path}:1: expected '#m=<m>' header")
-    try:
-        m = int(header[3:])
-    except ValueError as exc:
-        raise EmbeddingFileError(f"{path}:1: bad dimension in header") from exc
-    if m < 1:
-        raise EmbeddingFileError(f"{path}:1: m must be >= 1")
+    (m,) = _parse_header(_text(path, EmbeddingFileError, 1, header), path, EmbeddingFileError, ("m",))
     records = _records(path, EmbeddingFileError, lines, 1, m, True)
     seen = set()
     for lineno, (rid,), _ in records:

@@ -148,7 +148,6 @@ def run_digests(stream_text: str, out_dir: Path) -> dict[str, str]:
 
 @pytest.mark.parametrize("source, processes", SOURCES_AND_PROCESSES)
 def test_pinned_grid_artifacts_match_recorded_digests(source, processes, tmp_path, monkeypatch):
-    monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
     use_processes(monkeypatch, processes)
     if source == "synthetic":
         stream_text = SYNTHETIC_STREAM
@@ -160,6 +159,14 @@ def test_pinned_grid_artifacts_match_recorded_digests(source, processes, tmp_pat
     assert sorted(got) == sorted(want)
     changed = sorted(name for name in want if got[name] != want[name])
     assert not changed, f"artifacts differ from the recorded digests: {changed}"
+
+
+# A cell's seeds come from its base_seed and n_seeds alone: no environment
+# variable renames the seed files or changes their bytes.
+@pytest.mark.parametrize("value", ["9", "pi"])
+def test_a_seed_in_the_environment_changes_no_artifact(value, tmp_path, monkeypatch):
+    monkeypatch.setenv("DRIFTBENCH_SEED", value)
+    test_pinned_grid_artifacts_match_recorded_digests("synthetic", 1, tmp_path, monkeypatch)
 
 
 # A long stream, 100 buckets of 4 rows: its matrices and event logs are
@@ -201,7 +208,6 @@ decay_epoch = 1
 # Three processes on a two-CPU machine is more processes than CPUs.
 @pytest.mark.parametrize("processes", [1, 2, 3])
 def test_long_stream_artifacts_match_recorded_digests(processes, tmp_path, monkeypatch):
-    monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
     use_processes(monkeypatch, processes)
     out = tmp_path / "out"
     result = run_experiment(validate_config(LONG_GRID, out))

@@ -595,6 +595,26 @@ def test_a_value_only_float_accepts_is_rejected_at_its_line(tmp_path, kind, valu
         read(path)
 
 
+@pytest.mark.parametrize("value", ["1_0", "١", "+1", "１"])
+@pytest.mark.parametrize("kind, text, line, message", [
+    ("features", "#d=1 C={v}\n0\t0\t0\t1.0\n", 1, "expected header '#d=<d> C=<C>', got '#d=1 C={v}\\n'"),
+    ("features", "#d=1 C=2\n0\t0\t0\t1.0\n{v}\t0\t0\t1.0\n", 3, "invalid literal for int() with base 10: '{v}'"),
+    ("features", "#d=1 C=2\n0\t0\t0\t1.0\n1\t{v}\t0\t1.0\n", 3, "invalid literal for int() with base 10: '{v}'"),
+    ("features", "#d=1 C=2\n0\t0\t0\t1.0\n1\t0\t{v}\t1.0\n", 3, "invalid literal for int() with base 10: '{v}'"),
+    ("embeddings", "#m={v}\n0\t1.0\n", 1, "expected header '#m=<m>', got '#m={v}\\n'"),
+    ("embeddings", "#m=1\n0\t1.0\n{v}\t1.0\n", 3, "invalid literal for int() with base 10: '{v}'"),
+], ids=["header", "id", "timestamp", "label", "embedding-header", "embedding-id"])
+def test_an_integer_only_int_accepts_is_rejected_at_its_line(tmp_path, kind, text, line, message, value):
+    # int() reads "1_0" as 10, "+1" and "１" (FULLWIDTH DIGIT ONE) as 1; an integer field is ASCII -?[0-9]+.
+    read, error = {"features": (read_feature_file, FeatureFileError),
+                   "embeddings": (load_embedding_file, EmbeddingFileError)}[kind]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text(text.format(v=value), encoding="utf-8")
+    with pytest.raises(error) as caught:
+        read(path)
+    assert str(caught.value) == f"{path}:{line}: {message.format(v=value)}"
+
+
 @pytest.mark.parametrize("kind", ["features", "embeddings", "queries"])
 def test_a_rejected_value_is_named_by_its_line_and_column(tmp_path, kind):
     # numpy counts the rows of the one-line parse, whose "row 0" would sit beside the line number.

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -524,6 +525,10 @@ class TestFiles:
         p.write_text("3\nseven\n")
         with pytest.raises(EmbeddingFileError, match=r"reject\.txt:2: bad id 'seven'"):
             load_rejection_list(p)
+        for spelling in ("1_0", "\u0661", "+1"):  # int() reads each as an id; none is an id's spelling
+            p.write_text(f"3\n{spelling}\n")
+            with pytest.raises(EmbeddingFileError, match=rf"reject\.txt:2: bad id '{re.escape(spelling)}'"):
+                load_rejection_list(p)
 
     def test_class_table(self, tmp_path):
         p = tmp_path / "classes.txt"
@@ -560,6 +565,9 @@ def test_curation_spec_validation():
         CurationSpec(queries=q, per_class_top=2, background_low_per_class=1, final_per_class=3)
     with pytest.raises(ValueError):
         CurationSpec(queries=q + q, per_class_top=1, background_low_per_class=1, final_per_class=1)
+    background = (("cat", unit([1, 0])), (BACKGROUND_CLASS, unit([0, 1])))
+    with pytest.raises(ValueError, match="the background class's"):
+        CurationSpec(queries=background, per_class_top=1, background_low_per_class=1, final_per_class=1)
 
 
 # The tuple/dict/set curation core that rank_rows, select_labeled and

@@ -47,6 +47,7 @@ from driftbench.runner import ConfigError, load_stream, read_curation_spec, run_
 from driftbench.sampler import AlphaPolicy, PolicyKind, ReplayBuffer, update_buffer
 from line_readers import load_embedding_lines, load_feature_lines
 from matrix_curation import load_embedding_file
+from run_reference import reference_tree
 
 # Derandomized so the suite replays the same examples on every run.
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -564,6 +565,38 @@ def test_feature_reader_matches_line_reference(
     _assert_reader_matches(vector_path, read_feature_file, load_feature_lines, normalize)
 
 
+# Header values: integers, out of range, not integers, and the spellings int() reads
+# but the grammar does not ("1_0", "+1", an Arabic-Indic and a fullwidth one).
+HEADER_VALUES = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(
+    ["", "x", "1.5", "1e1", "0x2", str(2**63), str(-(2**63) - 1), "1_0", "+1", "١", "１", "02"]))
+
+
+@st.composite
+def header_lines(draw, names):
+    """A header line for ``names``, mostly well formed: keys missing, repeated or unknown, and parts without ``=``."""
+    keys = [name for name in names for _ in range(draw(st.sampled_from([1, 1, 1, 1, 1, 0, 2])))]
+    keys = draw(st.permutations(keys + draw(st.lists(st.sampled_from(["x", "M", "c", ""]), max_size=2))))
+    value = st.one_of(st.integers(1, 6).map(str), HEADER_VALUES)
+    forms = st.sampled_from(["{}={}"] * 12 + ["{}=={}", "{}", "={}"])
+    parts = [draw(forms).format(key, draw(value)) for key in keys]
+    gaps = draw(st.lists(st.sampled_from([" ", " ", "\t", "  ", " \x0b"]), min_size=len(parts), max_size=len(parts)))
+    lead = draw(st.sampled_from(["#"] * 5 + ["# ", "##", "", " #"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", "", " \n"]))
+    return lead + "".join(gap + part for gap, part in zip(gaps, parts)).lstrip(" ") + end
+
+
+@SETTINGS
+@given(data=st.data())
+def test_header_parse_matches_the_header_grammar(vector_path, data):
+    # Header-only files: the readers and the references agree on the values or on the error.
+    names, reader, reference = data.draw(st.sampled_from([
+        (("d", "C"), read_feature_file, load_feature_lines),
+        (("m",), load_embedding_file, load_embedding_lines),
+    ]))
+    vector_path.write_bytes(data.draw(header_lines(names)).encode("utf-8"))
+    _assert_reader_matches(vector_path, reader, reference)
+
+
 # Line text: any character (line breaks included), weighted towards whitespace that
 # ``str.strip`` removes but text-mode files do not split at, and non-ASCII letters.
 line_text = st.text(st.one_of(st.sampled_from(" \t\x0b\x0c\x1c\x85\u2028\u3000,0é中"),
@@ -682,7 +715,9 @@ def process_grids(draw, root):
             f"[cell:c{k}]\nprotocol = {protocol.value}\nstrategy = {draw(st.sampled_from(list(Strategy))).value}\n"
             f"architecture = {draw(st.sampled_from(['linear', 'mlp:4']))}\n"
             f"alpha = {draw(st.sampled_from(list(PolicyKind))).value}:{draw(st.sampled_from([0.5, 1.0, 2.0]))}\n"
-            f"buffer_capacity = {draw(st.integers(1, rows + 2))}\nn_seeds = {draw(st.integers(1, 2))}\n"
+            # A capacity below a bucket, often: the buffer then holds a draw, not the whole stream.
+            f"buffer_capacity = {draw(st.one_of(st.integers(1, 3), st.integers(1, rows + 2)))}\n"
+            f"n_seeds = {draw(st.integers(1, 2))}\n"
             f"base_seed = {draw(st.integers(0, 3))}\nbatch = {draw(st.integers(1, 8))}\n"
             f"epochs = {epochs}\ndecay_epoch = {draw(st.integers(1, epochs))}\n"
             # 0.75 leaves no test rows in a bucket of 3 or fewer: that cell fails, in every process count.
@@ -699,14 +734,14 @@ def run_tree(root):
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.data())
 def test_run_tree_is_the_same_in_one_two_and_three_processes(tmp_path_factory, data):
+    # Each tree is also the naive reference's, file for file and byte for byte.
     root = tmp_path_factory.mktemp("grid")
     text = data.draw(process_grids(root))
-    trees = []
+    expected = reference_tree(validate_config(text, root / "out"))
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("DRIFTBENCH_SEED", raising=False)
         for processes in (1, 2, 3):
             mp.setattr(runner_module, "_process_count", lambda units, p=processes: min(units, p))
             run_experiment(validate_config(text, root / f"out{processes}"))
-            trees.append(run_tree(root / f"out{processes}"))
-    assert trees[1] == trees[0]
-    assert trees[2] == trees[0]
+            tree = run_tree(root / f"out{processes}")
+            assert sorted(tree) == sorted(expected), processes
+            assert [name for name in tree if tree[name] != expected[name]] == [], processes

@@ -132,6 +132,9 @@ class TestAccuracyMatrix:
         [
             ("N=2 protocol=iid extra\n0.5,0.5\n0.5,0.5\n", "bad matrix header"),
             ("N=2 protocol=iid\n0.5,0.5\n0.5,high\n", r"row 1, column 1: bad cell 'high'"),
+            ("N=2 protocol=iid\n0.5,0.5\n0.5,0.2_5\n", r"row 1, column 1: bad cell '0.2_5'"),
+            ("N=2 protocol=iid\n0.5,0.5\n0.5,\u0661\n", r"row 1, column 1: bad cell '\u0661'"),
+            ("N=+2 protocol=iid\n0.5,0.5\n0.5,0.5\n", "bad matrix header"),
             ("N=2 protocol=iid\n0.5,0.5\n0.5,nan\n", r"row 1, column 1: non-finite cell 'nan'"),
             ("N=2 protocol=streaming\nNA,inf\nNA,NA\n", r"row 0, column 1: non-finite cell 'inf'"),
         ],
@@ -452,6 +455,8 @@ class TestStreamingProtocol:
             ("evalute\t0\t1", r"line 3: unknown event kind 'evalute'"),
             ("evaluate\t0", "line 3: expected 3 tab-separated fields, got 2"),
             ("evaluate\t0\tone", "line 3: step and bucket must be integers"),
+            ("train\t1_0\t\u0663", "line 3: step and bucket must be integers"),
+            ("train\t+1\t1", "line 3: step and bucket must be integers"),
             ("train\t-1\t-5", "line 3: step and bucket must be >= 0"),
             ("evaluate\t2\t-1", "line 3: step and bucket must be >= 0"),
             ("protocol=bogus", "line 1: unknown protocol 'bogus'"),

@@ -1,4 +1,5 @@
 import ctypes
+import importlib
 import multiprocessing
 import os
 import pickle
@@ -292,6 +293,19 @@ class TestValidateConfig:
                      id="strategy-spelling"),
         pytest.param(FILE_CONFIG.replace("normalize = true", "normalize = True"),
                      ["line 5: key 'normalize': expected bool, got 'True'"], id="normalize-capitalized"),
+        # A number is ASCII, without int()'s and float()'s "_", sign or non-ASCII digits.
+        *[pytest.param(GOOD_CONFIG.replace("per_class = 30", f"per_class = {value}"),
+                       [f"line 6: key 'per_class': expected int, got {value!r}"], id=f"int-{name}")
+          for name, value in [("underscore", "1_0"), ("arabic-indic", "١"), ("plus", "+9"),
+                              ("fullwidth", "３０")]],
+        *[pytest.param(GOOD_CONFIG.replace("noise = 0.3", f"noise = {value}"),
+                       [f"line 7: key 'noise': expected float, got {value!r}"], id=f"float-{name}")
+          for name, value in [("underscore", "0.3_0"), ("arabic-indic", "٠.3")]],
+        *[pytest.param(GOOD_CONFIG + f"architecture = {value}\n",
+                       [f"line 22: bad hidden width in {value!r}"], id=f"architecture-{name}")
+          for name, value in [("space", "mlp: 64"), ("plus", "mlp:+64"), ("underscore", "mlp:6_4")]],
+        pytest.param(GOOD_CONFIG.replace("alpha = fixed:1.0", "alpha = fixed:1_0"),
+                     ["line 14: bad alpha value in 'fixed:1_0'"], id="alpha-underscore"),
         pytest.param(FILE_CONFIG.replace("normalize = true", "noise = 0.3"),
                      ["line 5: key 'noise' is not valid for source=file"], id="synthetic-key-in-file"),
         pytest.param(GOOD_CONFIG.replace("stream_seed = 7", "stream_seed = 7\npath = x.tsv"),
@@ -464,6 +478,17 @@ class TestValidateConfig:
             assert validate_config(block, tmp_path).cells
 
 
+def test_readme_module_table_names_exist():
+    # Every backticked identifier in a row of README's module table is an attribute of that row's module.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(driftbench\.\w+)` \|(.*)$", readme, flags=re.MULTILINE)
+    assert len(rows) >= 7
+    missing = [f"{module}.{name}" for module, rest in rows
+               for name in re.findall(r"`([^`]+)`", rest)
+               if name.isidentifier() and not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
 class TestLoadStream:
     def test_synthetic(self, tmp_path):
         grid = validate_config(GOOD_CONFIG, tmp_path)
@@ -631,7 +656,6 @@ class TestRunExperiment:
                 steps.value += 1
             return real(*args, **kwargs)
 
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         monkeypatch.setattr(learner_module, "_loss_grad_arrays", counting)
         result = run_experiment(validate_config(PAPER_GRID_CONFIG, tmp_path / "out"))
         assert result.ok
@@ -649,7 +673,6 @@ class TestRunExperiment:
                 built.value += 1
             real(self, *args, **kwargs)
 
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         monkeypatch.setattr(Event, "__init__", counting)
         use_processes(monkeypatch, 2)
         result = run_experiment(validate_config(LONG_STREAM_CONFIG, tmp_path / "out"))
@@ -657,39 +680,12 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "streaming-finetuning-fifo" / "events_seed1.log").exists()
         assert built.value == 0
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        grid = validate_config(GOOD_CONFIG, tmp_path / "out")
-        monkeypatch.setenv("DRIFTBENCH_SEED", "9")
-        run_experiment(grid)
-        assert (tmp_path / "out" / "ft-fast" / "matrix_seed9.txt").exists()
-
-    def test_seed_env_rejects_garbage(self, tmp_path, monkeypatch):
-        grid = validate_config(GOOD_CONFIG, tmp_path / "out")
-        monkeypatch.setenv("DRIFTBENCH_SEED", "pi")
-        with pytest.raises(ConfigError, match="DRIFTBENCH_SEED"):
-            run_experiment(grid)
-
-    def test_bad_seed_env_rejected_before_the_stream_loads(self, tmp_path, monkeypatch, capsys):
-        def no_load(spec):
-            raise AssertionError("the stream was loaded before DRIFTBENCH_SEED was checked")
-
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(GOOD_CONFIG)
-        monkeypatch.setattr(runner_module, "load_stream", no_load)
-        for value, message in [("abc", "must be an integer, got 'abc'"),
-                               ("-1", "must be >= 0, got '-1'")]:
-            monkeypatch.setenv("DRIFTBENCH_SEED", value)
-            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-            assert f"DRIFTBENCH_SEED {message}" in capsys.readouterr().err
-            assert list(tmp_path.iterdir()) == [cfg]
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("failing_seed", [None, 0, 1])
     def test_failures_write_the_same_files_in_one_process_and_two(self, tmp_path, monkeypatch, failing_seed):
         # None: the diverged grid.  0 or 1: that seed of ft-fast fails; with
         # two processes seed 0 runs here and seed 1 in the forked worker, so
         # a failing seed 0 has seed 1's files written and then removed.
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         text = GOOD_CONFIG + DIVERGED_CELL
         if failing_seed is not None:
             text = TWO_SEED_CONFIG
@@ -717,7 +713,6 @@ class TestRunExperiment:
     def test_killed_worker_fails_its_cell_and_the_others_finish(self, tmp_path, monkeypatch):
         # Units: ft-fast seeds 0 and 1, then other at seed 5.  This process
         # runs the first and the last; the worker runs seed 1 and kills itself.
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         caller, real = os.getpid(), runner_module._run_unit
 
         def dying(stream, cell, cell_dir, seed):
@@ -752,7 +747,6 @@ class TestRunExperiment:
         # runs units 1 and 3: it records ft-fast seed 1, then lets SystemExit
         # escape other seed 6 ("exit"), or writes half of that seed's record
         # and kills itself ("cut") or returns the short count ("short").
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         if death == "exit":
             real = runner_module._run_unit
 
@@ -798,9 +792,8 @@ class TestRunExperiment:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_a_rerun_replaces_the_other_outcome_file(self, tmp_path, monkeypatch):
+    def test_a_rerun_replaces_the_other_outcome_file(self, tmp_path):
         # One --out: the diverged cell fails, then runs at a sane rate, then fails again.
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         sane = DIVERGED_CELL.replace("lr = 1e300", "lr = 0.1")
         expected = {"error.txt"}, {"report.txt", "matrix_seed0.txt", "events_seed0.log"}, {"error.txt"}
         for cell, files in zip([DIVERGED_CELL, sane, DIVERGED_CELL], expected):
@@ -810,7 +803,6 @@ class TestRunExperiment:
     @pytest.mark.parametrize("failing_seed", [0, 1])
     def test_a_failing_rerun_keeps_only_the_seeds_before_the_failure(self, tmp_path, monkeypatch, failing_seed):
         # A clean run, then a rerun into the same --out in which one seed of ft-fast fails.
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         trees = {}
         for processes in (1, 2):
             use_processes(monkeypatch, processes)
@@ -845,7 +837,6 @@ class TestRunExperiment:
 class TestReusedOut:
     def test_a_reused_out_ends_as_a_fresh_runs_tree(self, tmp_path, monkeypatch):
         # TWO_SEED_CONFIG writes ft-fast seed 1 and the other cell; GOOD_CONFIG has neither.
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         trees = {}
         for processes in (1, 2):
             use_processes(monkeypatch, processes)
@@ -860,7 +851,6 @@ class TestReusedOut:
     @pytest.mark.parametrize("processes", [1, 2])
     def test_an_interrupted_rerun_leaves_the_old_tree(self, tmp_path, monkeypatch, processes):
         # This process's second unit raises; with two processes the worker has run seed 1 by then, or is killed.
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         use_processes(monkeypatch, processes)
         out = tmp_path / "out"
         assert run_experiment(validate_config(TWO_SEED_CONFIG, out)).ok
@@ -884,7 +874,6 @@ class TestReusedOut:
 
     def test_a_worker_killed_mid_write_leaves_a_tree_a_rerun_replaces(self, tmp_path, monkeypatch):
         # The worker runs ft-fast seed 1 and is killed once the first chunk of its matrix is taken.
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         use_processes(monkeypatch, 2)
         out = tmp_path / "out"
         caller, real = os.getpid(), runner_module._write_artifact
@@ -1192,7 +1181,6 @@ class TestCli:
             "[cell:i]\nprotocol = iid\nstrategy = napping\nalpha = dynamic:1.0\n"
             "buffer_capacity = 20\ntrain_fraction = 0.7\n"
         )
-        monkeypatch.delenv("DRIFTBENCH_SEED", raising=False)
         use_processes(monkeypatch, 2)
         counting(Sample)
         counting(EmbeddingRecord)
@@ -1260,6 +1248,25 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"driftbench: error: {queries}:4: duplicate class name 'a' (first on line 1)\n"
+
+    def test_curate_rejects_the_background_class_name_by_line(self, tmp_path, capsys):
+        # Taken as a query class, the name would label a second class 'background'
+        # and write the background's ids twice to features.tsv.
+        emb = tmp_path / "emb.tsv"
+        vecs = np.random.default_rng(3).standard_normal((200, 4)).tolist()
+        emb.write_text("#m=4\n" + "".join(f"{i}\t" + ",".join(map(repr, v)) + "\n" for i, v in enumerate(vecs)))
+        queries = tmp_path / "q.tsv"
+        queries.write_text("# the background class is added last\nbackground\t1.0,0.0,0.0,0.0\ncat\t0.0,1.0,0.0,0.0\n")
+        spec = tmp_path / "cur.cfg"
+        spec.write_text("per_class_top = 20\nbackground_low = 20\nfinal_per_class = 10\n")
+        code = main([
+            "curate", "--embeddings", str(emb), "--queries", str(queries),
+            "--spec", str(spec), "--out", str(tmp_path / "curated"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"driftbench: error: {queries}:2: class name 'background' is the background class's\n"
+        assert not (tmp_path / "curated").exists()
 
     def test_curate_rejects_negative_ids_by_line(self, tmp_path, capsys):
         # Written out, such ids make a features.tsv that the run's reader rejects.
