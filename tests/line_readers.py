@@ -24,9 +24,9 @@ def _int64(text):
     """The int64 that ``text`` spells as ASCII ``-?[0-9]+``; ``ValueError`` otherwise, with ``int()``'s message."""
     if re.fullmatch(r"-?[0-9]+", text) is None:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    if not -(2**63) <= int(text) < 2**63:
+    if not -(2**63) <= (value := int(text)) < 2**63:
         raise ValueError(f"integer {text} outside the int64 range")
-    return int(text)
+    return value
 
 
 def _parse_header(line, path, error, names):
@@ -42,8 +42,9 @@ def _parse_header(line, path, error, names):
     if not line.startswith("#"):
         raise error(f"{path}:1: missing '{form}' header")
     pairs = [part.split("=", 1) for part in line[1:].split()]
+    keys = [pair[0] for pair in pairs]
     for name in names:
-        if [pair[0] for pair in pairs].count(name) > 1:
+        if keys.count(name) > 1:
             raise error(f"{path}:1: header key {name!r} given twice")
     fields = {pair[0]: pair[1] for pair in pairs if len(pair) == 2}
     try:
