@@ -9,7 +9,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .corpus import Sample, TemporalStream, as_arrays, parse_float, parse_int64, split_iid, text_lines
-from .learner import Architecture, Hyperparams, LearnerState, Strategy, predict_batch, strategy_step
+from .learner import Architecture, Hyperparams, LearnerState, Strategy, _forward, predict_batch, strategy_step
 from .sampler import AlphaPolicy, ReplayBuffer, update_buffer
 
 # A run seed r fans out to component seeds at fixed offsets so ablations can
@@ -18,10 +18,16 @@ SPLIT_SEED_OFFSET = 0
 SAMPLER_SEED_OFFSET = 1000
 LEARNER_SEED_OFFSET = 2000
 
-# Scoring reads at most this many target rows per predict_batch call; a call
-# may span targets and a large target spans calls.  It bounds the rows gathered
-# and the activations made per call, so that memory does not grow with the stream.
+# Scoring runs the forward pass on at most this many target rows at a time; a
+# chunk may span targets and a large target spans chunks.  It bounds the rows
+# gathered and the activations made per chunk, so that memory does not grow
+# with the stream.  The chunks skip predict_batch's checks: a run checks its
+# stream's features once, before its first step.
 SCORE_BATCH_ROWS = 1024
+
+# The matrix writer formats this many rows at a time, so that its work space
+# grows with N, not with N x N.
+MATRIX_BLOCK_ROWS = 16
 
 
 class ProtocolKind(Enum):
@@ -85,29 +91,44 @@ def matrix_to_text(matrix: AccuracyMatrix) -> str:
 # Private, as is _step_log_chunks, so that bench/spans.py leaves it unwrapped
 # and a traced run counts its time in runner.self_s, with the writes.
 def _matrix_lines(matrix: AccuracyMatrix) -> Iterator[str]:
-    """The lines of :func:`matrix_to_text`, each with its newline, formatted one row at a time."""
-    n = matrix.n
-    streaming = matrix.protocol is ProtocolKind.STREAMING
-    yield f"N={n} protocol={matrix.protocol.value}\n"
-    for i in range(n):
-        # Validation makes the absent cells a row prefix: i + 1 of them when streaming.
-        absent = i + 1 if streaming else 0
-        row = ",".join(["NA"] * absent + ["%.6f"] * (n - absent)) + "\n"
-        yield row % tuple(matrix.cells[i, absent:].tolist())
+    """The lines of :func:`matrix_to_text`, each with its newline, formatted a block of rows at a time.
+
+    A run's accuracies are counts over equal buckets, so a block holds few
+    distinct values: each is formatted once, keyed by its bits so that
+    ``-0.0`` keeps its sign, and the cells index the block's texts.
+    """
+    yield f"N={matrix.n} protocol={matrix.protocol.value}\n"
+    for lo in range(0, matrix.n, MATRIX_BLOCK_ROWS):
+        block = np.ascontiguousarray(matrix.cells[lo : lo + MATRIX_BLOCK_ROWS], dtype=np.float64)
+        distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        texts = np.array(["NA" if v != v else "%.6f" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+        for row in texts[inverse.reshape(block.shape)].tolist():
+            yield ",".join(row) + "\n"
 
 
 def matrix_from_text(text: str) -> AccuracyMatrix:
-    """Parse the grid format written by :func:`matrix_to_text`; a bad row or cell is named by its line."""
+    """Parse the grid format written by :func:`matrix_to_text`; a bad header, row or cell is named by its line.
+
+    The header must give ``N`` and ``protocol`` once each; other
+    ``key=value`` parts are ignored.
+    """
     lines = text_lines(text)
     if not lines:
         raise ValueError("empty matrix text")
-    (_, head), *rows = lines
+    (header_no, head), *rows = lines
+    pairs = [part.partition("=") for part in head.split()]
+    keys = [key for key, _, _ in pairs]
+    for name in ("N", "protocol"):
+        if keys.count(name) > 1:
+            raise ValueError(f"line {header_no}: header key {name!r} given twice")
     try:
-        header = dict(part.split("=", 1) for part in head.split())
+        if not all(sep for _, sep, _ in pairs):
+            raise ValueError("a part without '='")
+        header = {key: value for key, _, value in pairs}
         n = parse_int64(header["N"])
         protocol = ProtocolKind(header["protocol"])
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad matrix header: {head!r}") from exc
+        raise ValueError(f"line {header_no}: bad matrix header: {head!r}") from exc
     if len(rows) != n:
         raise ValueError(f"expected {n} rows, got {len(rows)}")
     cells = np.full((n, n), np.nan)
@@ -150,7 +171,7 @@ def evaluate(state: LearnerState, test: Sequence[Sample]) -> float:
 
 def _score(
     state: LearnerState, stream: TemporalStream, rows: np.ndarray | None, offsets: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """Accuracy of ``state`` on each target ``t``, the positions ``offsets[t]:offsets[t + 1]``.
 
     Position ``p`` is the stream row ``rows[p]``, or row ``p`` itself when
@@ -164,8 +185,9 @@ def _score(
     for start in range(lo, hi, SCORE_BATCH_ROWS):
         stop = min(start + SCORE_BATCH_ROWS, hi)
         chunk = slice(start, stop) if rows is None else rows[start:stop]
-        hits[start - lo : stop - lo] = predict_batch(state, stream.x[chunk]) == stream.y[chunk]
-    return (np.add.reduceat(hits, offsets[:-1] - lo) / np.diff(offsets)).tolist()
+        logits = _forward(state.architecture, state.params, stream.x[chunk])[1]
+        np.equal(logits.argmax(axis=1), stream.y[chunk], out=hits[start - lo : stop - lo])
+    return np.add.reduceat(hits, offsets[:-1] - lo) / (offsets[1:] - offsets[:-1])
 
 
 def _run_protocol(
@@ -190,10 +212,14 @@ def _run_protocol(
     would be scored.  The loop builds no per-evaluation object; ``event_log``,
     if given, starts empty and receives the step's :class:`Event` objects as
     the step runs.  Only streaming targets are trained on, so only they are
-    checked.
+    checked.  A non-finite feature anywhere in the stream raises
+    ``ValueError`` before the first step; the scan allocates nothing the size
+    of the stream.
     """
     if event_log:
         raise ProtocolOrderError(f"event_log must be empty, got {len(event_log)} events")
+    if not (np.isfinite(stream.x.min()) and np.isfinite(stream.x.max())):
+        raise ValueError("non-finite feature value in the stream")
     n = len(train_rows)
     streaming = kind is ProtocolKind.STREAMING
     evaluated = np.zeros(n, dtype=np.int64)

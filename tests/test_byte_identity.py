@@ -223,7 +223,7 @@ def test_long_stream_artifacts_match_recorded_digests(processes, tmp_path, monke
 @pytest.mark.parametrize("source, processes", SOURCES_AND_PROCESSES)
 def test_chunked_scoring_matches_recorded_digests(source, processes, tmp_path, monkeypatch):
     # Below every bucket (16 rows at least) and iid test split (4 rows at
-    # least), so each target is scored over several predict_batch calls.
+    # least), so each target is scored over several chunks.
     monkeypatch.setattr(protocol_module, "SCORE_BATCH_ROWS", 3)
     test_pinned_grid_artifacts_match_recorded_digests(source, processes, tmp_path, monkeypatch)
 

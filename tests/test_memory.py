@@ -19,7 +19,15 @@ from driftbench.cli import main
 from driftbench.corpus import DriftConfig, generate_drift_stream, read_feature_file, write_feature_file
 from driftbench.curate import CurationSpec, EmbeddingFileError, score_embedding_file
 from driftbench.learner import Hyperparams, Strategy, fit, init_learner, parse_architecture
-from driftbench.protocol import SCORE_BATCH_ROWS, RunConfig, run_iid_protocol, run_streaming_protocol
+from driftbench.protocol import (
+    SCORE_BATCH_ROWS,
+    AccuracyMatrix,
+    ProtocolKind,
+    RunConfig,
+    matrix_to_text,
+    run_iid_protocol,
+    run_streaming_protocol,
+)
 from driftbench.runner import run_experiment, validate_config
 from driftbench.sampler import parse_policy
 from matrix_curation import curate_ids
@@ -102,6 +110,25 @@ def test_run_trains_on_the_buffer_rows_in_place(stream, protocol):
     assert peak < capacity * STREAM.d * 8, (peak, capacity * STREAM.d * 8)
 
 
+@pytest.mark.parametrize("protocol", ["iid", "streaming"])
+def test_run_checks_the_stream_without_a_mask(stream, protocol):
+    # A NaN in the stream's last row: the run raises at its finiteness scan,
+    # before its first step.  np.isfinite(x).all() would hold one boolean per
+    # feature, x.nbytes / 8.
+    x = stream.x.copy()
+    x[-1, -1] = np.nan
+    bad = dataclasses.replace(stream, x=x)
+    iid = protocol == "iid"
+    cfg = run_config(bad, 0.7 if iid else None)
+
+    def run():
+        with pytest.raises(ValueError, match="non-finite feature value"):
+            (run_iid_protocol if iid else run_streaming_protocol)(bad, cfg, 0)
+
+    peak = traced_peak(run)
+    assert peak < x.nbytes // 8, (peak, x.nbytes)
+
+
 def test_fit_on_rows_holds_one_minibatch():
     x = np.random.default_rng(0).standard_normal((50_000, 64))
     y = np.arange(len(x)) % 4
@@ -164,6 +191,19 @@ def test_run_holds_one_matrix_at_a_time(tmp_path):
     matrix = LONG_BUCKETS * LONG_BUCKETS * 8
     peak = traced_peak(run_experiment, validate_config(LONG_GRID, tmp_path / "out"))
     assert peak <= 2 * matrix, (peak, matrix)
+
+
+def test_matrix_text_holds_a_bounded_number_of_cell_texts():
+    # All 160,000 cells distinct.  The lines and their join hold the text
+    # twice; formatting may hold the texts of up to 32 rows beside, at about
+    # 100 bytes a cell for the string, its index and its list and array slots.
+    # A memo over the whole matrix would hold a string for every cell.
+    n = LONG_BUCKETS
+    matrix = AccuracyMatrix(cells=np.random.default_rng(4).random((n, n)), protocol=ProtocolKind.IID)
+    assert len(set(matrix.cells.flat)) == n * n
+    peak = traced_peak(matrix_to_text, matrix)
+    size = len(matrix_to_text(matrix))
+    assert peak <= 2 * size + 32 * n * 100, (peak, size)
 
 
 def test_writer_holds_no_block_copy_in_two_processes(tmp_path, monkeypatch):

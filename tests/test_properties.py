@@ -108,8 +108,8 @@ def matrix_text_per_cell(matrix):
     return "\n".join(lines) + "\n"
 
 
-# Exact values and ``.6f`` rounding ties, mixed into seeded uniform cells.
-EDGE_CELLS = [0.0, 1.0, 0.5, 0.0000005, 0.0000015, 0.0000025, 0.1234565, 0.9999995, 0.9999985]
+# Exact values, ``.6f`` rounding ties and a signed zero, mixed into seeded uniform cells.
+EDGE_CELLS = [0.0, -0.0, 1.0, 0.5, 0.0000005, 0.0000015, 0.0000025, 0.1234565, 0.9999995, 0.9999985]
 
 
 @st.composite
@@ -131,6 +131,19 @@ def wide_matrices(draw):
 @given(wide_matrices())
 def test_matrix_text_matches_per_cell_writer(matrix):
     assert matrix_to_text(matrix) == matrix_text_per_cell(matrix)
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_matrix_text_keeps_the_sign_of_a_zero_after_zero(protocol):
+    # -0.0 equals 0.0, as a dict key too: a writer that formats each distinct
+    # value once must not write the first zero's text for the second.
+    cells = np.array([[0.5, 0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, -0.0], [0.0, 0.0, 1.0, -0.0], [0.0] * 4])
+    if protocol is ProtocolKind.STREAMING:
+        cells[~np.triu(np.ones((4, 4), dtype=bool), k=1)] = np.nan
+    matrix = AccuracyMatrix(cells=cells, protocol=protocol)
+    text = matrix_to_text(matrix)
+    assert text == matrix_text_per_cell(matrix)
+    assert text.splitlines()[1].endswith("0.000000,-0.000000,0.000000")
 
 
 def metrics_by_whole_lists(matrix):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import sys
@@ -137,11 +138,19 @@ class TestAccuracyMatrix:
             ("N=+2 protocol=iid\n0.5,0.5\n0.5,0.5\n", "bad matrix header"),
             ("N=2 protocol=iid\n0.5,0.5\n0.5,nan\n", r"row 1, column 1: non-finite cell 'nan'"),
             ("N=2 protocol=streaming\nNA,inf\nNA,NA\n", r"row 0, column 1: non-finite cell 'inf'"),
+            ("N=5 N=2 protocol=streaming protocol=iid\n0.5,0.5\n0.5,0.5\n", "line 1: header key 'N' given twice"),
+            ("N=2 protocol=streaming protocol=iid\n0.5,0.5\n0.5,0.5\n", "line 1: header key 'protocol' given twice"),
+            ("\nN=2 N=2 protocol=iid\n0.5,0.5\n0.5,0.5\n", "line 2: header key 'N' given twice"),
         ],
     )
     def test_malformed_text_named(self, text, message):
         with pytest.raises(ValueError, match=message):
             matrix_from_text(text)
+
+    def test_header_ignores_other_keys(self):
+        matrix = matrix_from_text("seed=3 N=2 protocol=iid N2=9\n0.5,0.5\n0.5,0.25\n")
+        assert matrix.n == 2 and matrix.protocol is ProtocolKind.IID
+        assert matrix.cells.tolist() == [[0.5, 0.5], [0.5, 0.25]]
 
 
 class TestEvaluate:
@@ -262,6 +271,42 @@ class TestWorkCounts:
         assert len(ingested) == n
         assert [e for e in events if e.kind == "train"] == [Event("train", i, i) for i in range(n)]
         assert matrix.n == n
+
+
+class TestNonFiniteStream:
+    # A run checks its stream's features once, before its first step, so
+    # every non-finite value raises, whether it is trained on, scored or both.
+    @staticmethod
+    def run(kind, stream, event_log=None):
+        if kind is ProtocolKind.IID:
+            return run_iid_protocol(stream, config_for(stream), 1, event_log)
+        return run_streaming_protocol(stream, config_for(stream, fraction=None), 1, event_log)
+
+    @staticmethod
+    def with_value(stream, row, value):
+        x = stream.x.copy()
+        x[row, 1] = value
+        return dataclasses.replace(stream, x=x)
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_a_value_in_the_last_bucket_alone_raises_before_the_first_step(self, kind, value):
+        # Streaming scores the last bucket but fits no model on it.
+        stream = small_stream()
+        events: list[Event] = []
+        with pytest.raises(ValueError, match="non-finite feature value"):
+            self.run(kind, self.with_value(stream, len(stream.y) - 1, value), events)
+        assert events == []
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    @pytest.mark.parametrize("split, value", [("test", np.nan), ("train", np.inf)])
+    def test_a_value_in_an_iid_split_row_raises(self, kind, split, value):
+        # Row of bucket 2's iid test split (scored, never trained on) or train split.
+        stream = small_stream()
+        train, test = split_iid(rows_of(stream, 2), 0.7, 1 + SPLIT_SEED_OFFSET + 2)
+        row = int((test if split == "test" else train)[0])
+        with pytest.raises(ValueError, match="non-finite feature value"):
+            self.run(kind, self.with_value(stream, row, value))
 
 
 class TestIidProtocol:

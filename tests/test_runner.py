@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import importlib
 import multiprocessing
 import os
@@ -588,6 +589,24 @@ class TestRunExperiment:
         assert not (tmp_path / "out" / "diverged" / "report.txt").exists()
         assert (tmp_path / "out" / "ft-fast" / "report.txt").exists()
 
+    def test_a_cell_run_on_a_non_finite_stream_fails_alone(self, tmp_path, monkeypatch):
+        # Synthetic and file streams are finite, so the NaN, in the stream's
+        # last row, is given to the streaming cell's runs alone.
+        real = runner_module.run_streaming_protocol
+
+        def with_nan(stream, cfg, seed):
+            x = stream.x.copy()
+            x[-1, 0] = np.nan
+            return real(dataclasses.replace(stream, x=x), cfg, seed)
+
+        monkeypatch.setattr(runner_module, "run_streaming_protocol", with_nan)
+        iid_cell = GOOD_CONFIG.split("[cell:ft-fast]")[1].replace("protocol = streaming", "protocol = iid")
+        text = GOOD_CONFIG + "\n[cell:iid]" + iid_cell + "train_fraction = 0.7\n"
+        result = run_experiment(validate_config(text, tmp_path / "out"))
+        assert result.failures == {"ft-fast": "ValueError: non-finite feature value in the stream"}
+        assert sorted(p.name for p in (tmp_path / "out" / "ft-fast").iterdir()) == ["error.txt"]
+        assert (tmp_path / "out" / "iid" / "report.txt").exists()
+
     def test_mlp_cell_uses_mlp_default_lr(self, tmp_path):
         text = GOOD_CONFIG.replace("lr = 0.5\n", "").replace(
             "strategy = finetuning", "strategy = finetuning\narchitecture = mlp:16"
@@ -660,6 +679,36 @@ class TestRunExperiment:
         result = run_experiment(validate_config(PAPER_GRID_CONFIG, tmp_path / "out"))
         assert result.ok
         assert steps.value == 2 * 20 * ((10 + 9 * 13) + 9 * 13) == 9_760
+
+    def test_long_stream_scores_with_one_forward_pass_per_chunk(self, tmp_path, monkeypatch):
+        # Step i of a seed scores the rows of buckets i + 1 to N - 1 in chunks
+        # of at most SCORE_BATCH_ROWS, one forward pass each, and no chunk goes
+        # through predict_batch's checks again; each fit runs one forward pass
+        # per minibatch.  One process, so plain counters see every call.
+        calls = dict.fromkeys(["predict_batch", "score", "fit", "minibatch"], 0)
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (learner_module, protocol_module):
+            monkeypatch.setattr(module, "predict_batch", counting("predict_batch", module.predict_batch))
+        monkeypatch.setattr(protocol_module, "_forward", counting("score", protocol_module._forward))
+        monkeypatch.setattr(learner_module, "_forward", counting("fit", learner_module._forward))
+        monkeypatch.setattr(learner_module, "_loss_grad_arrays",
+                            counting("minibatch", learner_module._loss_grad_arrays))
+        use_processes(monkeypatch, 1)
+        grid = validate_config(LONG_STREAM_CONFIG, tmp_path / "out")
+        assert run_experiment(grid).ok
+        offsets = load_stream(grid.stream).offsets
+        chunks = sum(-(-rows // protocol_module.SCORE_BATCH_ROWS) for rows in (offsets[-1] - offsets[1:-1]).tolist())
+        seeds, n = grid.cells[0].n_seeds, len(offsets) - 1
+        assert calls["predict_batch"] == 0
+        assert calls["score"] == seeds * chunks
+        # The buffer holds 64 rows at most, one minibatch of 256: one per fit.
+        assert calls["fit"] == calls["minibatch"] == seeds * (n - 1)
 
     def test_long_stream_builds_no_events(self, tmp_path, monkeypatch):
         # The runner writes each event log from the protocol and N; building
@@ -1128,6 +1177,12 @@ class TestCli:
         path.write_text(f"N=2 protocol=iid\n\n0.5,0.5\n0.5,{cell}\n")
         assert main(["metrics", "--matrix", str(path)]) == 2
         assert capsys.readouterr().err == f"driftbench: error: {path}: line 4: row 1, column 1: {why}\n"
+
+    def test_metrics_names_a_repeated_header_key_by_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("N=5 N=2 protocol=streaming protocol=iid\n0.5,0.5\n0.5,0.5\n")
+        assert main(["metrics", "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err == f"driftbench: error: {path}: line 1: header key 'N' given twice\n"
 
     def test_run_names_the_config_file_on_every_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
