@@ -511,7 +511,7 @@ class FileRows:
         return len(self.ids), self.k
 
     def rows(self, rows: np.ndarray) -> Iterator[np.ndarray]:
-        """The vector of each row in ``rows``, in order, parsed a chunk of about ``FORK_MIN_BYTES`` at a time.
+        """The vectors of ``rows``, in order, as one matrix per chunk of about ``FORK_MIN_BYTES`` parsed.
 
         A record that no longer parses, or whose id is not its row's, raises
         ``ValueError`` naming the file.
@@ -529,7 +529,7 @@ class FileRows:
                 ints = None
             if ints is None or not np.array_equal(ints[0], self.ids[rows[lo:hi]]):
                 raise ValueError(f"{self.fh.name}: records changed since the file was read")
-            yield from x
+            yield x
 
 
 FeatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
@@ -669,10 +669,129 @@ def _fork_shares(
             file.close()
 
 
-# Feature values a worker process must have to format before one is forked:
-# below about 1,000 rows of 64 values, a worker's fork, reaping and copy cost
-# more than it saves (measured on a 2-CPU host).
-FORK_MIN_VALUES = 64_000
+# The tables of repr_rows, built with numpy, not per entry in Python.  Values
+# in decade i, [10**(i - 4), 10**(i - 3)), are scaled by _SCALE[i] =
+# 10**(20 - i) to 17-digit integers; each scale is an exact double, split in
+# two 26-bit halves as Dekker's product needs.
+_SCALE = np.array([1e20, 1e19, 1e18, 1e17])
+_SCALE_HI = _SCALE * 134217729.0 - (_SCALE * 134217729.0 - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+# _GROUPS[g] is the ASCII of the four digits of g as a uint32, and
+# _GROUPS[10_000 + g] the same without their trailing zeros (NUL instead).
+_digits = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + np.uint8(ord("0"))
+_kept = np.maximum.accumulate(_digits[:, ::-1], 1)[:, ::-1] > ord("0")  # a nonzero digit at or after it
+_GROUPS = np.concatenate([_digits, _digits * _kept]).view(np.uint32).ravel()
+# _PREFIX[40 * sign + 10 * i + lead] is the first 8 bytes of a value in decade
+# i: its sign, "0.", 3 - i zeros and its leading digit, NUL-padded.
+_prefix = np.zeros((2, 4, 10, 8), np.uint8)
+_prefix[1, ..., 0] = ord("-")
+_prefix[..., 1:3] = np.frombuffer(b"0.", np.uint8)
+_prefix[..., 3:6] = (np.arange(3) < 3 - np.arange(4)[:, None])[:, None] * np.uint8(ord("0"))
+_prefix[..., 6] = ord("0") + np.arange(10)
+_PREFIX = _prefix.view(np.uint64).ravel()
+del _digits, _kept, _prefix
+
+
+def _scaled(a: np.ndarray, decade: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a * _SCALE[decade]`` exactly as ``hi + lo`` (Dekker's product), and half the spacing of ``a``, scaled alike."""
+    scale = _SCALE[decade]
+    hi = a * scale
+    split = a * 134217729.0  # Veltkamp's split of a into two 26-bit halves
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    scale_hi, scale_lo = _SCALE_HI[decade], _SCALE_LO[decade]
+    lo = a_hi * scale_hi
+    lo -= hi
+    lo += a_hi * scale_lo
+    lo += a_lo * scale_hi
+    lo += a_lo * scale_lo
+    half = (a.view(np.uint64) & np.uint64(0x7FF << 52)).view(np.float64)  # the power of two at or below a
+    half *= scale
+    half *= 2.0 ** -53
+    return hi, lo, half
+
+
+def _shortest(a: np.ndarray, decade: np.ndarray, bulk: np.ndarray) -> np.ndarray:
+    """The 17 significant digits of the shortest decimal that reads back as each ``a``, as an integer in [1e16, 1e17).
+
+    ``X = a * _SCALE[decade]`` lies in that range too, and a decimal reads
+    back as ``a`` iff it is within ``half`` of ``X``, in X's units.  At most
+    one multiple of 100 lies that near, so the nearest multiple of 100, then
+    of 10, then the nearest integer, is the first that does.  ``X`` is a
+    multiple of ``u >= 2**-46`` (the last bit of ``a``, scaled), so ``X - n``
+    below is exact, and ``half`` is an odd multiple of ``u / 2``, so no
+    candidate lies on the interval's edge.  Below an ``a`` that is a power
+    of two the interval is half as wide, but such an ``a`` here has at most
+    10 significant digits, which its 15-digit candidate holds exactly.  A
+    tie between two 16- or 17-digit candidates clears ``bulk``.
+    """
+    hi, lo, half = _scaled(a, decade)
+    floor = np.floor(lo)
+    n = hi.astype(np.int64)
+    del hi
+    n += floor.astype(np.int64)
+    r = n % 100
+    n -= r
+    rem = lo - (floor - r)  # X - n, in [0, 100)
+    tens = r - r % 10
+    t16 = tens + (rem > tens + 5) * 10
+    t17 = r + (rem > r + 0.5)
+    bulk &= (rem != tens + 5) & (rem != r + 0.5)
+    t15 = (rem > 50) * 100
+    n += np.where(np.abs(rem - t15) < half, t15, np.where(np.abs(rem - t16) < half, t16, t17))
+    return n
+
+
+def repr_rows(block: np.ndarray) -> list[bytes]:
+    """The bytes of ``",".join(map(repr, row)) + "\\n"`` for each row of a float64 matrix.
+
+    Every ``v`` with ``1e-4 <= |v| < 1`` that is no tie (:func:`_shortest`)
+    is formatted in bulk; every other value, about 0.06% of the unit rows of
+    a curated file, by ``repr``.  Each value is laid out in a 32-byte slot:
+    sign, "0.", zeros, then the 17 digits without their trailing zeros, then
+    "," or "\\n", NUL-padded; one pass drops the NULs.  The work space is
+    about 130 bytes a value.
+    """
+    n, d = block.shape
+    v = block.ravel()
+    bits = v.view(np.uint64)
+    a = np.abs(v)
+    bulk = (a >= 1e-4) & (a < 1.0)
+    a[~bulk] = 0.5  # a stand-in in range, so that the bulk work below raises no warning
+    decade = (a >= 1e-3).view(np.int8) + (a >= 1e-2).view(np.int8) + (a >= 1e-1).view(np.int8)
+    digits = _shortest(a, decade, bulk)
+    del a
+    slots = np.zeros((len(v), 4), np.uint64)
+    words = slots.view(np.uint32)  # the leading digit goes in slots[:, 0], the other 16 in words 2 to 5
+    trailing = True  # whether the groups after this one are all zeros
+    for word in (5, 4, 3, 2):
+        group = digits % 10_000
+        words[:, word] = _GROUPS[trailing * 10_000 + group]
+        trailing = trailing & (group == 0)
+        digits //= 10_000
+    slots[:, 0] = _PREFIX[(bits >> 63).astype(np.intp) * 40 + decade * 10 + digits]
+    text = slots.view(np.uint8)
+    text[:, 24] = ord(",")
+    text[d - 1::d, 24] = ord("\n")
+    slow = np.flatnonzero(~bulk)
+    if len(slow):  # a float's repr has at most 24 characters
+        text[slow, :24] = np.array([repr(u) for u in v[slow].tolist()], dtype="S24").view(np.uint8).reshape(-1, 24)
+    return text.tobytes().translate(None, b"\0").splitlines(keepends=True)
+
+
+# Feature values the writer passes repr_rows at a time, in about 130 KiB of
+# work space.  Per value, blocks of 16 rows of 64 took 220-358 ns against
+# 764-1,405 ns for one repr each, 8 rows 329-516 ns and 64 rows 168-240 ns
+# (two runs on a shared 2-CPU host).
+FORMAT_BLOCK_VALUES = 1024
+
+# Feature values a worker process must have to format before one is forked.
+# Writing n unit rows of 64 values from a matrix on a 2-CPU host, P = 2 beat
+# P = 1 in 0 of 31 interleaved pairs at n = 1,250, 17 of 31 at 1,500, 30 of
+# 31 at 1,750 and in every pair from 2,000 (53 -> 39 ms) up to 16,000
+# (459 -> 270 ms): two processes formatting at once each run slower, so a
+# worker's fork, reaping and copy pay off from about 1,750 rows of 64.
+FORK_MIN_VALUES = 56_000
 
 
 def write_feature_file(
@@ -682,39 +801,44 @@ def write_feature_file(
     """Write records in the feature-file format read by :func:`read_feature_file`, atomically.
 
     Record ``i`` is ``ids[i]``, ``timestamps[i]``, ``labels[i]`` and the
-    features ``x[rows[i]]``, read from ``x`` one row at a time: no
-    ``x[rows]`` matrix is built.  ``x`` is a matrix or :class:`FileRows`,
-    whose rows each block parses again from their file, a chunk at a time.
-    The records are cut into P contiguous blocks (:func:`_process_count`, a
-    unit per ``FORK_MIN_VALUES`` values), block ``i`` formatted by share
-    ``i`` of :func:`_fork_shares`: this process writes the header and block
-    0, then appends the files of the workers that formatted the others, so
-    the bytes are the same for any P.  A worker that fails raises
+    features ``x[rows[i]]``, cast to float64 and formatted by
+    :func:`repr_rows` a block of ``FORMAT_BLOCK_VALUES`` values at a time:
+    no ``x[rows]`` matrix is built.  ``x`` is a matrix, whose block rows are
+    copied out, or :class:`FileRows`, whose rows each block parses again
+    from their file, a chunk at a time.  The records are cut into P
+    contiguous blocks (:func:`_process_count`, a unit per
+    ``FORK_MIN_VALUES`` values), block ``i`` formatted by share ``i`` of
+    :func:`_fork_shares`: this process writes the header and block 0, then
+    appends the files of the workers that formatted the others, so the bytes
+    are the same for any P.  A worker that fails raises
     :class:`ChildProcessError`; a ``ValueError`` of :meth:`FileRows.rows` is
     raised here.  Either way ``path`` keeps its old content.
     """
     processes = _process_count(max(1, len(rows) * x.shape[1] // FORK_MIN_VALUES))
     bounds = [len(rows) * p // processes for p in range(processes + 1)]
+    step = max(1, FORMAT_BLOCK_VALUES // x.shape[1])
     with atomic_write(path) as fh:
-        fh.write(f"#d={x.shape[1]} C={C}\n")
+        fh.buffer.write(f"#d={x.shape[1]} C={C}\n".encode())
 
         def share(first: int, file: BinaryIO | None) -> None:
-            block = slice(bounds[first], bounds[first + 1])
-            values = (x[row] for row in rows[block]) if isinstance(x, np.ndarray) else x.rows(rows[block])
-            out = fh if file is None else io.TextIOWrapper(file, encoding="utf-8")
-            try:
-                for sid, ts, label, row in zip(ids[block].tolist(), timestamps[block].tolist(),
-                                               labels[block].tolist(), values):
-                    feats = ",".join(repr(float(v)) for v in row.tolist())
-                    out.write(f"{sid}\t{ts}\t{label}\t{feats}\n")
-            finally:  # also on a ValueError, which _fork_shares pickles into ``file``
-                if file is not None:
-                    out.detach()  # flushes the text into ``file`` and leaves it open
+            picked = rows[bounds[first]:bounds[first + 1]]
+            if isinstance(x, np.ndarray):
+                matrices = (x[picked[lo:lo + step]] for lo in range(0, len(picked), step))
+            else:
+                matrices = x.rows(picked)
+            out = fh.buffer if file is None else file
+            start = bounds[first]
+            for matrix in matrices:
+                for lo in range(0, len(matrix), step):
+                    texts = repr_rows(matrix[lo:lo + step].astype(np.float64, copy=False))
+                    stop = start + len(texts)
+                    out.write(b"".join(f"{sid}\t{ts}\t{label}\t".encode() + text for sid, ts, label, text in zip(
+                        ids[start:stop].tolist(), timestamps[start:stop].tolist(), labels[start:stop].tolist(), texts)))
+                    start = stop
 
         with _fork_shares(processes, share) as workers:
             if code := next((code for code, _ in workers if code), 0):
                 raise ChildProcessError(f"a worker process writing {path} {_exit_text(code)}")
-            fh.flush()
             for _, file in workers:
                 shutil.copyfileobj(file, fh.buffer)
 

@@ -2,8 +2,12 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -746,3 +750,113 @@ def test_stream_manifest_format():
     stream = generate_drift_stream(cfg)
     lines = stream_manifest(stream).strip().splitlines()
     assert lines == ["0\t0\t0\t8", "1\t1\t1\t8", "2\t2\t2\t8"]
+
+
+def one_repr_per_value(block):
+    """Each row's text as the writer formatted it before ``repr_rows``: one ``repr`` per value."""
+    return [(",".join(repr(float(v)) for v in row.tolist()) + "\n").encode() for row in block]
+
+
+def edge_values():
+    """Values next to the edges of ``repr_rows``' bulk path, with both signs.
+
+    The 200 doubles on each side of every decade bound from 1e-4 to 1 and
+    of every power of two in that range, 0.1, 0.2, 0.3 and 0.1 + 0.2,
+    seeded decimals of 15, 16 and 17 significant digits in each decade, and
+    seeded odd multiples of 2**-e for e from 10 to 30, whose scaled value
+    is often a tie between two 16- or 17-digit decimals that both read back.
+    """
+    rng = np.random.default_rng(29)
+    values = [0.1, 0.2, 0.3, 0.1 + 0.2]
+    for e in range(10, 31):
+        values += ((np.unique(rng.integers(max(1, 2**e // 10_000), 2**e, 400)) | 1) / 2.0**e).tolist()
+    for bound in [1e-4, 1e-3, 1e-2, 1e-1, 1.0] + [2.0**-k for k in range(1, 14)]:
+        for toward in (0.0, 2.0):
+            walk = [bound]
+            for _ in range(200):
+                walk.append(float(np.nextafter(walk[-1], toward)))
+            values += walk
+    for digits in (15, 16, 17):
+        for zeros in range(4):
+            mantissas = rng.integers(10 ** (digits - 1), 10**digits, 200).tolist()
+            values += [float(f"0.{'0' * zeros}{m}") for m in mantissas]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def unit(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestReprRows:
+    def test_edges_match_repr(self):
+        values = edge_values()
+        for block in (values[:, None], values.reshape(-1, 2), values[None, :]):
+            assert corpus_module.repr_rows(block) == one_repr_per_value(block)
+
+    def test_decade_bounds_lie_above_the_powers_of_ten(self):
+        # The bulk path takes a value's decade from comparisons with these
+        # doubles, which is exact only because each exceeds its power of ten.
+        assert all(Fraction(bound) > Fraction(1, 10**k) for k, bound in enumerate([1e-1, 1e-2, 1e-3, 1e-4], 1))
+
+    def test_a_seeded_sweep_of_a_million_values_matches_repr(self):
+        # Unit rows of normals and of 6-decimal data (the curated files'
+        # values), log-uniform magnitudes, and random bit patterns within
+        # the bulk path's range and over every finite double.
+        rng = np.random.default_rng(2026)
+        blocks = [unit(rng.standard_normal((4096, 64))), unit(np.round(rng.standard_normal((4096, 64)), 6)),
+                  (10 ** rng.uniform(-5, 0, 4096 * 64) * rng.choice([-1.0, 1.0], 4096 * 64)).reshape(-1, 64)]
+        in_range, finite = np.array([1e-4, 1.0]).view(np.int64), (0, np.array(np.inf).view(np.int64))
+        for (low, high), rows in [(in_range, 3072), (finite, 1024)]:
+            blocks.append(rng.integers(low, high, (rows, 64)).view(np.float64) * rng.choice([-1.0, 1.0], (rows, 64)))
+        assert sum(block.size for block in blocks) == 1_048_576
+        for values in blocks:
+            for block in np.split(values, len(values) // 64):
+                want = [(",".join(map(repr, row)) + "\n").encode() for row in block.tolist()]
+                assert corpus_module.repr_rows(block) == want
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("d, extra", [(1, -1), (1, 0), (1, 1), (64, -1), (64, 0), (64, 1), (3, 1)])
+    def test_the_writer_writes_one_repr_per_value_at_block_boundaries(self, tmp_path, monkeypatch, d, extra, processes):
+        # Records as tests/test_byte_identity.py's write_file_stream writes them, one repr per value.
+        monkeypatch.setattr(corpus_module, "_process_count", lambda units: processes)
+        n = corpus_module.FORMAT_BLOCK_VALUES // d + extra
+        rng = np.random.default_rng(d + extra)
+        x = unit(rng.standard_normal((2 * n, d))) if d > 1 else rng.standard_normal((2 * n, 1))
+        rows = rng.permutation(2 * n)[:n]
+        ids, labels = rows + 7, rows % 3
+        write_feature_file(tmp_path / "f.tsv", ids, np.zeros_like(rows), labels, x, rows, 3)
+        want = f"#d={d} C=3\n".encode() + b"".join(f"{i}\t0\t{label}\t".encode() + text for i, label, text in
+                                                   zip(ids.tolist(), labels.tolist(), one_repr_per_value(x[rows])))
+        assert (tmp_path / "f.tsv").read_bytes() == want
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_the_writer_writes_a_single_row_and_float32_values_as_float_casts_them(self, tmp_path, dtype):
+        x = np.array([[0.1, -2.5e-5, 1.0, 0.0, -0.0, 123.456, 0.3333333432674408, 5e-324]], dtype=dtype)
+        write_feature_file(tmp_path / "f.tsv", np.array([4]), np.array([9]), np.array([1]), x, np.array([0]), 2)
+        want = "#d=8 C=2\n4\t9\t1\t" + ",".join(repr(float(v)) for v in x[0].tolist()) + "\n"
+        assert (tmp_path / "f.tsv").read_text() == want
+
+    def test_the_bulk_path_matches_repr_with_numpy_dispatch_cut_to_its_baseline(self):
+        # The bulk path's exactness rests on each ufunc rounding as IEEE
+        # says, not on the SIMD loop numpy dispatches to.
+        features = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+        script = (
+            "import numpy as np\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from driftbench.corpus import repr_rows\n"
+            f"assert not any(__cpu_features__.get(name) for name in {features.split()!r}), 'a feature stayed on'\n"
+            "rng = np.random.default_rng(7)\n"
+            "x = rng.standard_normal((512, 64))\n"
+            "x /= np.linalg.norm(x, axis=1, keepdims=True)\n"
+            "texts = [t for block in np.split(x, 32) for t in repr_rows(block)]\n"
+            "print(all(t == (','.join(map(repr, row)) + '\\n').encode() for t, row in zip(texts, x.tolist())))\n"
+        )
+        src = str(Path(corpus_module.__file__).parents[1])
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": features,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        if done.returncode and "a feature stayed on" not in done.stderr:
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={features!r}: {done.stderr.strip().splitlines()[-1:]}")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"

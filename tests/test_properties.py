@@ -4,7 +4,8 @@ row indices against ``fit`` on the gathered rows,
 the runner's event logs against the protocol's events, the array readers of feature and
 embedding files against their line-by-line references, the readers' record splitter
 against a text-mode file's lines, the text inputs' line numbers against a text-mode
-file's, and ``bucketize`` against the sorted-sample version it replaced."""
+file's, ``bucketize`` against the sorted-sample version it replaced, and the feature
+writer's bulk float formatter against ``repr``."""
 
 import io
 import math
@@ -26,6 +27,7 @@ from driftbench.corpus import (
     read_feature_file,
     read_text,
     record_lines,
+    repr_rows,
     write_feature_file,
 )
 from driftbench.curate import load_query_file, load_rejection_list
@@ -676,6 +678,26 @@ def _bucketize_samples(samples, n_buckets):
     ids = np.array([s.id for s in kept])
     timestamps = np.array([s.timestamp for s in kept])
     return x, y, ids, timestamps, np.arange(n_buckets + 1) * size, dropped
+
+
+def repr_text(block):
+    return [(",".join(map(repr, row)) + "\n").encode() for row in block.tolist()]
+
+
+# Every float: NaN, both infinities, -0.0 and subnormals included.
+@SETTINGS
+@given(st.lists(st.floats(), min_size=1, max_size=48), st.integers(1, 4))
+def test_repr_rows_is_repr_of_every_float(values, rows):
+    block = np.array(values * rows).reshape(rows, -1)
+    assert repr_rows(block) == repr_text(block)
+
+
+# Unit rows, the values a curated feature file holds.
+@SETTINGS
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80).filter(any), st.integers(1, 3))
+def test_repr_rows_is_repr_of_unit_rows(values, rows):
+    block = np.repeat((np.array(values) / math.hypot(*values))[None, :], rows, axis=0)
+    assert repr_rows(block) == repr_text(block)
 
 
 @SETTINGS
