@@ -42,23 +42,20 @@ def _cmd_curate(args: argparse.Namespace) -> int:
             f"{args.queries}: query dimension {queries[0][1].shape[0]} != "
             f"embedding dimension {m} of {args.embeddings}"
         )
+    rejected = np.zeros(0, dtype=np.int64)
+    if "reject_file" in config.values:  # read before the records too, so a bad list fails first
+        rejected = cur.load_rejection_list(config.values["reject_file"])
+    names = (*spec.class_names, cur.BACKGROUND_CLASS)
     with open(args.embeddings, "rb") as fh:
         # The file's scores, not its matrix: the selected records are parsed again for the write.
         ids, scores, x = cur.score_embedding_file(fh, spec)
-        labeled, background = cur.curate_scores(ids, scores, spec)
+        rows, labels = cur.curate_rows(ids, scores, spec, rejected, config.values["seed"])
         del scores  # (classes, ids) floats that nothing after the ranking reads
-        if "reject_file" in config.values:
-            rejected = cur.load_rejection_list(config.values["reject_file"])
-            labeled = {name: chosen - rejected for name, chosen in labeled.items()}
-            background -= rejected
-        dataset = cur.finalize_bucket(labeled, background, spec, seed=config.values["seed"])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        rows, labels = cur.curated_rows(dataset, ids)
-        C = len(dataset.class_names)
-        write_feature_file(out / "features.tsv", ids[rows], np.zeros_like(rows), labels, x, rows, C)
-    cur.write_class_table(out / "classes.txt", dataset.class_names)
-    print(f"wrote {len(rows)} samples across {C} classes to {out}")
+        write_feature_file(out / "features.tsv", ids[rows], np.zeros_like(rows), labels, x, rows, len(names))
+    cur.write_class_table(out / "classes.txt", names)
+    print(f"wrote {len(rows)} samples across {len(names)} classes to {out}")
     return 0
 
 

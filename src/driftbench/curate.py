@@ -29,7 +29,7 @@ class EmbeddingRecord:
     vector: np.ndarray
 
 
-# The class finalize_bucket adds after the query classes; no query class may take its name.
+# The class curate_rows adds after the query classes; no query class may take its name.
 BACKGROUND_CLASS = "background"
 
 
@@ -81,7 +81,7 @@ def score_embedding_file(fh: BinaryIO, spec: CurationSpec) -> tuple[np.ndarray, 
     ``fh`` is binary and holds an ``#m=<m>`` header, then
     ``id<TAB>v1,...,vm`` records, each vector scaled to unit L2 norm before
     it is scored.  ``scores`` yields each class's score vector in spec order,
-    as :func:`curate_scores` takes them.  The records are parsed by
+    as :func:`curate_rows` takes them.  The records are parsed by
     :func:`~driftbench.corpus.read_records`, which scores each chunk's matrix
     and drops it.  ``x``, for :func:`~driftbench.corpus.write_feature_file`,
     is a :class:`~driftbench.corpus.FileRows` that parses the selected
@@ -134,16 +134,16 @@ def load_query_file(path: str | Path) -> list[tuple[str, np.ndarray]]:
     return queries
 
 
-def load_rejection_list(path: str | Path) -> set[int]:
-    """One id per line; ids to drop before finalization.  An id outside int64 names its line."""
-    rejected: set[int] = set()
+def load_rejection_list(path: str | Path) -> np.ndarray:
+    """One id per line: the sorted int64 vector of ids to drop before finalization.  An id outside int64 names its line."""
+    rejected: list[int] = []
     for lineno, line in text_lines(read_text(path, EmbeddingFileError)):
         line = line.strip()
         try:
-            rejected.add(parse_int64(line))
+            rejected.append(parse_int64(line))
         except ValueError as exc:
             raise EmbeddingFileError(f"{path}:{lineno}: bad id {line!r}: {exc}") from exc
-    return rejected
+    return np.unique(np.array(rejected, dtype=np.int64))
 
 
 def _stack(embeddings: Sequence[EmbeddingRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +221,8 @@ def _ranked_positions(
 
 def _select_positions(
     universe: np.ndarray, positions: Sequence[np.ndarray], spec: CurationSpec
-) -> dict[str, set[int]]:
-    """:func:`select_labeled` over each class's ranking as positions into the sorted universe."""
+) -> list[np.ndarray]:
+    """Each class's head positions: :func:`select_labeled` over rankings as positions into the sorted universe."""
     names = spec.class_names
     banned = np.zeros(len(universe), dtype=bool)
     selected = [np.zeros(0, dtype=np.intp) for _ in names]
@@ -246,7 +246,7 @@ def _select_positions(
             cursor[k] += int(take[-1]) + 1
         conflicted = np.bincount(np.concatenate(selected), minlength=len(universe)) >= 2
         if not conflicted.any():
-            return {name: set(universe[sel].tolist()) for name, sel in zip(names, selected)}
+            return selected
         banned |= conflicted
         selected = [sel[~conflicted[sel]] for sel in selected]
     raise RuntimeError("duplicate resolution did not reach a fixpoint")
@@ -263,7 +263,9 @@ def select_labeled(
     and the loop is bounded at the universe size.  A ranking that repeats an id
     is rejected.
     """
-    return _select_positions(*_ranked_positions(rankings, spec.class_names), spec)
+    universe, positions = _ranked_positions(rankings, spec.class_names)
+    selected = _select_positions(universe, positions, spec)
+    return {name: set(universe[sel].tolist()) for name, sel in zip(spec.class_names, selected)}
 
 
 def _lowest(name: str, ranked: np.ndarray, spec: CurationSpec) -> np.ndarray:
@@ -286,16 +288,21 @@ def assemble_background(
     return set(np.concatenate(lowest).tolist()).difference(*labeled.values())
 
 
-def curate_scores(
-    ids: np.ndarray, scores: Iterable[np.ndarray], spec: CurationSpec
-) -> tuple[dict[str, set[int]], set[int]]:
-    """:func:`select_labeled` and :func:`assemble_background` of the rankings by each class's scores.
+def curate_rows(
+    ids: np.ndarray, scores: Iterable[np.ndarray], spec: CurationSpec, rejected: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Curate the ids by each class's scores: ``(rows, labels)``, rows into ``ids`` in ascending-id order.
 
     ``scores`` yields one score vector per query class, in spec order, entry
     ``i`` scoring id ``ids[i]``; a ``(classes, ids)`` matrix will do.  Each
     class's ranking is its positions into the sorted ids, which must not
     repeat; a stable sort by score breaks ties by position, that is by id.
-    Positions are int32 below 2**31 ids.
+    Positions are int32 below 2**31 ids.  The :func:`select_labeled` heads
+    and the :func:`assemble_background` pool, less the ``rejected`` ids (an
+    int64 vector), are each cut to ``final_per_class`` ids by one generator
+    seeded by ``seed``, drawing from each sorted pool in spec order, then the
+    background.  Label ``k`` is the ``k``-th of
+    ``(*spec.class_names, BACKGROUND_CLASS)``.
     """
     by_id = np.argsort(ids)
     universe = ids[by_id]
@@ -303,52 +310,19 @@ def curate_scores(
     positions = [np.argsort(-s[by_id], kind="stable").astype(kind) for s in scores]
     labeled = _select_positions(universe, positions, spec)
     lowest = [_lowest(name, pos, spec) for name, pos in zip(spec.class_names, positions)]
-    return labeled, set(universe[np.concatenate(lowest)].tolist()).difference(*labeled.values())
-
-
-@dataclass(frozen=True)
-class CuratedDataset:
-    """Final balanced selection: one id tuple per class, background last."""
-
-    class_names: tuple[str, ...]
-    selections: dict[str, tuple[int, ...]]
-
-
-def finalize_bucket(
-    labeled: Mapping[str, set[int]],
-    background: set[int],
-    spec: CurationSpec,
-    seed: int,
-) -> CuratedDataset:
-    """Seeded uniform subsample of ``final_per_class`` ids per class, background included."""
-    pools = {name: labeled[name] for name in spec.class_names}
-    pools[BACKGROUND_CLASS] = background
+    background = np.setdiff1d(np.concatenate(lowest), np.concatenate(labeled))
+    kept = ~np.isin(universe, rejected)
+    names = (*spec.class_names, BACKGROUND_CLASS)
     rng = np.random.default_rng(seed)
-    selections: dict[str, tuple[int, ...]] = {}
-    for name, pool in pools.items():
+    picked = []
+    for name, pool in zip(names, (*labeled, background)):
+        pool = np.sort(pool[kept[pool]])
         if len(pool) < spec.final_per_class:
-            raise ShortageError(
-                f"class {name!r} has {len(pool)} ids, needs {spec.final_per_class}"
-            )
-        ordered = sorted(pool)
-        chosen = rng.choice(len(ordered), size=spec.final_per_class, replace=False)
-        selections[name] = tuple(sorted(ordered[i] for i in chosen))
-    return CuratedDataset(
-        class_names=spec.class_names + (BACKGROUND_CLASS,), selections=selections
-    )
-
-
-def curated_rows(dataset: CuratedDataset, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The curated selection as (rows, labels): embedding-matrix rows in ascending-id order.
-
-    Row ``r`` holds id ``ids[r]``; label ``k`` is ``dataset.class_names[k]``.
-    """
-    names = dataset.class_names
-    chosen = np.array([rid for name in names for rid in dataset.selections[name]], dtype=np.int64)
-    labels = np.repeat(np.arange(len(names)), [len(dataset.selections[name]) for name in names])
-    by_id = np.argsort(chosen, kind="stable")
-    sorter = np.argsort(ids)
-    return sorter[np.searchsorted(ids, chosen[by_id], sorter=sorter)], labels[by_id]
+            raise ShortageError(f"class {name!r} has {len(pool)} ids, needs {spec.final_per_class}")
+        picked.append(pool[rng.choice(len(pool), size=spec.final_per_class, replace=False)])
+    picked = np.concatenate(picked)
+    order = np.argsort(picked)
+    return by_id[picked[order]], np.repeat(np.arange(len(names)), spec.final_per_class)[order]
 
 
 def write_class_table(path: str | Path, class_names: Sequence[str]) -> None:

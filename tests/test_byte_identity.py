@@ -315,11 +315,8 @@ def test_messy_embedding_file_curates_as_the_library_path(processes, tmp_path, m
     spec = read_curation_spec(tmp_path / "cur.cfg")
     curation = spec.spec(curate_module.load_query_file(tmp_path / "q.tsv"))
     ids, x = load_embedding_file(tmp_path / "emb.tsv")
-    labeled, background = curate_ids(ids, x, curation)
     rejected = curate_module.load_rejection_list(tmp_path / "reject.txt")
-    labeled = {name: chosen - rejected for name, chosen in labeled.items()}
-    dataset = curate_module.finalize_bucket(labeled, background - rejected, curation, seed=spec.values["seed"])
-    rows, labels = curate_module.curated_rows(dataset, ids)
+    rows, labels = curate_ids(ids, x, curation, rejected, spec.values["seed"])
     reference = tmp_path / "reference.tsv"
     corpus_module.write_feature_file(reference, ids[rows], np.zeros_like(rows), labels, x, rows, 4)
 
@@ -350,12 +347,12 @@ def test_an_embedding_file_changed_before_the_write_keeps_the_old_output(process
     features = tmp_path / "curated" / "features.tsv"
     before = features.read_bytes()
     emb = tmp_path / "emb.tsv"
-    real = curate_module.curated_rows
+    real = curate_module.curate_rows
 
-    def rows_then_change_the_file(dataset, ids):
+    def rows_then_change_the_file(ids, scores, spec, rejected, seed):
         # The last record written (the largest id, in the last writer block)
         # gets another id of the same width, in place.
-        rows, labels = real(dataset, ids)
+        rows, labels = real(ids, scores, spec, rejected, seed)
         last = int(ids[rows[-1]])
         text = emb.read_text()
         with open(emb, "r+b") as fh:
@@ -365,7 +362,7 @@ def test_an_embedding_file_changed_before_the_write_keeps_the_old_output(process
 
     monkeypatch.setattr(corpus_module, "FORK_MIN_VALUES", 1)
     monkeypatch.setattr(corpus_module, "_process_count", lambda units: min(units, processes))
-    monkeypatch.setattr(curate_module, "curated_rows", rows_then_change_the_file)
+    monkeypatch.setattr(curate_module, "curate_rows", rows_then_change_the_file)
     capsys.readouterr()
     assert main(args) == 2
     assert f"{emb}: records changed since the file was read" in capsys.readouterr().err

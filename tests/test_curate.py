@@ -22,9 +22,8 @@ from driftbench.curate import (
     ShortageError,
     assemble_background,
     cosine_rank,
-    curated_rows,
+    curate_rows,
     embedding_dimension,
-    finalize_bucket,
     load_query_file,
     load_rejection_list,
     rank_all,
@@ -369,32 +368,32 @@ class TestBackground:
 
 
 class TestFinalize:
-    def spec(self, final=3):
+    # Ids 1-3 lead class a's scores and 4-6 class b's; 7-9 trail both, in a shuffled id vector.
+    IDS = np.array([9, 1, 8, 2, 7, 3, 6, 4, 5])
+    SCORES = np.where(IDS > 6, -1.0, [IDS <= 3, IDS > 3])
+
+    def curate(self, final=3, low=3, rejected=(), seed=0):
         _, queries = five_id_universe()
-        return CurationSpec(
-            queries=queries, per_class_top=5, background_low_per_class=1, final_per_class=final
-        )
+        spec = CurationSpec(queries=queries, per_class_top=3, background_low_per_class=low, final_per_class=final)
+        return curate_rows(self.IDS, self.SCORES, spec, np.array(rejected, dtype=np.int64), seed)
 
     def test_exact_count_taken_verbatim(self):
-        spec = self.spec(final=3)
-        labeled = {"a": {1, 2, 3}, "b": {4, 5, 6}}
-        out = finalize_bucket(labeled, {7, 8, 9}, spec, seed=0)
-        assert out.selections["a"] == (1, 2, 3)
-        assert out.selections[BACKGROUND_CLASS] == (7, 8, 9)
+        rows, labels = self.curate(final=3)
+        assert self.IDS[rows].tolist() == list(range(1, 10))
+        assert labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_deterministic_and_balanced(self):
-        spec = self.spec(final=2)
-        labeled = {"a": {1, 2, 3, 4}, "b": {5, 6, 7, 8}}
-        one = finalize_bucket(labeled, {10, 11, 12}, spec, seed=42)
-        two = finalize_bucket(labeled, {10, 11, 12}, spec, seed=42)
-        assert one.selections == two.selections
-        assert all(len(ids) == 2 for ids in one.selections.values())
-        assert one.class_names == ("a", "b", BACKGROUND_CLASS)
+        one = self.curate(final=2, seed=42)
+        two = self.curate(final=2, seed=42)
+        assert all(np.array_equal(a, b) for a, b in zip(one, two))
+        assert np.bincount(one[1]).tolist() == [2, 2, 2]
+        assert np.all(np.diff(self.IDS[one[0]]) > 0)
 
     def test_shortage(self):
-        spec = self.spec(final=3)
-        with pytest.raises(ShortageError, match="background"):
-            finalize_bucket({"a": {1, 2, 3}, "b": {4, 5, 6}}, {9}, spec, seed=0)
+        with pytest.raises(ShortageError, match="^class 'background' has 1 ids, needs 3$"):
+            self.curate(final=3, low=1)
+        with pytest.raises(ShortageError, match="^class 'a' has 2 ids, needs 3$"):
+            self.curate(final=3, rejected=[2, 42])
 
 
 class TestFiles:
@@ -514,8 +513,9 @@ class TestFiles:
 
     def test_rejection_list(self, tmp_path):
         p = tmp_path / "reject.txt"
-        p.write_text("3\n17\n\n5\n")
-        assert load_rejection_list(p) == {3, 17, 5}
+        p.write_text("3\n17\n\n5\n3\n")
+        rejected = load_rejection_list(p)
+        assert (rejected.dtype, rejected.tolist()) == (np.int64, [3, 5, 17])
         # An id beyond int64 could never match an embedding id.
         p.write_text(f"3\n{2**63 - 1}\n{-(2**63)}\n99999999999999999999999\n")
         with pytest.raises(
@@ -529,6 +529,19 @@ class TestFiles:
             p.write_text(f"3\n{spelling}\n")
             with pytest.raises(EmbeddingFileError, match=rf"reject\.txt:2: bad id '{re.escape(spelling)}'"):
                 load_rejection_list(p)
+
+    def test_a_bad_rejection_list_fails_before_the_embeddings_are_read(self, tmp_path, monkeypatch, capsys):
+        # The list is read first: its bad line wins over a bad record and over a selection shortage.
+        (tmp_path / "emb.tsv").write_text("#m=2\n0\t1.0,0.0\n1\t1.0\n")
+        (tmp_path / "q.tsv").write_text("a\t1.0,0.0\n")
+        (tmp_path / "reject.txt").write_text("3\nseven\n")
+        (tmp_path / "cur.cfg").write_text("per_class_top = 5\nbackground_low = 1\nfinal_per_class = 1\n"
+                                          f"reject_file = {tmp_path / 'reject.txt'}\n")
+        monkeypatch.setattr(curate_module, "score_embedding_file", lambda *args: pytest.fail("embeddings read"))
+        assert main(["curate", "--embeddings", str(tmp_path / "emb.tsv"), "--queries", str(tmp_path / "q.tsv"),
+                     "--spec", str(tmp_path / "cur.cfg"), "--out", str(tmp_path / "curated")]) == 2
+        assert capsys.readouterr().err.startswith(f"driftbench: error: {tmp_path / 'reject.txt'}:2: bad id 'seven'")
+        assert not (tmp_path / "curated").exists()
 
     def test_class_table(self, tmp_path):
         p = tmp_path / "classes.txt"
@@ -545,16 +558,11 @@ def test_curated_rows_in_ascending_id_order():
     )
     rankings = rank_all(embeddings, spec)
     labeled = select_labeled(rankings, spec)
-    background = assemble_background(rankings, spec, labeled)
-    dataset = finalize_bucket(labeled, background, spec, seed=0)
-    rows, labels = curated_rows(dataset, ids)
-    by_id = sorted(
-        (rid, label)
-        for label, name in enumerate(dataset.class_names)
-        for rid in dataset.selections[name]
-    )
-    assert list(zip(ids[rows].tolist(), labels.tolist())) == by_id
-    assert len(rows) == 9 and set(labels.tolist()) == {0, 1, 2}
+    pools = [labeled["x"], labeled["y"], assemble_background(rankings, spec, labeled)]
+    rows, labels = curate_ids(ids, np.stack([e.vector for e in embeddings]), spec)
+    assert np.all(np.diff(ids[rows]) > 0)
+    assert all(rid in pools[label] for rid, label in zip(ids[rows].tolist(), labels.tolist()))
+    assert len(rows) == 9 and np.bincount(labels).tolist() == [3, 3, 3]
 
 
 def test_curation_spec_validation():
@@ -628,6 +636,20 @@ def reference_background(rankings, spec, labeled):
     return background - taken
 
 
+def reference_finalize(ids, labeled, background, spec, rejected, seed):
+    """(rows, labels) of each pool less ``rejected``, sorted, subsampled in class order then background."""
+    rng = np.random.default_rng(seed)
+    chosen = []
+    for label, (name, pool) in enumerate([*labeled.items(), (BACKGROUND_CLASS, background)]):
+        ordered = sorted(pool - rejected)
+        if len(ordered) < spec.final_per_class:
+            raise ShortageError(f"class {name!r} has {len(ordered)} ids, needs {spec.final_per_class}")
+        picks = rng.choice(len(ordered), size=spec.final_per_class, replace=False)
+        chosen += [(ordered[i], label) for i in picks.tolist()]
+    row = {rid: r for r, rid in enumerate(ids)}
+    return [row[rid] for rid, _ in sorted(chosen)], [label for _, label in sorted(chosen)]
+
+
 def outcome(call):
     try:
         return "ok", call()
@@ -646,12 +668,13 @@ def curation_cases(draw):
     queries = tuple(
         (f"c{k}", rng.integers(-3, 4, m) * 1.0) for k in range(draw(st.integers(1, 4)))
     )
+    # Small heads let shared ids be refilled; large ones run short.
+    top = draw(st.integers(1, max(1, n // (2 * len(queries)))) | st.integers(1, n + 1))
     spec = CurationSpec(
         queries=queries,
-        # Small heads let shared ids be refilled; large ones run short.
-        per_class_top=draw(st.integers(1, max(1, n // (2 * len(queries)))) | st.integers(1, n + 1)),
+        per_class_top=top,
         background_low_per_class=draw(st.integers(1, n + 1)),
-        final_per_class=1,
+        final_per_class=draw(st.integers(1, top)),
     )
     # Sometimes rank the last class over other rows: a dropped row or a changed id.
     mismatch = draw(st.sampled_from([None, None, None, "drop", "change"]))
@@ -660,13 +683,15 @@ def curation_cases(draw):
         class_rows[-1] = (ids[:-1], matrix[:-1])
     elif mismatch == "change" and ids[-1] < 2**63 - 1 and ids[-1] + 1 not in ids:
         class_rows[-1] = (ids[:-1] + [ids[-1] + 1], matrix)
-    return spec, class_rows
+    # Rejected ids: some of the universe's, some outside it.
+    rejected = draw(st.sets(st.sampled_from(ids) | st.integers(-(2**63), 2**63 - 1), max_size=n // 2 + 1))
+    return spec, class_rows, rejected, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(curation_cases())
 def test_curation_core_matches_tuple_reference(case):
-    spec, class_rows = case
+    spec, class_rows, rejected, seed = case
     rankings, reference = {}, {}
     for (name, query), (ids, matrix) in zip(spec.queries, class_rows):
         ranking = rank_rows(np.array(ids, dtype=np.int64), matrix, query)
@@ -685,5 +710,10 @@ def test_curation_core_matches_tuple_reference(case):
     same = {name: reference_rank(ids, matrix, query)[0] for name, query in spec.queries}
     want = outcome(lambda: reference_select(same, spec))
     if want[0] == "ok":
-        want = outcome(lambda: (want[1], reference_background(same, spec, want[1])))
-    assert outcome(lambda: curate_ids(np.array(ids, dtype=np.int64), matrix, spec)) == want
+        labeled = want[1]
+        want = outcome(lambda: reference_finalize(
+            ids, labeled, reference_background(same, spec, labeled), spec, rejected, seed))
+    got = outcome(lambda: curate_ids(np.array(ids, dtype=np.int64), matrix, spec, np.unique(list(rejected)), seed))
+    if got[0] == "ok":
+        got = "ok", tuple(v.tolist() for v in got[1])
+    assert got == want

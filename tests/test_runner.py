@@ -367,11 +367,11 @@ class TestValidateConfig:
 
         seeds = []
 
-        def recording(labeled, background, spec, seed):
+        def recording(ids, scores, spec, rejected, seed):
             seeds.append(seed)
             raise ConfigError("stop after the seed is known")
 
-        monkeypatch.setattr("driftbench.curate.finalize_bucket", recording)
+        monkeypatch.setattr("driftbench.curate.curate_rows", recording)
         (tmp_path / "emb.tsv").write_text("#m=2\n" + "".join(f"{i}\t1.0,{i}.0\n" for i in range(8)))
         (tmp_path / "q.tsv").write_text("a\t1.0,0.0\n")
         (tmp_path / "cur.cfg").write_text("per_class_top = 2\nbackground_low = 2\nfinal_per_class = 1\n")
